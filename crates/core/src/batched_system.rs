@@ -62,6 +62,7 @@ use crate::checkpoint::{
 use crate::compiled_system::{
     slot_key, slot_time, ChaosState, ClockSlots, CompiledSystem, SLOT_EMPTY,
 };
+use crate::drive::{drive, ChunkRule, Drive};
 use crate::faults::{DataAction, TokenPassAction};
 use crate::iotrace::SbIoTrace;
 use crate::logic::{IdleLogic, InputView, OutputSlot, SbIo, SyncLogic};
@@ -296,6 +297,34 @@ impl BFifo {
     }
 }
 
+/// One group driven through [`drive`]; divergence splits are kept with
+/// the chunk end they split in.
+struct GroupRun<'a> {
+    group: &'a mut Group,
+    splits: Vec<(Group, SimTime)>,
+}
+
+impl Drive for GroupRun<'_> {
+    fn now(&self) -> SimTime {
+        self.group.now
+    }
+
+    fn min_cycles(&self) -> u64 {
+        self.group.min_cycles()
+    }
+
+    fn run_chunk(&mut self, until: SimTime) -> Result<bool, SimError> {
+        let mut fresh = Vec::new();
+        let quiescent = self.group.run_until(until, &mut fresh);
+        self.splits.extend(fresh.into_iter().map(|g| (g, until)));
+        Ok(quiescent)
+    }
+
+    fn stopped_sbs(&self) -> Vec<SbId> {
+        self.group.stopped_sbs()
+    }
+}
+
 /// One lockstep group: the scalar compiled engine with per-lane data
 /// columns. All control flow (and the `seq` stream) is shared, so it
 /// equals every member lane's scalar run while the group holds.
@@ -314,7 +343,7 @@ struct Group {
     /// Fault-injection mirror — only ever present on singleton groups
     /// (faulted lanes never share control state).
     chaos: Option<Box<ChaosState>>,
-    /// Outcome of the latest `run_until_cycles` drive.
+    /// Outcome of the latest `run_until_cycles` or `run_to_verdict` drive.
     outcome: Option<RunOutcome>,
     /// Per-edge scratch (lane-major output words), reused so the
     /// steady state allocates nothing.
@@ -1358,66 +1387,61 @@ impl BatchedSystem {
     /// would use. Returns one outcome per lane, byte-equal to the
     /// scalar backends' outcomes.
     pub fn run_until_cycles(&mut self, cycles: u64, max_time: SimDuration) -> Vec<RunOutcome> {
+        self.drive_lanes(cycles, max_time, false)
+    }
+
+    /// A verdict run of every lane (see
+    /// [`System::run_to_verdict`](crate::System::run_to_verdict)): the
+    /// per-lane outcomes and traces of
+    /// [`run_until_cycles`](Self::run_until_cycles), with an
+    /// unspecified end state.
+    pub fn run_to_verdict(&mut self, cycles: u64, max_time: SimDuration) -> Vec<RunOutcome> {
+        self.drive_lanes(cycles, max_time, true)
+    }
+
+    fn drive_lanes(
+        &mut self,
+        cycles: u64,
+        max_time: SimDuration,
+        verdict: bool,
+    ) -> Vec<RunOutcome> {
         struct Work {
             gi: usize,
+            rule: ChunkRule,
             deadline: SimTime,
-            chunk: SimDuration,
             pending: Option<SimTime>,
         }
-        let chunk_of = |spec: &SystemSpec| -> SimDuration {
-            spec.sbs
-                .iter()
-                .map(|s| s.period)
-                .max()
-                .unwrap_or(SimDuration::ns(10))
-                * (cycles.max(16))
-        };
-        let mut work: Vec<Work> = (0..self.groups.len())
-            .map(|gi| Work {
+        let mut work: Vec<Work> = self
+            .groups
+            .iter()
+            .enumerate()
+            .map(|(gi, g)| Work {
                 gi,
-                deadline: self.groups[gi].now + max_time,
-                chunk: chunk_of(&self.groups[gi].spec),
+                rule: ChunkRule::new(&g.spec, cycles, verdict.then_some(g.trace_limit)),
+                deadline: g.now + max_time,
                 pending: None,
             })
             .collect();
-        while let Some(mut w) = work.pop() {
-            let outcome = loop {
-                if let Some(target) = w.pending.take() {
-                    let mut splits = Vec::new();
-                    let quiescent = self.groups[w.gi].run_until(target, &mut splits);
-                    for child in splits {
-                        let gi = self.groups.len();
-                        self.groups.push(child);
-                        // A split-off subgroup first finishes the
-                        // parent's current chunk, then continues its
-                        // own loop on the same boundaries.
-                        work.push(Work {
-                            gi,
-                            deadline: w.deadline,
-                            chunk: w.chunk,
-                            pending: Some(target),
-                        });
-                    }
-                    if self.groups[w.gi].min_cycles() >= cycles {
-                        break RunOutcome::Reached;
-                    }
-                    if quiescent {
-                        break RunOutcome::Deadlock {
-                            stopped: self.groups[w.gi].stopped_sbs(),
-                        };
-                    }
-                    continue;
-                }
-                let g = &self.groups[w.gi];
-                if g.min_cycles() >= cycles {
-                    break RunOutcome::Reached;
-                }
-                if g.now >= w.deadline {
-                    break RunOutcome::TimedOut;
-                }
-                w.pending = Some((g.now + w.chunk).min(w.deadline));
+        while let Some(w) = work.pop() {
+            let mut run = GroupRun {
+                group: &mut self.groups[w.gi],
+                splits: Vec::new(),
             };
+            let outcome = drive(&mut run, w.rule, w.deadline, w.pending)
+                .expect("the batched engine never fails");
+            let splits = run.splits;
             self.groups[w.gi].outcome = Some(outcome);
+            for (child, until) in splits {
+                // A split-off subgroup first finishes the chunk it
+                // split in, then continues its own loop under the
+                // parent's rule and deadline.
+                work.push(Work {
+                    gi: self.groups.len(),
+                    pending: Some(until),
+                    ..w
+                });
+                self.groups.push(child);
+            }
         }
         self.relocate();
         (0..self.lane_loc.len())

@@ -51,6 +51,7 @@ use crate::checkpoint::{
     config_hash, encode_compiled_payload, Checkpoint, CheckpointBackend, CheckpointError,
     CompiledEvDump, CompiledFifoDump, CompiledSbDump, CompiledStateDump, DecodedCheckpoint,
 };
+use crate::drive::{drive, ChunkRule, Drive};
 use crate::faults::{
     DataAction, FaultInjector, JitterCounters, TokenPassAction, CLASS_CLK, CLASS_DATA, CLASS_TOKEN,
 };
@@ -418,6 +419,24 @@ pub struct CompiledSystem {
     chaos: Option<Box<ChaosState>>,
 }
 
+impl Drive for CompiledSystem {
+    fn now(&self) -> SimTime {
+        self.now
+    }
+
+    fn min_cycles(&self) -> u64 {
+        CompiledSystem::min_cycles(self)
+    }
+
+    fn run_chunk(&mut self, until: SimTime) -> Result<bool, SimError> {
+        Ok(self.run_until(until)?.quiescent)
+    }
+
+    fn stopped_sbs(&self) -> Vec<SbId> {
+        CompiledSystem::stopped_sbs(self)
+    }
+}
+
 impl std::fmt::Debug for CompiledSystem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledSystem")
@@ -717,8 +736,8 @@ impl CompiledSystem {
     }
 
     /// Runs until every SB has executed at least `cycles` local cycles,
-    /// deadlock is detected, or `max_time` of simulated time elapses.
-    /// A verbatim port of [`System::run_until_cycles`]'s chunk loop, so
+    /// deadlock is detected, or `max_time` of simulated time elapses —
+    /// the same chunk loop as [`System::run_until_cycles`], so
     /// intermediate end times match exactly.
     ///
     /// # Errors
@@ -729,33 +748,25 @@ impl CompiledSystem {
         cycles: u64,
         max_time: SimDuration,
     ) -> Result<RunOutcome, SimError> {
-        let deadline = self.now + max_time;
-        let chunk = self
-            .spec
-            .sbs
-            .iter()
-            .map(|s| s.period)
-            .max()
-            .unwrap_or(SimDuration::ns(10))
-            * (cycles.max(16));
-        loop {
-            if self.min_cycles() >= cycles {
-                return Ok(RunOutcome::Reached);
-            }
-            if self.now >= deadline {
-                return Ok(RunOutcome::TimedOut);
-            }
-            let next = (self.now + chunk).min(deadline);
-            let summary = self.run_until(next)?;
-            if self.min_cycles() >= cycles {
-                return Ok(RunOutcome::Reached);
-            }
-            if summary.quiescent {
-                return Ok(RunOutcome::Deadlock {
-                    stopped: self.stopped_sbs(),
-                });
-            }
-        }
+        let rule = ChunkRule::new(&self.spec, cycles, None);
+        drive(self, rule, self.now + max_time, None)
+    }
+
+    /// A verdict run, as [`System::run_to_verdict`]: the outcome and
+    /// traces of [`run_until_cycles`](Self::run_until_cycles), with an
+    /// unspecified end state.
+    ///
+    /// # Errors
+    ///
+    /// Never fails; the `Result` matches the event backend's signature.
+    pub fn run_to_verdict(
+        &mut self,
+        cycles: u64,
+        max_time: SimDuration,
+    ) -> Result<RunOutcome, SimError> {
+        let limit = self.sbs.first().map_or(0, |s| s.trace.limit());
+        let rule = ChunkRule::new(&self.spec, cycles, Some(limit));
+        drive(self, rule, self.now + max_time, None)
     }
 
     // --- event handlers -------------------------------------------------
@@ -1721,6 +1732,22 @@ impl AnySystem {
         max_time: SimDuration,
     ) -> Result<RunOutcome, SimError> {
         delegate!(self, s => s.run_until_cycles(cycles, max_time))
+    }
+
+    /// A verdict run (see [`System::run_to_verdict`]): the outcome and
+    /// traces of [`run_until_cycles`](Self::run_until_cycles), with an
+    /// unspecified end state.
+    ///
+    /// # Errors
+    ///
+    /// Propagates kernel errors (combinational loops) from the event
+    /// backend; the compiled backend never fails.
+    pub fn run_to_verdict(
+        &mut self,
+        cycles: u64,
+        max_time: SimDuration,
+    ) -> Result<RunOutcome, SimError> {
+        delegate!(self, s => s.run_to_verdict(cycles, max_time))
     }
 
     /// Local cycles elapsed in `sb`.

@@ -275,7 +275,7 @@ fn run_one(
     let spec = config.apply(base);
     let seed = if cfg.bypass { config.fingerprint() } else { 0 };
     let mut sys = build(spec, seed);
-    let outcome = sys.run_until_cycles(cfg.compare_cycles, cfg.max_time);
+    let outcome = sys.run_to_verdict(cfg.compare_cycles, cfg.max_time);
     let completed = matches!(outcome, Ok(RunOutcome::Reached));
     let mut divergences = Vec::with_capacity(base.sbs.len());
     let mut matched = completed;
@@ -347,7 +347,7 @@ pub fn run_campaign_threads_any(
         0
     };
     let mut nominal_sys = build(nominal_cfg.apply(base), seed);
-    let outcome = nominal_sys.run_until_cycles(cfg.compare_cycles, cfg.max_time);
+    let outcome = nominal_sys.run_to_verdict(cfg.compare_cycles, cfg.max_time);
     assert!(
         matches!(outcome, Ok(RunOutcome::Reached)),
         "nominal run failed: {outcome:?}"

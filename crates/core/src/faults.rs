@@ -721,7 +721,9 @@ impl fmt::Display for ChaosOutcome {
 /// Runs `sys` to `cycles` under `plan`'s SEU schedule (analog/protocol
 /// faults were already installed at build time via
 /// [`SystemBuilder::with_fault_plan`](crate::system::SystemBuilder::with_fault_plan)),
-/// bounded by `budget` of simulated time overall.
+/// bounded by `budget` of simulated time overall. The outcome and the
+/// traces are those of running every leg with `run_until_cycles`; the
+/// end state past them is unspecified (see [`run_with_plan_resumed`]).
 ///
 /// # Errors
 ///
@@ -743,7 +745,10 @@ pub fn run_with_plan(
 /// The remaining drive — SEU flips at `reached`, the chunked runs to
 /// each later fire cycle, the final run to `cycles` — then replays the
 /// straight run's exact call sequence, so the continuation is
-/// byte-identical to [`run_with_plan`] from a fresh build. SEUs whose
+/// byte-identical to [`run_with_plan`] from a fresh build. Strikes land
+/// on `run_until_cycles` chunk boundaries; only the final leg is a
+/// verdict run ([`AnySystem::run_to_verdict`]), which stops once the
+/// outcome and every trace are final. SEUs whose
 /// (cycle-capped) fire cycle is below `reached` are applied
 /// immediately without running, mirroring where the straight sequence
 /// would have placed them only when `reached` equals the plan's first
@@ -789,7 +794,7 @@ pub fn run_with_plan_resumed(
     if left.is_zero() {
         return Ok(RunOutcome::TimedOut);
     }
-    sys.run_until_cycles(cycles, left)
+    sys.run_to_verdict(cycles, left)
 }
 
 /// Classifies a completed faulted run against per-SB golden traces.

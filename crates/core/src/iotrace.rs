@@ -178,6 +178,11 @@ impl SbIoTrace {
         }
     }
 
+    /// The most cycles this trace records (0 = unlimited).
+    pub fn limit(&self) -> usize {
+        self.limit
+    }
+
     /// Appends a row if the limit allows.
     pub fn record(&mut self, row: TraceRow) {
         self.record_with(row.cycle, row.reads, row.writes);

@@ -76,6 +76,7 @@ pub mod checkpoint;
 pub mod compiled_system;
 pub mod deadlock;
 pub mod determinism;
+mod drive;
 pub mod faults;
 pub mod formal;
 pub mod iotrace;

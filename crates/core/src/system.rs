@@ -11,6 +11,7 @@ use crate::checkpoint::{
     config_hash, encode_event_payload, Checkpoint, CheckpointBackend, CheckpointError,
     DecodedCheckpoint, EventStateDump,
 };
+use crate::drive::{drive, ChunkRule, Drive};
 use crate::faults::{AnalogDelayModel, FaultInjector, FaultPlan};
 use crate::iotrace::SbIoTrace;
 use crate::logic::{IdleLogic, SyncLogic};
@@ -338,7 +339,8 @@ impl SystemBuilder {
     }
 }
 
-/// How a [`System::run_until_cycles`] call ended.
+/// How a [`System::run_until_cycles`] or [`System::run_to_verdict`] call
+/// ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunOutcome {
     /// Every SB reached the requested local cycle count.
@@ -363,6 +365,24 @@ pub struct System {
     wrappers: Vec<Handle<SbWrapper>>,
     clocks: Vec<Handle<StoppableClock>>,
     fifos: Vec<Handle<SelfTimedFifo>>,
+}
+
+impl Drive for System {
+    fn now(&self) -> SimTime {
+        self.sim.now()
+    }
+
+    fn min_cycles(&self) -> u64 {
+        System::min_cycles(self)
+    }
+
+    fn run_chunk(&mut self, until: SimTime) -> Result<bool, SimError> {
+        Ok(self.sim.run_until(until)?.quiescent)
+    }
+
+    fn stopped_sbs(&self) -> Vec<SbId> {
+        System::stopped_sbs(self)
+    }
 }
 
 impl std::fmt::Debug for System {
@@ -390,7 +410,9 @@ impl System {
     }
 
     /// Runs until every SB has executed at least `cycles` local cycles,
-    /// deadlock is detected, or `max_time` of simulated time elapses.
+    /// deadlock is detected, or `max_time` of simulated time elapses,
+    /// checked after each chunk of `max_period × max(cycles, 16)`
+    /// measured from the current time.
     ///
     /// # Errors
     ///
@@ -400,34 +422,31 @@ impl System {
         cycles: u64,
         max_time: SimDuration,
     ) -> Result<RunOutcome, SimError> {
-        let deadline = self.sim.now() + max_time;
-        let chunk = self
-            .spec
-            .sbs
-            .iter()
-            .map(|s| s.period)
-            .max()
-            .unwrap_or(SimDuration::ns(10))
-            * (cycles.max(16));
-        loop {
-            if self.min_cycles() >= cycles {
-                return Ok(RunOutcome::Reached);
-            }
-            if self.sim.now() >= deadline {
-                return Ok(RunOutcome::TimedOut);
-            }
-            let next = (self.sim.now() + chunk).min(deadline);
-            let summary = self.sim.run_until(next)?;
-            if self.min_cycles() >= cycles {
-                return Ok(RunOutcome::Reached);
-            }
-            if summary.quiescent {
-                // Nothing left in flight: every clock is parked for good.
-                return Ok(RunOutcome::Deadlock {
-                    stopped: self.stopped_sbs(),
-                });
-            }
-        }
+        let rule = ChunkRule::new(&self.spec, cycles, None);
+        drive(self, rule, self.sim.now() + max_time, None)
+    }
+
+    /// A verdict run: the same [`RunOutcome`] and byte-identical I/O
+    /// traces as [`run_until_cycles`](Self::run_until_cycles), but the
+    /// end state (time, cycles past the target, statistics, event
+    /// counts) is unspecified. When the trace limit lies in
+    /// `1..=cycles` it stops as soon as every trace is final; otherwise
+    /// it is `run_until_cycles` verbatim.
+    ///
+    /// # Errors
+    ///
+    /// Propagates kernel errors (combinational loops).
+    pub fn run_to_verdict(
+        &mut self,
+        cycles: u64,
+        max_time: SimDuration,
+    ) -> Result<RunOutcome, SimError> {
+        let limit = self
+            .wrappers
+            .first()
+            .map_or(0, |w| self.sim.get(*w).trace().limit());
+        let rule = ChunkRule::new(&self.spec, cycles, Some(limit));
+        drive(self, rule, self.sim.now() + max_time, None)
     }
 
     fn min_cycles(&self) -> u64 {

@@ -42,6 +42,15 @@ const MAX_HEAD: usize = 16 * 1024;
 const MAX_BODY: usize = 8 * 1024 * 1024;
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// One HTTP message as a single buffer, so it leaves in one write
+/// rather than a head segment and a body segment.
+fn message(head: &str, body: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(head.len() + body.len());
+    out.extend_from_slice(head.as_bytes());
+    out.extend_from_slice(body);
+    out
+}
+
 /// A parsed request: method, path, body.
 struct Request {
     method: String,
@@ -151,8 +160,7 @@ impl Response {
             self.content_type,
             self.body.len()
         );
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(&self.body)?;
+        stream.write_all(&message(&head, &self.body))?;
         stream.flush()
     }
 }
@@ -527,6 +535,7 @@ impl Server {
                         let Ok(mut stream) = stream else { continue };
                         let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
                         let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+                        let _ = stream.set_nodelay(true);
                         let response = match read_request(&mut stream) {
                             Ok(req) => handle(&service, &req, &stop),
                             Err(e) => Response::error(400, &e.to_string()),
@@ -590,9 +599,14 @@ impl Drop for Server {
 /// smoke script: sends `method path` with `body`, returns
 /// `(status code, body bytes)`.
 ///
+/// The reply is read up to `MAX_HEAD + MAX_BODY` bytes, the most a
+/// request to this server may carry, so a peer that keeps sending
+/// cannot grow the caller's memory without bound.
+///
 /// # Errors
 ///
-/// Propagates connect/read/write failures.
+/// Propagates connect/read/write failures; `InvalidData` for a
+/// malformed reply or one longer than the cap.
 pub fn request(
     addr: SocketAddr,
     method: &str,
@@ -602,15 +616,22 @@ pub fn request(
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
+    stream.set_nodelay(true)?;
     let head = format!(
         "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    stream.write_all(&message(&head, body))?;
     stream.flush()?;
+    let cap = (MAX_HEAD + MAX_BODY) as u64;
     let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
+    Read::take(&mut stream, cap + 1).read_to_end(&mut raw)?;
+    if raw.len() as u64 > cap {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "response exceeds the size cap",
+        ));
+    }
     let head_end = find_head_end(&raw)
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "no response head"))?;
     let head = std::str::from_utf8(&raw[..head_end])
@@ -662,6 +683,31 @@ mod tests {
         assert_eq!(code, 404);
         let (code, _) = request(server.addr(), "POST", "/status/999", b"").unwrap();
         assert_eq!(code, 405);
+    }
+
+    #[test]
+    fn replies_past_the_size_cap_fail_closed() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // A peer that answers with a head and then never stops sending.
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let chunk = vec![b'x'; 64 * 1024];
+            let mut sent = stream.write(b"HTTP/1.1 200 OK\r\n\r\n").unwrap_or(0);
+            while sent <= 2 * (MAX_HEAD + MAX_BODY) {
+                match stream.write(&chunk) {
+                    Ok(n) if n > 0 => sent += n,
+                    _ => break,
+                }
+            }
+            sent
+        });
+        let err = request(addr, "GET", "/healthz", b"").expect_err("reply over the cap");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(
+            peer.join().unwrap() > MAX_HEAD + MAX_BODY,
+            "the peer streamed past the cap"
+        );
     }
 
     #[test]

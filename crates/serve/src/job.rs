@@ -631,7 +631,7 @@ fn run_sim_batched(
             lane_done(runs.len());
             return runs;
         };
-        let outcomes = batch.run_until_cycles(r.cycles, SimDuration::fs(r.budget_fs));
+        let outcomes = batch.run_to_verdict(r.cycles, SimDuration::fs(r.budget_fs));
         BATCHES_FORMED.fetch_add(1, Ordering::Relaxed);
         BATCH_LANES.fetch_add(batch.lanes() as u64, Ordering::Relaxed);
         BATCH_GROUPS.fetch_add(batch.group_count() as u64, Ordering::Relaxed);
@@ -676,7 +676,7 @@ pub fn run_sim_once(req: &SimRequest, seed: u64) -> SimRunResult {
     let spec = req.scenario.spec();
     let mut sys: AnySystem =
         mixer_builder(&spec, seed, req.trace_cycles as usize).build_backend(req.backend);
-    let outcome = match sys.run_until_cycles(req.cycles, SimDuration::fs(req.budget_fs)) {
+    let outcome = match sys.run_to_verdict(req.cycles, SimDuration::fs(req.budget_fs)) {
         Ok(RunOutcome::Reached) => "reached".to_owned(),
         Ok(RunOutcome::Deadlock { stopped }) => {
             let names: Vec<String> = stopped.iter().map(ToString::to_string).collect();

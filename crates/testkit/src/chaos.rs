@@ -296,7 +296,7 @@ pub fn run_chaos_campaign_batched_hooked(
         .collect();
     let goldens: Vec<(RunOutcome, Vec<SbIoTrace>)> = match BatchedSystem::build(builders) {
         Ok(mut batch) => {
-            let outcomes = batch.run_until_cycles(cycles, budget);
+            let outcomes = batch.run_to_verdict(cycles, budget);
             outcomes
                 .into_iter()
                 .enumerate()
@@ -314,7 +314,7 @@ pub fn run_chaos_campaign_batched_hooked(
             .map(|b| {
                 let mut sys = b.build_backend(Backend::Compiled);
                 let outcome = sys
-                    .run_until_cycles(cycles, budget)
+                    .run_to_verdict(cycles, budget)
                     .unwrap_or(synchro_tokens::system::RunOutcome::TimedOut);
                 let traces = (0..spec.sbs.len())
                     .map(|i| sys.io_trace(SbId(i)).clone())
@@ -328,7 +328,7 @@ pub fn run_chaos_campaign_batched_hooked(
     // byte-identical to a scalar event-backend run of the same seed.
     let golden_crosscheck: Option<String> = seeds.first().and_then(|&seed| {
         let mut sys = chaos_builder(spec, seed, cycles as usize).build_backend(Backend::Event);
-        let _ = sys.run_until_cycles(cycles, budget);
+        let _ = sys.run_to_verdict(cycles, budget);
         (0..spec.sbs.len()).find_map(|i| {
             (sys.io_trace(SbId(i)).digest() != goldens[0].1[i].digest()).then(|| {
                 format!("batched golden diverges from the event backend on SB {i} (seed {seed})")
@@ -405,7 +405,7 @@ fn run_one(spec: &SystemSpec, job: ChaosJob, cycles: u64, budget: SimDuration) -
 
     let mut golden_sys =
         chaos_builder(spec, job.seed, cycles as usize).build_backend(Backend::Event);
-    match golden_sys.run_until_cycles(cycles, budget) {
+    match golden_sys.run_to_verdict(cycles, budget) {
         Ok(RunOutcome::Reached) => {}
         other => violations.push(format!(
             "golden run did not reach {cycles} cycles: {other:?}"
@@ -629,7 +629,7 @@ pub fn run_seu_sweep_hooked(
     let mut golden_sys =
         chaos_builder(spec, seed, cycles as usize).build_backend(Backend::Compiled);
     let golden_outcome = golden_sys
-        .run_until_cycles(cycles, budget)
+        .run_to_verdict(cycles, budget)
         .unwrap_or(RunOutcome::TimedOut);
     let golden: Vec<SbIoTrace> = (0..spec.sbs.len())
         .map(|i| golden_sys.io_trace(SbId(i)).clone())

@@ -46,6 +46,9 @@ PROPTEST_CASES=16 cargo test --release -p synchro-tokens --test batched_equiv -q
 echo "== checkpoint/resume equivalence proptests (fixed reduced budget) =="
 PROPTEST_CASES=16 cargo test --release -p synchro-tokens --test checkpoint_equiv -q
 
+echo "== verdict-run equivalence proptests (fixed reduced budget) =="
+PROPTEST_CASES=16 cargo test --release -p synchro-tokens --test verdict_equiv -q
+
 echo "== chaos smoke (fixed seeds, reduced budget) =="
 # 48 of the full 501 (seed x fault-class) configs; seeds are fixed by
 # the plan generator, so this is deterministic run to run.
