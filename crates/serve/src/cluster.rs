@@ -588,7 +588,7 @@ impl Cluster {
             match status.get("status").and_then(Json::as_str) {
                 Some("done") => break,
                 Some("queued" | "running") => std::thread::sleep(REMOTE_POLL),
-                // Cancelled/expired remotely (or unparsable): steal.
+                // Cancelled/expired/failed remotely (or unparsable): steal.
                 _ => return None,
             }
         }

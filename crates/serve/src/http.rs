@@ -30,7 +30,7 @@
 //! campaigns run.
 
 use crate::json::Json;
-use crate::service::{JobService, Submission};
+use crate::service::{JobService, Submission, MAX_RESULT_BYTES};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -40,15 +40,29 @@ use std::time::Duration;
 
 const MAX_HEAD: usize = 16 * 1024;
 const MAX_BODY: usize = 8 * 1024 * 1024;
+/// The largest reply body [`request`] accepts: the biggest entry the
+/// service stores ([`MAX_RESULT_BYTES`]) plus room for the peer-frame
+/// header and witness record `/peer/get` wraps around it.
+const MAX_REPLY_BODY: usize = MAX_RESULT_BYTES + MAX_HEAD;
+/// Bodies up to this size share one buffer (and one write) with their
+/// head; larger ones are written after the head rather than copied.
+const COALESCE_MAX: usize = 4 * 1024;
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// One HTTP message as a single buffer, so it leaves in one write
-/// rather than a head segment and a body segment.
-fn message(head: &str, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(head.len() + body.len());
-    out.extend_from_slice(head.as_bytes());
-    out.extend_from_slice(body);
-    out
+/// Sends one HTTP message. A small body is copied behind the head so
+/// the message leaves in one write; a large one follows the head in a
+/// second write (TCP_NODELAY keeps the head from waiting for it).
+fn write_message(stream: &mut TcpStream, head: &str, body: &[u8]) -> io::Result<()> {
+    if body.len() <= COALESCE_MAX {
+        let mut out = Vec::with_capacity(head.len() + body.len());
+        out.extend_from_slice(head.as_bytes());
+        out.extend_from_slice(body);
+        stream.write_all(&out)?;
+    } else {
+        stream.write_all(head.as_bytes())?;
+        stream.write_all(body)?;
+    }
+    stream.flush()
 }
 
 /// A parsed request: method, path, body.
@@ -58,13 +72,15 @@ struct Request {
     body: Vec<u8>,
 }
 
-/// Reads one HTTP/1.1 request off `stream`.
-fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
+/// Reads an HTTP head of at most `MAX_HEAD` bytes off `stream`.
+/// Returns everything read so far and the head's length; the bytes
+/// past the head's blank line are the start of the body.
+fn read_head(stream: &mut TcpStream) -> io::Result<(Vec<u8>, usize)> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 1024];
-    let head_end = loop {
+    loop {
         if let Some(pos) = find_head_end(&buf) {
-            break pos;
+            return Ok((buf, pos));
         }
         if buf.len() > MAX_HEAD {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "head too large"));
@@ -77,11 +93,49 @@ fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
             ));
         }
         buf.extend_from_slice(&chunk[..n]);
-    };
+    }
+}
+
+/// The head's `Content-Length`, if it carries one.
+fn content_length(head: &str) -> io::Result<Option<usize>> {
+    for line in head.split("\r\n").skip(1) {
+        if let Some((name, value)) = line.split_once(':') {
+            if name.trim().eq_ignore_ascii_case("content-length") {
+                return value
+                    .trim()
+                    .parse()
+                    .map(Some)
+                    .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad length"));
+            }
+        }
+    }
+    Ok(None)
+}
+
+/// Reads a body of exactly `len` bytes, of which `body` already holds
+/// the start. Memory grows only as bytes arrive, never to a length a
+/// peer merely claims.
+fn read_body(stream: &mut TcpStream, mut body: Vec<u8>, len: usize) -> io::Result<Vec<u8>> {
+    if body.len() < len {
+        let missing = (len - body.len()) as u64;
+        Read::take(stream, missing).read_to_end(&mut body)?;
+        if body.len() < len {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "connection closed mid-body",
+            ));
+        }
+    }
+    body.truncate(len);
+    Ok(body)
+}
+
+/// Reads one HTTP/1.1 request off `stream`.
+fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
+    let (mut buf, head_end) = read_head(stream)?;
     let head = std::str::from_utf8(&buf[..head_end])
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 head"))?;
-    let mut lines = head.split("\r\n");
-    let request_line = lines.next().unwrap_or_default();
+    let request_line = head.split("\r\n").next().unwrap_or_default();
     let mut parts = request_line.split(' ');
     let method = parts.next().unwrap_or_default().to_owned();
     let path = parts.next().unwrap_or_default().to_owned();
@@ -91,32 +145,11 @@ fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
             "bad request line",
         ));
     }
-    let mut content_length = 0usize;
-    for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad length"))?;
-            }
-        }
-    }
+    let content_length = content_length(head)?.unwrap_or(0);
     if content_length > MAX_BODY {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
     }
-    let mut body = buf[head_end + 4..].to_vec();
-    while body.len() < content_length {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-body",
-            ));
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(content_length);
+    let body = read_body(stream, buf.split_off(head_end + 4), content_length)?;
     Ok(Request { method, path, body })
 }
 
@@ -160,8 +193,7 @@ impl Response {
             self.content_type,
             self.body.len()
         );
-        stream.write_all(&message(&head, &self.body))?;
-        stream.flush()
+        write_message(stream, &head, &self.body)
     }
 }
 
@@ -599,14 +631,16 @@ impl Drop for Server {
 /// smoke script: sends `method path` with `body`, returns
 /// `(status code, body bytes)`.
 ///
-/// The reply is read up to `MAX_HEAD + MAX_BODY` bytes, the most a
-/// request to this server may carry, so a peer that keeps sending
-/// cannot grow the caller's memory without bound.
+/// The reply must carry a `Content-Length` (this server always sends
+/// one) of at most `MAX_REPLY_BODY`, and exactly that many body bytes
+/// are read, so a peer that keeps sending cannot grow the caller's
+/// memory without bound.
 ///
 /// # Errors
 ///
 /// Propagates connect/read/write failures; `InvalidData` for a
-/// malformed reply or one longer than the cap.
+/// malformed reply, one without a length or one longer than the cap;
+/// `UnexpectedEof` for a body shorter than its length.
 pub fn request(
     addr: SocketAddr,
     method: &str,
@@ -621,19 +655,8 @@ pub fn request(
         "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    stream.write_all(&message(&head, body))?;
-    stream.flush()?;
-    let cap = (MAX_HEAD + MAX_BODY) as u64;
-    let mut raw = Vec::new();
-    Read::take(&mut stream, cap + 1).read_to_end(&mut raw)?;
-    if raw.len() as u64 > cap {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "response exceeds the size cap",
-        ));
-    }
-    let head_end = find_head_end(&raw)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "no response head"))?;
+    write_message(&mut stream, &head, body)?;
+    let (mut raw, head_end) = read_head(&mut stream)?;
     let head = std::str::from_utf8(&raw[..head_end])
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 response head"))?;
     let code: u16 = head
@@ -641,7 +664,16 @@ pub fn request(
         .nth(1)
         .and_then(|c| c.parse().ok())
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
-    Ok((code, raw[head_end + 4..].to_vec()))
+    let len = content_length(head)?
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "response without length"))?;
+    if len > MAX_REPLY_BODY {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "response exceeds the size cap",
+        ));
+    }
+    let body = read_body(&mut stream, raw.split_off(head_end + 4), len)?;
+    Ok((code, body))
 }
 
 #[cfg(test)]
@@ -686,28 +718,93 @@ mod tests {
     }
 
     #[test]
-    fn replies_past_the_size_cap_fail_closed() {
+    fn results_larger_than_a_request_body_round_trip() {
+        let server = serve_manual();
+        let job = br#"{"type":"sim","scenario":"pingpong","backend":"event","seeds":[1],"cycles":10,"trace_cycles":10,"budget_fs":1000000000}"#;
+        let request_ = crate::job::JobRequest::from_json(
+            &Json::parse(std::str::from_utf8(job).unwrap()).unwrap(),
+        )
+        .unwrap();
+        // Seed the store so the submission is a cache hit whose stored
+        // result is larger than any request body may be.
+        let key = crate::hash::ContentKey::of(&request_.to_canonical_bytes());
+        let result: Vec<u8> = (0..MAX_BODY + MAX_BODY / 8)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        server.service.store.put(key, result.clone());
+        let (code, reply) = request(server.addr(), "POST", "/submit", job).unwrap();
+        assert_eq!(code, 202);
+        let reply = Json::parse(&String::from_utf8_lossy(&reply)).unwrap();
+        assert_eq!(reply.get("status").and_then(Json::as_str), Some("cached"));
+        let id = reply.get("id").and_then(Json::as_u64).unwrap();
+        let (code, body) = request(server.addr(), "GET", &format!("/result/{id}"), b"").unwrap();
+        assert_eq!(code, 200);
+        assert!(body == result, "the result survived the wire");
+    }
+
+    /// A one-connection peer that reads the request, then sends `head`
+    /// and streams filler until `limit` bytes or the caller hangs up.
+    /// Joins to the number of bytes it got out.
+    fn rogue_peer(head: String, limit: usize) -> (SocketAddr, JoinHandle<usize>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        // A peer that answers with a head and then never stops sending.
         let peer = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
+            read_request(&mut stream).unwrap();
+            let mut sent = stream.write(head.as_bytes()).unwrap_or(0);
             let chunk = vec![b'x'; 64 * 1024];
-            let mut sent = stream.write(b"HTTP/1.1 200 OK\r\n\r\n").unwrap_or(0);
-            while sent <= 2 * (MAX_HEAD + MAX_BODY) {
-                match stream.write(&chunk) {
+            while sent < limit {
+                match stream.write(&chunk[..chunk.len().min(limit - sent)]) {
                     Ok(n) if n > 0 => sent += n,
                     _ => break,
                 }
             }
             sent
         });
-        let err = request(addr, "GET", "/healthz", b"").expect_err("reply over the cap");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
-        assert!(
-            peer.join().unwrap() > MAX_HEAD + MAX_BODY,
-            "the peer streamed past the cap"
-        );
+        (addr, peer)
+    }
+
+    #[test]
+    fn replies_past_the_size_cap_fail_closed() {
+        let endless = 4 * MAX_BODY;
+        let cases = [
+            // No blank line ever ends the head.
+            (
+                "HTTP/1.1 200 OK\r\n".to_owned(),
+                endless,
+                io::ErrorKind::InvalidData,
+            ),
+            // No length: the body would be "until close".
+            (
+                "HTTP/1.1 200 OK\r\n\r\n".to_owned(),
+                endless,
+                io::ErrorKind::InvalidData,
+            ),
+            // A length over the cap.
+            (
+                format!(
+                    "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n",
+                    MAX_REPLY_BODY + 1
+                ),
+                endless,
+                io::ErrorKind::InvalidData,
+            ),
+            // A body shorter than its length.
+            (
+                "HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n".to_owned(),
+                "HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n".len() + 10,
+                io::ErrorKind::UnexpectedEof,
+            ),
+        ];
+        for (head, limit, kind) in cases {
+            let (addr, peer) = rogue_peer(head.clone(), limit);
+            let err = request(addr, "GET", "/healthz", b"").expect_err(&head);
+            assert_eq!(err.kind(), kind, "{head:?}: {err}");
+            let sent = peer.join().unwrap();
+            if limit == endless {
+                assert!(sent < limit, "{head:?}: the caller hung up early");
+            }
+        }
     }
 
     #[test]

@@ -31,6 +31,12 @@ use synchro_tokens::{threads_from_env, CancelToken, RunHooks};
 /// Monotonic job identifier, unique within one service instance.
 pub type JobId = u64;
 
+/// The largest canonical result a job may produce: 1 GiB. A job whose
+/// result is larger ends [`JobStatus::Failed`] instead of being stored,
+/// so every entry this service stores or serves fits the HTTP client's
+/// reply cap, which is derived from it.
+pub const MAX_RESULT_BYTES: usize = 1 << 30;
+
 /// Where a job currently stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobStatus {
@@ -44,6 +50,8 @@ pub enum JobStatus {
     Cancelled,
     /// Its wall-clock deadline passed before completion.
     Expired,
+    /// It ran, but its result exceeds [`MAX_RESULT_BYTES`].
+    Failed,
 }
 
 impl JobStatus {
@@ -55,6 +63,7 @@ impl JobStatus {
             JobStatus::Done => "done",
             JobStatus::Cancelled => "cancelled",
             JobStatus::Expired => "expired",
+            JobStatus::Failed => "failed",
         }
     }
 
@@ -62,7 +71,7 @@ impl JobStatus {
     pub fn is_terminal(self) -> bool {
         matches!(
             self,
-            JobStatus::Done | JobStatus::Cancelled | JobStatus::Expired
+            JobStatus::Done | JobStatus::Cancelled | JobStatus::Expired | JobStatus::Failed
         )
     }
 }
@@ -519,12 +528,21 @@ impl JobService {
             };
             execute(&request, self.config.threads_per_job, hooks)
         };
+        let outcome = outcome.map(|result| result.to_canonical_bytes());
         let mut st = self.state.lock().unwrap();
         let elapsed_us = started.elapsed().as_micros() as u64;
         match outcome {
-            Ok(result) => {
+            Ok(bytes) if bytes.len() > MAX_RESULT_BYTES => {
+                if let Some(e) = st.jobs.get_mut(&id) {
+                    e.status = JobStatus::Failed;
+                    e.error = Some(format!(
+                        "result of {} bytes exceeds the {MAX_RESULT_BYTES}-byte cap",
+                        bytes.len()
+                    ));
+                }
+            }
+            Ok(bytes) => {
                 drop(st); // store I/O outside the lock
-                let bytes = result.to_canonical_bytes();
                 let result_key = ContentKey::of(&bytes);
                 self.store.put(key, bytes.clone());
                 // Mint the chained witness record: this execution is
