@@ -928,6 +928,23 @@ mod tests {
     }
 
     #[test]
+    fn served_chaos_bytes_are_pinned() {
+        // A chaos job's wire bytes are a pure function of the request;
+        // any change to how its goldens or attacked runs execute must
+        // leave them (violation texts included) byte for byte intact.
+        let req = JobRequest::Chaos(ChaosRequest {
+            scenario: Scenario::PingPong,
+            seeds: 2,
+            cycles: 60,
+            budget_fs: SimDuration::us(2000).as_fs(),
+        });
+        let bytes = execute(&req, 1, RunHooks::default())
+            .unwrap()
+            .to_canonical_bytes();
+        assert_eq!(st_sim::hash::fnv1a64(&bytes), 0xfea7_89a1_7c27_2fd9);
+    }
+
+    #[test]
     fn batched_sim_shards_across_threads_and_serves_scalar_bytes() {
         // Nine seeds over three requested workers shard into chunks
         // sized by the effective thread count (three on a 3+-core
