@@ -1,8 +1,8 @@
 //! Batched lane-parallel campaign engine vs the scalar baselines.
 //!
-//! Three campaign shapes, each measured scalar and batched in the same
+//! Two campaign shapes, each measured scalar and batched in the same
 //! snapshot so the ratio is honest (same machine, same build, same
-//! workload):
+//! workload), plus the chaos campaign:
 //!
 //! * **sim** — N seeds over one scenario (the `st-serve` sim request):
 //!   scalar = one `CompiledSystem` run per seed; batched = all seeds in
@@ -11,10 +11,12 @@
 //!   workloads): scalar = one run per cell, the nominal-period cell
 //!   doubling as that seed's golden; batched = `st_testkit::shmoo_grid`,
 //!   one lockstep group per period with the same golden amortization.
-//! * **chaos** — the differential fault campaign: scalar =
-//!   `run_chaos_campaign` (golden + two attacked backends per config);
-//!   batched = `run_chaos_campaign_batched` (one batched golden over
-//!   the distinct seeds + one attacked compiled run per config).
+//! * **chaos** — the differential fault campaign `run_chaos_campaign`:
+//!   one golden per distinct seed (batched through `run_configs`) plus
+//!   attacked event and compiled runs per config. The row keeps its
+//!   `chaos24_scalar` name, but snapshots before the goldens were
+//!   shared per seed priced one golden per config; the separate
+//!   batched chaos campaign (`chaos24_batched`) is retired.
 //!
 //! Every bench declares `Throughput::Elements` as *configurations per
 //! iteration*, so snapshots report comparable ns/config
@@ -23,9 +25,9 @@
 
 use st_bench::harness::{criterion_group, criterion_main, Criterion, Throughput};
 use st_sim::time::SimDuration;
-use st_testkit::chaos::{chaos_jobs, run_chaos_campaign, run_chaos_campaign_batched};
+use st_testkit::chaos::{chaos_jobs, run_chaos_campaign};
 use st_testkit::shmoo_grid;
-use synchro_tokens::scenarios::{pingpong_spec, MixerLogic};
+use synchro_tokens::scenarios::{mixer_builder, pingpong_spec};
 use synchro_tokens::system::SystemBuilder;
 use synchro_tokens::{Backend, BatchedSystem, SbId, SystemSpec};
 
@@ -33,23 +35,6 @@ const CYCLES: u64 = 60;
 const SIM_SEEDS: u64 = 16;
 const GRID_PERIODS_NS: [u64; 5] = [4, 5, 6, 8, 10];
 const CHAOS_SEEDS: u64 = 8;
-
-/// The mixer workload salted per seed, exactly as `st-serve` and the
-/// chaos campaigns build it.
-fn mixer_builder(spec: &SystemSpec, seed: u64, trace_cycles: usize) -> SystemBuilder {
-    let n = spec.sbs.len();
-    let mut b = SystemBuilder::new(spec.clone())
-        .expect("scenario specs are valid")
-        .with_seed(seed)
-        .with_trace_limit(trace_cycles);
-    for i in 0..n {
-        let salt = seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(0x1000 * i as u64);
-        b = b.with_logic(SbId(i), MixerLogic::new(salt));
-    }
-    b
-}
 
 fn bench_campaign_batch(c: &mut Criterion) {
     let spec = pingpong_spec();
@@ -146,13 +131,6 @@ fn bench_campaign_batch(c: &mut Criterion) {
     g.bench_function("chaos24_scalar", |b| {
         b.iter(|| {
             let report = run_chaos_campaign(&spec, &jobs, CYCLES, budget, 1);
-            assert!(report.violations().is_empty());
-            report.runs.len()
-        })
-    });
-    g.bench_function("chaos24_batched", |b| {
-        b.iter(|| {
-            let report = run_chaos_campaign_batched(&spec, &jobs, CYCLES, budget, 1);
             assert!(report.violations().is_empty());
             report.runs.len()
         })

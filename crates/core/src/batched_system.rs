@@ -1287,8 +1287,9 @@ impl BatchedSystem {
             && (0..builder.spec.sbs.len()).all(|i| builder.spec.outputs_of(SbId(i)).count() <= 32)
     }
 
-    /// Lowers the builders into lockstep groups with the environment's
-    /// lane cap (`ST_BATCH`, default 64).
+    /// Lowers the builders into lockstep groups of at most
+    /// [`DEFAULT_BATCH_LIMIT`](crate::campaign::DEFAULT_BATCH_LIMIT)
+    /// (64) lanes, one FIFO-occupancy bitmask word.
     ///
     /// # Errors
     ///
@@ -1297,7 +1298,7 @@ impl BatchedSystem {
     /// to the scalar backends without rebuilding.
     #[allow(clippy::result_large_err)]
     pub fn build(builders: Vec<SystemBuilder>) -> Result<BatchedSystem, Vec<SystemBuilder>> {
-        Self::build_with_limit(builders, crate::campaign::batch_limit_from_env())
+        Self::build_with_limit(builders, crate::campaign::DEFAULT_BATCH_LIMIT)
     }
 
     /// [`build`](Self::build) with an explicit lane cap per group

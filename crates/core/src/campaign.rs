@@ -18,8 +18,21 @@
 //! The worker-thread count comes from, in priority order: an explicit
 //! argument, the `ST_THREADS` environment variable, and the machine's
 //! available parallelism.
+//!
+//! [`run_configs`] sits on top for simulation campaigns: it runs a set
+//! of system configurations and is the one place that decides which
+//! engine runs them (batched lanes, scalar compiled, or the event
+//! kernel).
 
+use crate::batched_system::BatchedSystem;
+use crate::compiled_system::{AnySystem, Backend};
+use crate::iotrace::SbIoTrace;
+use crate::spec::SbId;
+use crate::system::{RunOutcome, SystemBuilder};
+use st_sim::time::SimDuration;
+use st_sim::SimError;
 use std::fmt;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -81,18 +94,10 @@ pub fn default_threads() -> usize {
         .unwrap_or_else(|| thread::available_parallelism().map_or(1, usize::from))
 }
 
-/// The default lane cap for [`BatchedSystem`](crate::BatchedSystem)
-/// batch formation: one FIFO occupancy bitmask word's worth of lanes.
+/// The lane cap of [`BatchedSystem::build`]: one FIFO occupancy
+/// bitmask word's worth of lanes. When [`run_configs`] shards a set
+/// across workers, no shard holds more configurations than this.
 pub const DEFAULT_BATCH_LIMIT: usize = 64;
-
-/// Resolves the campaign batching knob: `ST_BATCH` caps how many
-/// configurations the batched backend packs into one lockstep group.
-/// Unset (or unparsable) means [`DEFAULT_BATCH_LIMIT`]; `ST_BATCH=1`
-/// disables cross-configuration batching (every lane runs scalar);
-/// `ST_BATCH=0` clamps to 1 with the shared clamp-and-warn policy.
-pub fn batch_limit_from_env() -> usize {
-    threads_from_env("ST_BATCH").unwrap_or(DEFAULT_BATCH_LIMIT)
-}
 
 /// A cooperative cancellation flag shared between a campaign's caller
 /// and its workers.
@@ -217,8 +222,13 @@ where
 /// was requested — a silently reduced fan-out should at least be
 /// visible in the stats.
 pub fn effective_threads(threads: usize) -> usize {
+    // Querying the machine reads cgroup files (~24 µs on a Linux
+    // container); a one-thread request never needs the answer.
+    if threads <= 1 {
+        return 1;
+    }
     let cores = thread::available_parallelism().map_or(usize::MAX, usize::from);
-    threads.min(cores).max(1)
+    threads.min(cores)
 }
 
 /// [`run_jobs`] with cooperative cancellation and progress reporting.
@@ -379,6 +389,188 @@ fn rethrow<T: fmt::Debug>(i: usize, job: &T, payload: Box<dyn std::any::Any + Se
             eprintln!("campaign worker panicked on job {i} ({job:?}) with a non-string payload");
             resume_unwind(payload)
         }
+    }
+}
+
+/// Where [`run_configs`] stops each configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stop {
+    /// `run_to_verdict`: stop once the outcome and traces are final.
+    /// The end state, and statistics read from it, are unspecified.
+    Verdict,
+    /// `run_until_cycles`: finish whole chunks, so end-state statistics
+    /// such as [`ConfigRun::timing_violations`] cover the full run.
+    WholeCycles,
+}
+
+/// How far [`run_configs`] runs every configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunLimits {
+    /// Local cycles every SB must reach.
+    pub cycles: u64,
+    /// Simulated-time budget per configuration.
+    pub budget: SimDuration,
+    /// Where the run stops.
+    pub stop: Stop,
+}
+
+impl RunLimits {
+    fn run_scalar(&self, sys: &mut AnySystem) -> Result<RunOutcome, SimError> {
+        match self.stop {
+            Stop::Verdict => sys.run_to_verdict(self.cycles, self.budget),
+            Stop::WholeCycles => sys.run_until_cycles(self.cycles, self.budget),
+        }
+    }
+
+    fn run_batched(&self, batch: &mut BatchedSystem) -> Vec<RunOutcome> {
+        match self.stop {
+            Stop::Verdict => batch.run_to_verdict(self.cycles, self.budget),
+            Stop::WholeCycles => batch.run_until_cycles(self.cycles, self.budget),
+        }
+    }
+}
+
+/// One finished configuration of [`run_configs`], as its reader sees
+/// it: a batched lane or a scalar system behind one read API. Nothing
+/// is cloned per configuration; the reader takes what it needs.
+pub struct ConfigRun<'a> {
+    /// The run's outcome in the scalar shape (a batched lane is always
+    /// `Ok`; only the event kernel reports errors).
+    pub outcome: Result<RunOutcome, SimError>,
+    engine: Engine<'a>,
+}
+
+enum Engine<'a> {
+    Lane(&'a BatchedSystem, usize),
+    Scalar(&'a AnySystem),
+}
+
+impl<'a> ConfigRun<'a> {
+    /// The I/O trace of `sb`.
+    pub fn io_trace(&self, sb: SbId) -> &'a SbIoTrace {
+        match self.engine {
+            Engine::Lane(batch, lane) => batch.io_trace(lane, sb),
+            Engine::Scalar(sys) => sys.io_trace(sb),
+        }
+    }
+
+    /// The digest of `sb`'s I/O trace, without materialising a batched
+    /// lane's rows.
+    pub fn trace_digest(&self, sb: SbId) -> u64 {
+        match self.engine {
+            Engine::Lane(batch, lane) => batch.trace_digest(lane, sb),
+            Engine::Scalar(sys) => sys.io_trace(sb).digest(),
+        }
+    }
+
+    /// Setup-time violations taken by `sb` (see [`Stop::WholeCycles`]).
+    pub fn timing_violations(&self, sb: SbId) -> u64 {
+        match self.engine {
+            Engine::Lane(batch, lane) => batch.timing_violations(lane, sb),
+            Engine::Scalar(sys) => sys.timing_violations(sb),
+        }
+    }
+
+    /// The batch and lane this configuration ran in, or `None` for a
+    /// scalar run.
+    pub fn batch(&self) -> Option<(&'a BatchedSystem, usize)> {
+        match self.engine {
+            Engine::Lane(batch, lane) => Some((batch, lane)),
+            Engine::Scalar(_) => None,
+        }
+    }
+}
+
+/// Runs `count` configurations, `make(i)` building the `i`-th, and
+/// returns `read(i, run)` for each in configuration order. This is the
+/// one place that chooses an engine: by the determinism property every
+/// engine yields the same outcome and traces, so the choice only
+/// changes cost.
+///
+/// * [`Backend::Compiled`] with two or more configurations runs
+///   [`BatchedSystem`] shards. With one effective worker (see
+///   [`effective_threads`]) the whole set is one batch; otherwise it is
+///   split into one shard per worker, at most [`DEFAULT_BATCH_LIMIT`]
+///   configurations each. Cancellation is honoured between shards and
+///   `hooks.progress` counts configurations, not shards. A shard the
+///   batched engine hands back (a builder outside its envelope) runs
+///   its configurations one by one on the scalar engine.
+/// * Anything else runs each configuration on
+///   [`SystemBuilder::build_backend`] through [`run_jobs_hooked`]; the
+///   compiled → event fallback stays inside [`AnySystem`].
+///
+/// # Errors
+///
+/// Returns [`Cancelled`] with the configurations that completed (in
+/// configuration order) when the token trips before the last shard or
+/// configuration is claimed.
+pub fn run_configs<R, M, F>(
+    count: usize,
+    make: M,
+    backend: Backend,
+    limits: RunLimits,
+    threads: usize,
+    hooks: RunHooks<'_>,
+    read: F,
+) -> Result<Vec<R>, Cancelled<R>>
+where
+    R: Send,
+    M: Fn(usize) -> SystemBuilder + Sync,
+    F: Fn(usize, ConfigRun<'_>) -> R + Sync,
+{
+    let run_scalar = |i: usize, builder: SystemBuilder| {
+        let mut sys = builder.build_backend(backend);
+        let (outcome, engine) = (limits.run_scalar(&mut sys), Engine::Scalar(&sys));
+        read(i, ConfigRun { outcome, engine })
+    };
+    if backend != Backend::Compiled || count < 2 {
+        let configs: Vec<usize> = (0..count).collect();
+        return run_jobs_hooked(&configs, threads, hooks, |_, &i| run_scalar(i, make(i)));
+    }
+    let workers = effective_threads(threads);
+    let shard = match workers {
+        1 => count,
+        _ => count.div_ceil(workers).min(DEFAULT_BATCH_LIMIT),
+    };
+    let shards: Vec<Range<usize>> = (0..count)
+        .step_by(shard)
+        .map(|start| start..count.min(start + shard))
+        .collect();
+    let done = AtomicUsize::new(0);
+    let shard_hooks = RunHooks {
+        progress: None,
+        ..hooks
+    };
+    // Each shard yields `(configuration, result)` pairs, so a cancelled
+    // campaign's partial state needs no index arithmetic.
+    let runs = run_jobs_hooked(&shards, threads, shard_hooks, |_, range| {
+        let runs: Vec<(usize, R)> = match BatchedSystem::build(range.clone().map(&make).collect()) {
+            Ok(mut batch) => {
+                let outcomes = limits.run_batched(&mut batch);
+                let lanes = range.clone().zip(outcomes).enumerate();
+                lanes
+                    .map(|(lane, (i, outcome))| {
+                        let (outcome, engine) = (Ok(outcome), Engine::Lane(&batch, lane));
+                        (i, read(i, ConfigRun { outcome, engine }))
+                    })
+                    .collect()
+            }
+            Err(builders) => (range.clone().zip(builders))
+                .map(|(i, b)| (i, run_scalar(i, b)))
+                .collect(),
+        };
+        let completed = done.fetch_add(runs.len(), Ordering::Relaxed) + runs.len();
+        if let Some(p) = hooks.progress {
+            p(completed, count);
+        }
+        runs
+    });
+    match runs {
+        Ok(shards) => Ok(shards.into_iter().flatten().map(|(_, r)| r).collect()),
+        Err(c) => Err(Cancelled {
+            completed: c.completed.into_iter().flat_map(|(_, runs)| runs).collect(),
+            total: count,
+        }),
     }
 }
 
@@ -648,33 +840,6 @@ mod tests {
         match prev {
             Some(v) => std::env::set_var("ST_THREADS", v),
             None => std::env::remove_var("ST_THREADS"),
-        }
-    }
-
-    #[test]
-    fn st_batch_resolves_with_the_shared_clamp_policy() {
-        // This test fn owns all ST_BATCH mutation (same single-owner
-        // convention as ST_THREADS above).
-        let prev = std::env::var("ST_BATCH").ok();
-        std::env::remove_var("ST_BATCH");
-        assert_eq!(batch_limit_from_env(), DEFAULT_BATCH_LIMIT, "unset");
-        std::env::set_var("ST_BATCH", "8");
-        assert_eq!(batch_limit_from_env(), 8);
-        std::env::set_var("ST_BATCH", " 16 ");
-        assert_eq!(batch_limit_from_env(), 16, "whitespace trims");
-        std::env::set_var("ST_BATCH", "1");
-        assert_eq!(batch_limit_from_env(), 1, "1 disables batching, legal");
-        std::env::set_var("ST_BATCH", "0");
-        assert_eq!(batch_limit_from_env(), 1, "0 clamps to 1, not default");
-        std::env::set_var("ST_BATCH", "");
-        assert_eq!(batch_limit_from_env(), DEFAULT_BATCH_LIMIT, "empty");
-        std::env::set_var("ST_BATCH", "-1");
-        assert_eq!(batch_limit_from_env(), DEFAULT_BATCH_LIMIT, "negative");
-        std::env::set_var("ST_BATCH", "18446744073709551616");
-        assert_eq!(batch_limit_from_env(), DEFAULT_BATCH_LIMIT, "overflow");
-        match prev {
-            Some(v) => std::env::set_var("ST_BATCH", v),
-            None => std::env::remove_var("ST_BATCH"),
         }
     }
 }

@@ -90,8 +90,9 @@ pub mod wrapper;
 
 pub use batched_system::BatchedSystem;
 pub use campaign::{
-    batch_limit_from_env, default_threads, effective_threads, run_jobs, run_jobs_hooked,
-    threads_from_env, CampaignStats, CancelToken, Cancelled, RunHooks, DEFAULT_BATCH_LIMIT,
+    default_threads, effective_threads, run_configs, run_jobs, run_jobs_hooked, threads_from_env,
+    CampaignStats, CancelToken, Cancelled, ConfigRun, RunHooks, RunLimits, Stop,
+    DEFAULT_BATCH_LIMIT,
 };
 pub use checkpoint::{
     config_hash, Checkpoint, CheckpointBackend, CheckpointError, DecodedCheckpoint,
@@ -115,8 +116,9 @@ pub use wrapper::WrapperMode;
 pub mod prelude {
     pub use crate::batched_system::BatchedSystem;
     pub use crate::campaign::{
-        batch_limit_from_env, default_threads, effective_threads, run_jobs, run_jobs_hooked,
-        threads_from_env, CampaignStats, CancelToken, Cancelled, RunHooks, DEFAULT_BATCH_LIMIT,
+        default_threads, effective_threads, run_configs, run_jobs, run_jobs_hooked,
+        threads_from_env, CampaignStats, CancelToken, Cancelled, ConfigRun, RunHooks, RunLimits,
+        Stop, DEFAULT_BATCH_LIMIT,
     };
     pub use crate::checkpoint::{
         config_hash, Checkpoint, CheckpointBackend, CheckpointError, DecodedCheckpoint,

@@ -264,6 +264,29 @@ impl SyncLogic for MixerLogic {
     }
 }
 
+/// The campaign workload over `spec`: a [`MixerLogic`] on every SB,
+/// salted by `seed` so different seeds produce different traces (the
+/// builder seed alone only feeds bypass-mode metastability, which
+/// synchro-tokens mode never samples). st-serve's jobs and the chaos
+/// and SEU campaigns all build their configurations through it.
+///
+/// # Panics
+///
+/// Panics if `spec` is invalid.
+pub fn mixer_builder(spec: &SystemSpec, seed: u64, trace_cycles: usize) -> SystemBuilder {
+    let mut b = SystemBuilder::new(spec.clone())
+        .expect("mixer workload spec is valid")
+        .with_seed(seed)
+        .with_trace_limit(trace_cycles);
+    for i in 0..spec.sbs.len() {
+        let salt = seed
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(0x1000 * i as u64);
+        b = b.with_logic(SbId(i), MixerLogic::new(salt));
+    }
+    b
+}
+
 /// Builds the E1 system (synchro-tokens mode) over `spec` with mixers on
 /// every SB.
 pub fn build_e1(spec: SystemSpec, seed: u64, trace_cycles: usize) -> System {

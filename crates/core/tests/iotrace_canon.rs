@@ -10,8 +10,8 @@
 use st_sim::prelude::*;
 use st_testkit::prop::prelude::*;
 use synchro_tokens::iotrace::{CanonError, CANON_MAGIC, CANON_VERSION};
-use synchro_tokens::scenarios::{pingpong_spec, MixerLogic};
-use synchro_tokens::{Backend, BatchedSystem, SbId, SbIoTrace, SystemBuilder, TraceRow};
+use synchro_tokens::scenarios::{mixer_builder, pingpong_spec};
+use synchro_tokens::{Backend, BatchedSystem, SbId, SbIoTrace, TraceRow};
 
 /// The determinism observable's digest and canonical form are part of
 /// the trace contract every ST-DET-001 comparison relies on.
@@ -292,20 +292,6 @@ fn digest_and_canonical_bytes_match_golden_vectors() {
     assert_eq!(SbIoTrace::with_limit(0).digest(), 0);
 }
 
-fn pingpong_mixers(seed: u64) -> SystemBuilder {
-    let mut b = SystemBuilder::new(pingpong_spec())
-        .expect("valid spec")
-        .with_seed(seed)
-        .with_trace_limit(0);
-    for i in 0..2 {
-        let salt = seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(0x1000 * i as u64);
-        b = b.with_logic(SbId(i), MixerLogic::new(salt));
-    }
-    b
-}
-
 #[test]
 fn every_engine_records_the_golden_pingpong_digests() {
     // Per SB of seed 5 after 200 cycles; every engine records the same
@@ -313,13 +299,16 @@ fn every_engine_records_the_golden_pingpong_digests() {
     const GOLDEN: [u64; 2] = [0x593e_85b0_ed2f_f320, 0xe28e_16b0_4d7f_f713];
     let budget = SimDuration::us(1000);
     for backend in [Backend::Event, Backend::Compiled] {
-        let mut sys = pingpong_mixers(5).build_backend(backend);
+        let mut sys = mixer_builder(&pingpong_spec(), 5, 0).build_backend(backend);
         sys.run_until_cycles(200, budget).expect("runs");
         for (i, &want) in GOLDEN.iter().enumerate() {
             assert_eq!(sys.io_trace(SbId(i)).digest(), want, "{backend:?} SB {i}");
         }
     }
-    let Ok(mut batch) = BatchedSystem::build(vec![pingpong_mixers(5), pingpong_mixers(6)]) else {
+    let Ok(mut batch) = BatchedSystem::build(vec![
+        mixer_builder(&pingpong_spec(), 5, 0),
+        mixer_builder(&pingpong_spec(), 6, 0),
+    ]) else {
         panic!("inside the batched envelope");
     };
     batch.run_until_cycles(200, budget);

@@ -824,7 +824,7 @@ fn resolve(addr: &str) -> Option<SocketAddr> {
 mod tests {
     use super::*;
 
-    // The ST_PEERS corner suite, mirroring the ST_THREADS/ST_BATCH
+    // The ST_PEERS corner suite, mirroring the ST_THREADS
     // env-knob contract tests: the pure split is exercised on every
     // corner, and exactly one test owns the environment variable.
 

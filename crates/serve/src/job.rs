@@ -11,7 +11,7 @@
 //! Three kinds are served:
 //!
 //! * **sim** — a seed campaign over a named scenario: one simulation
-//!   per seed through [`synchro_tokens::campaign::run_jobs`], each
+//!   per seed through [`synchro_tokens::campaign::run_configs`], each
 //!   returning its outcome and every SB's canonical I/O trace;
 //! * **shmoo** — the §4.2 frequency sweep via
 //!   [`st_testkit::shmoo_any_hooked`];
@@ -19,12 +19,15 @@
 //!   [`st_testkit::run_chaos_campaign_hooked`].
 
 use st_sim::time::SimDuration;
+use st_sim::SimError;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use synchro_tokens::scenarios::{self, chain_spec, e1_spec, pingpong_spec, producer_consumer_spec};
-use synchro_tokens::system::{RunOutcome, SystemBuilder};
+use std::sync::atomic::{AtomicU64, Ordering};
+use synchro_tokens::scenarios::{
+    chain_spec, e1_spec, mixer_builder, pingpong_spec, producer_consumer_spec,
+};
+use synchro_tokens::system::RunOutcome;
 use synchro_tokens::{
-    run_jobs_hooked, AnySystem, Backend, BatchedSystem, RunHooks, SbId, SystemSpec,
+    run_configs, AnySystem, Backend, RunHooks, RunLimits, SbId, Stop, SystemSpec,
 };
 
 /// Magic prefix of canonical request bytes.
@@ -525,23 +528,6 @@ impl fmt::Display for ExecCancelled {
 
 impl std::error::Error for ExecCancelled {}
 
-/// The deterministic mixer workload on `spec`, salted exactly like the
-/// chaos campaigns: different seeds produce different golden traces.
-fn mixer_builder(spec: &SystemSpec, seed: u64, trace_cycles: usize) -> SystemBuilder {
-    let n = spec.sbs.len();
-    let mut b = SystemBuilder::new(spec.clone())
-        .expect("scenario specs are valid")
-        .with_seed(seed)
-        .with_trace_limit(trace_cycles);
-    for i in 0..n {
-        let salt = seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(0x1000 * i as u64);
-        b = b.with_logic(SbId(i), scenarios::MixerLogic::new(salt));
-    }
-    b
-}
-
 // Cumulative batched-execution counters, surfaced on `/metrics` as
 // batch-occupancy gauges (lanes / groups = average lockstep sharing).
 static BATCHES_FORMED: AtomicU64 = AtomicU64::new(0);
@@ -558,111 +544,17 @@ pub fn batch_metrics() -> (u64, u64, u64) {
     )
 }
 
-/// Attempts to run a whole [`SimRequest`] through the batched
-/// lane-parallel engine: all seeds share the scenario spec, so they
-/// lower into lockstep groups and the event-loop cost is paid once per
-/// group instead of once per seed.
-///
-/// The seed list is sharded so up to `threads` workers run whole
-/// lockstep groups concurrently (via
-/// [`synchro_tokens::run_jobs_hooked`], which also caps the fan-out at
-/// the machine's parallelism). Shards never exceed the `ST_BATCH` lane
-/// cap, so sharding costs no group sharing, and one shard — not the
-/// whole request — is the indivisible unit of batched work:
-/// cancellation is honoured between shards and progress fires per
-/// completed seed.
-///
-/// Returns `Ok(None)` when the request should take the scalar path —
-/// an `event`-backend pin (the client asked for that engine
-/// specifically), a single seed, `ST_BATCH=1`, or builders outside the
-/// batched envelope. Results are byte-identical either way (the
-/// differential suite in `synchro-tokens` proves per-lane identity),
-/// so the choice is invisible on the wire.
-///
-/// # Errors
-///
-/// [`ExecCancelled`] when the token trips before the last shard is
-/// claimed; completed shards are discarded.
-fn run_sim_batched(
-    r: &SimRequest,
-    threads: usize,
-    hooks: &RunHooks<'_>,
-) -> Result<Option<Vec<SimRunResult>>, ExecCancelled> {
-    let limit = synchro_tokens::batch_limit_from_env();
-    if r.backend != Backend::Compiled || r.seeds.len() < 2 || limit <= 1 {
-        return Ok(None);
-    }
-    let spec = r.scenario.spec();
-    // The envelope is a property of the spec and trace limit, shared
-    // by every seed: one probe builder decides for the whole request.
-    if !BatchedSystem::supports(&mixer_builder(&spec, r.seeds[0], r.trace_cycles as usize)) {
-        return Ok(None);
-    }
-    // Shard by the thread count that will actually run (requested,
-    // capped at the machine's parallelism): sizing by the raw request
-    // would fragment lane sharing with no parallelism to show for it.
-    let workers = synchro_tokens::effective_threads(threads);
-    let shard = r.seeds.len().div_ceil(workers).clamp(1, limit);
-    let shards: Vec<&[u64]> = r.seeds.chunks(shard).collect();
-    let total = r.seeds.len();
-    let done = AtomicUsize::new(0);
-    let lane_done = |n: usize| {
-        let completed = done.fetch_add(n, Ordering::Relaxed) + n;
-        if let Some(p) = hooks.progress {
-            p(completed.min(total), total);
+/// The wire text of a run's outcome.
+fn outcome_text(outcome: &Result<RunOutcome, SimError>) -> String {
+    match outcome {
+        Ok(RunOutcome::Reached) => "reached".to_owned(),
+        Ok(RunOutcome::Deadlock { stopped }) => {
+            let names: Vec<String> = stopped.iter().map(ToString::to_string).collect();
+            format!("deadlock: {}", names.join(","))
         }
-    };
-    // Per-seed progress is reported from inside the shard workers, so
-    // the fan-out itself runs with progress disabled (its unit is the
-    // shard, not the seed).
-    let shard_hooks = RunHooks {
-        cancel: hooks.cancel,
-        progress: None,
-    };
-    let runs = run_jobs_hooked(&shards, threads, shard_hooks, |_, seeds: &&[u64]| {
-        let builders: Vec<SystemBuilder> = seeds
-            .iter()
-            .map(|&seed| mixer_builder(&spec, seed, r.trace_cycles as usize))
-            .collect();
-        let Ok(mut batch) = BatchedSystem::build(builders) else {
-            // Unreachable given the probe above, but a scalar fallback
-            // keeps the result correct if the envelope ever drifts.
-            let runs: Vec<SimRunResult> = seeds.iter().map(|&seed| run_sim_once(r, seed)).collect();
-            lane_done(runs.len());
-            return runs;
-        };
-        let outcomes = batch.run_to_verdict(r.cycles, SimDuration::fs(r.budget_fs));
-        BATCHES_FORMED.fetch_add(1, Ordering::Relaxed);
-        BATCH_LANES.fetch_add(batch.lanes() as u64, Ordering::Relaxed);
-        BATCH_GROUPS.fetch_add(batch.group_count() as u64, Ordering::Relaxed);
-        let runs: Vec<SimRunResult> = seeds
-            .iter()
-            .zip(outcomes)
-            .enumerate()
-            .map(|(lane, (&seed, outcome))| {
-                let outcome = match outcome {
-                    RunOutcome::Reached => "reached".to_owned(),
-                    RunOutcome::Deadlock { stopped } => {
-                        let names: Vec<String> = stopped.iter().map(ToString::to_string).collect();
-                        format!("deadlock: {}", names.join(","))
-                    }
-                    RunOutcome::TimedOut => "timed-out".to_owned(),
-                };
-                let traces = (0..spec.sbs.len())
-                    .map(|i| batch.io_trace(lane, SbId(i)).to_canonical_bytes())
-                    .collect();
-                SimRunResult {
-                    seed,
-                    outcome,
-                    traces,
-                }
-            })
-            .collect();
-        lane_done(runs.len());
-        runs
-    })
-    .map_err(|_| ExecCancelled)?;
-    Ok(Some(runs.into_iter().flatten().collect()))
+        Ok(RunOutcome::TimedOut) => "timed-out".to_owned(),
+        Err(e) => format!("error: {e}"),
+    }
 }
 
 /// Runs one simulation of a [`SimRequest`] at `seed`.
@@ -676,22 +568,13 @@ pub fn run_sim_once(req: &SimRequest, seed: u64) -> SimRunResult {
     let spec = req.scenario.spec();
     let mut sys: AnySystem =
         mixer_builder(&spec, seed, req.trace_cycles as usize).build_backend(req.backend);
-    let outcome = match sys.run_to_verdict(req.cycles, SimDuration::fs(req.budget_fs)) {
-        Ok(RunOutcome::Reached) => "reached".to_owned(),
-        Ok(RunOutcome::Deadlock { stopped }) => {
-            let names: Vec<String> = stopped.iter().map(ToString::to_string).collect();
-            format!("deadlock: {}", names.join(","))
-        }
-        Ok(RunOutcome::TimedOut) => "timed-out".to_owned(),
-        Err(e) => format!("error: {e}"),
-    };
-    let traces = (0..spec.sbs.len())
-        .map(|i| sys.io_trace(SbId(i)).to_canonical_bytes())
-        .collect();
+    let outcome = sys.run_to_verdict(req.cycles, SimDuration::fs(req.budget_fs));
     SimRunResult {
         seed,
-        outcome,
-        traces,
+        outcome: outcome_text(&outcome),
+        traces: (0..spec.sbs.len())
+            .map(|i| sys.io_trace(SbId(i)).to_canonical_bytes())
+            .collect(),
     }
 }
 
@@ -710,11 +593,39 @@ pub fn execute(
 ) -> Result<JobResult, ExecCancelled> {
     match req {
         JobRequest::Sim(r) => {
-            if let Some(runs) = run_sim_batched(r, threads, &hooks)? {
-                return Ok(JobResult::Sim(runs));
-            }
-            let runs = run_jobs_hooked(&r.seeds, threads, hooks, |_, &seed| run_sim_once(r, seed))
-                .map_err(|_| ExecCancelled)?;
+            // Byte-identical to `run_sim_once` per seed on whichever
+            // engine `run_configs` picks; compiled multi-seed requests
+            // run as batched lanes.
+            let spec = r.scenario.spec();
+            let limits = RunLimits {
+                cycles: r.cycles,
+                budget: SimDuration::fs(r.budget_fs),
+                stop: Stop::Verdict,
+            };
+            let make = |i: usize| mixer_builder(&spec, r.seeds[i], r.trace_cycles as usize);
+            let runs = run_configs(
+                r.seeds.len(),
+                make,
+                r.backend,
+                limits,
+                threads,
+                hooks,
+                |i, run| {
+                    if let Some((batch, 0)) = run.batch() {
+                        BATCHES_FORMED.fetch_add(1, Ordering::Relaxed);
+                        BATCH_LANES.fetch_add(batch.lanes() as u64, Ordering::Relaxed);
+                        BATCH_GROUPS.fetch_add(batch.group_count() as u64, Ordering::Relaxed);
+                    }
+                    SimRunResult {
+                        seed: r.seeds[i],
+                        outcome: outcome_text(&run.outcome),
+                        traces: (0..spec.sbs.len())
+                            .map(|sb| run.io_trace(SbId(sb)).to_canonical_bytes())
+                            .collect(),
+                    }
+                },
+            )
+            .map_err(|_| ExecCancelled)?;
             Ok(JobResult::Sim(runs))
         }
         JobRequest::Shmoo(r) => {

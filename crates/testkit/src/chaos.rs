@@ -29,16 +29,15 @@
 //! [`configs_from_env`]).
 
 use st_sim::time::{SimDuration, SimTime};
+use st_sim::SimError;
 use std::fmt;
 use std::time::Instant;
 use synchro_tokens::prelude::*;
-use synchro_tokens::scenarios::MixerLogic;
+use synchro_tokens::scenarios::mixer_builder;
 use synchro_tokens::{
     classify, run_with_plan, run_with_plan_resumed, BackendKind, CampaignStats, ChaosOutcome,
 };
-use synchro_tokens::{
-    run_jobs_hooked, DecodedCheckpoint, FaultClass, FaultPlan, RunHooks, SeuFault, SeuTarget,
-};
+use synchro_tokens::{DecodedCheckpoint, FaultClass, FaultPlan, SeuFault, SeuTarget};
 
 /// One chaos configuration: a plan seed and the fault class to generate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,31 +142,13 @@ impl fmt::Display for ChaosReport {
     }
 }
 
-/// Builds the campaign workload over `spec`: mixers on every SB, salted
-/// by `seed` so different seeds produce different golden traces (the
-/// builder seed alone only feeds bypass-mode metastability, which
-/// synchro-tokens mode never samples).
-fn chaos_builder(spec: &SystemSpec, seed: u64, trace_cycles: usize) -> SystemBuilder {
-    let n = spec.sbs.len();
-    let mut b = SystemBuilder::new(spec.clone())
-        .expect("chaos spec is valid")
-        .with_seed(seed)
-        .with_trace_limit(trace_cycles);
-    for i in 0..n {
-        let salt = seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(0x1000 * i as u64);
-        b = b.with_logic(SbId(i), MixerLogic::new(salt));
-    }
-    b
-}
-
 /// Runs a differential chaos campaign over `spec`: every job generates
 /// its plan, replays it on the event *and* compiled backends, and checks
 /// the per-class oracle plus cross-backend outcome agreement. Golden
-/// traces come from an unfaulted event-backend run of the same seed
-/// (the backends are byte-identical unfaulted, so one golden serves
-/// both).
+/// traces come from one unfaulted run per distinct seed through
+/// [`run_configs`], which batches them when it can; the engines are
+/// byte-identical unfaulted, so one golden serves both attacked runs
+/// and every fault class of its seed.
 ///
 /// The campaign itself is deterministic: the report's runs are a pure
 /// function of `(spec, jobs, cycles, budget)` at any `threads` count.
@@ -185,9 +166,10 @@ pub fn run_chaos_campaign(
 }
 
 /// Jobified [`run_chaos_campaign`]: the same differential campaign with
-/// [`RunHooks`] for cooperative cancellation (checked between
-/// configurations) and progress reporting, so chaos sweeps can run as
-/// cancellable service jobs under `st-serve`'s worker pool.
+/// [`RunHooks`] for cooperative cancellation (checked between golden
+/// shards and between configurations) and progress reporting (per
+/// configuration), so chaos sweeps can run as cancellable service jobs
+/// under `st-serve`'s worker pool.
 ///
 /// # Errors
 ///
@@ -203,194 +185,50 @@ pub fn run_chaos_campaign_hooked(
     hooks: RunHooks<'_>,
 ) -> Result<ChaosReport, synchro_tokens::Cancelled<ChaosRun>> {
     let started = Instant::now();
-    let runs = run_jobs_hooked(jobs, threads, hooks, |_, job| {
-        run_one(spec, *job, cycles, budget)
-    })?;
-    let stats = CampaignStats {
-        // Golden + two attacked backends per configuration.
-        runs: runs.len() * 3,
-        threads: effective_threads(threads),
-        wall_seconds: started.elapsed().as_secs_f64(),
-        events_fired: 0,
-        wakes: 0,
-    };
-    Ok(ChaosReport { runs, stats })
-}
-
-/// Batched [`run_chaos_campaign`]: the same oracles, restructured
-/// around the [`BatchedSystem`] lane engine so campaign cost is
-/// dominated by the attacked runs alone.
-///
-/// The scalar campaign runs *three* simulations per configuration (an
-/// unfaulted event-backend golden plus attacked event and compiled
-/// runs), re-deriving the golden for every fault class that shares a
-/// seed. This entry point instead:
-///
-/// 1. runs **one batched golden** over the distinct seeds — all seeds
-///    share one spec, so they lower into a single lockstep group and
-///    the event-loop cost is paid once for the whole campaign;
-/// 2. cross-checks lane 0 of the batched golden against a scalar
-///    event-backend run (a per-campaign spot oracle on top of the
-///    differential proptests);
-/// 3. fans the attacked runs out over [`run_jobs_hooked`] on the
-///    **compiled** backend only — fault plans perturb event timing, so
-///    attacked runs never share a group and the cheapest exact scalar
-///    engine is optimal.
-///
-/// Each [`ChaosRun`] therefore carries a single `(backend, outcome)`
-/// entry and the cross-*backend* agreement oracle is delegated to the
-/// scalar campaign (CI runs both). The analog-invariant oracle — the
-/// paper's actual claim — is enforced here exactly as in the scalar
-/// campaign. The report is byte-identical at any thread count and any
-/// `ST_BATCH` value.
-pub fn run_chaos_campaign_batched(
-    spec: &SystemSpec,
-    jobs: &[ChaosJob],
-    cycles: u64,
-    budget: SimDuration,
-    threads: usize,
-) -> ChaosReport {
-    match run_chaos_campaign_batched_hooked(
-        spec,
-        jobs,
-        cycles,
-        budget,
-        threads,
-        RunHooks::default(),
-    ) {
-        Ok(report) => report,
-        Err(_) => unreachable!("no cancel token was installed"),
-    }
-}
-
-/// Jobified [`run_chaos_campaign_batched`] with [`RunHooks`] for
-/// cooperative cancellation and progress reporting (checked between
-/// attacked configurations; the batched golden prologue is not
-/// cancellable but costs roughly one configuration).
-///
-/// # Errors
-///
-/// Returns [`Cancelled`](synchro_tokens::Cancelled) carrying the
-/// completed [`ChaosRun`]s (in job order) when the token trips before
-/// the last configuration is claimed.
-pub fn run_chaos_campaign_batched_hooked(
-    spec: &SystemSpec,
-    jobs: &[ChaosJob],
-    cycles: u64,
-    budget: SimDuration,
-    threads: usize,
-    hooks: RunHooks<'_>,
-) -> Result<ChaosReport, synchro_tokens::Cancelled<ChaosRun>> {
-    let started = Instant::now();
     let mut seeds: Vec<u64> = Vec::new();
     for j in jobs {
         if !seeds.contains(&j.seed) {
             seeds.push(j.seed);
         }
     }
-
-    // One golden per distinct seed, all lanes in (ideally) one batch.
-    let builders: Vec<SystemBuilder> = seeds
-        .iter()
-        .map(|&s| chaos_builder(spec, s, cycles as usize))
-        .collect();
-    let goldens: Vec<(RunOutcome, Vec<SbIoTrace>)> = match BatchedSystem::build(builders) {
-        Ok(mut batch) => {
-            let outcomes = batch.run_to_verdict(cycles, budget);
-            outcomes
-                .into_iter()
-                .enumerate()
-                .map(|(lane, outcome)| {
-                    let traces = (0..spec.sbs.len())
-                        .map(|i| batch.io_trace(lane, SbId(i)).clone())
-                        .collect();
-                    (outcome, traces)
-                })
-                .collect()
-        }
-        // Outside the batched envelope: scalar goldens, one per seed.
-        Err(builders) => builders
-            .into_iter()
-            .map(|b| {
-                let mut sys = b.build_backend(Backend::Compiled);
-                let outcome = sys
-                    .run_to_verdict(cycles, budget)
-                    .unwrap_or(synchro_tokens::system::RunOutcome::TimedOut);
-                let traces = (0..spec.sbs.len())
-                    .map(|i| sys.io_trace(SbId(i)).clone())
-                    .collect();
-                (outcome, traces)
-            })
-            .collect(),
+    let limits = RunLimits {
+        cycles,
+        budget,
+        stop: Stop::Verdict,
     };
-
-    // Spot oracle: the batched golden's first lane must be
-    // byte-identical to a scalar event-backend run of the same seed.
-    let golden_crosscheck: Option<String> = seeds.first().and_then(|&seed| {
-        let mut sys = chaos_builder(spec, seed, cycles as usize).build_backend(Backend::Event);
-        let _ = sys.run_to_verdict(cycles, budget);
-        (0..spec.sbs.len()).find_map(|i| {
-            (sys.io_trace(SbId(i)).digest() != goldens[0].1[i].digest()).then(|| {
-                format!("batched golden diverges from the event backend on SB {i} (seed {seed})")
-            })
-        })
-    });
-
+    let golden_hooks = RunHooks {
+        progress: None,
+        ..hooks
+    };
+    let make = |i: usize| mixer_builder(spec, seeds[i], cycles as usize);
+    let goldens: Vec<Golden> = run_configs(
+        seeds.len(),
+        make,
+        Backend::Compiled,
+        limits,
+        threads,
+        golden_hooks,
+        |_, run| {
+            let traces = (0..spec.sbs.len())
+                .map(|i| run.io_trace(SbId(i)).clone())
+                .collect();
+            (run.outcome, traces)
+        },
+    )
+    .map_err(|_| synchro_tokens::Cancelled {
+        completed: Vec::new(),
+        total: jobs.len(),
+    })?;
     let runs = run_jobs_hooked(jobs, threads, hooks, |_, job| {
-        let job = *job;
-        let plan = FaultPlan::generate(job.class, spec, job.seed);
-        let mut violations = Vec::new();
         let gi = seeds
             .iter()
             .position(|&s| s == job.seed)
-            .expect("every job seed was indexed");
-        let (golden_outcome, golden) = &goldens[gi];
-        if *golden_outcome != synchro_tokens::system::RunOutcome::Reached {
-            violations.push(format!(
-                "golden run did not reach {cycles} cycles: {golden_outcome:?}"
-            ));
-        }
-        if gi == 0 {
-            if let Some(v) = &golden_crosscheck {
-                violations.push(v.clone());
-            }
-        }
-
-        let mut sys = chaos_builder(spec, job.seed, cycles as usize)
-            .with_fault_plan(plan.clone())
-            .build_backend(Backend::Compiled);
-        let outcome = match run_with_plan(&mut sys, &plan, cycles, budget) {
-            Ok(o) => o,
-            Err(e) => {
-                violations.push(format!("compiled backend kernel error: {e}"));
-                synchro_tokens::system::RunOutcome::TimedOut
-            }
-        };
-        let outcomes = vec![(sys.backend_kind(), classify(golden, &sys, &outcome))];
-
-        // Oracle 1 — the invariant proper: analog-class faults must
-        // leave every trace byte-identical.
-        if plan.is_analog_only() {
-            for (kind, outcome) in &outcomes {
-                if *outcome != ChaosOutcome::TraceIdentical {
-                    violations.push(format!(
-                        "analog fault broke the invariant on {kind:?}: {outcome}"
-                    ));
-                }
-            }
-        }
-
-        ChaosRun {
-            job,
-            plan,
-            outcomes,
-            violations,
-        }
+            .expect("every job seed has a golden");
+        run_one(spec, *job, &goldens[gi], cycles, budget)
     })?;
     let stats = CampaignStats {
-        // One attacked backend per configuration, plus the goldens
-        // (one per distinct seed, batched) and one cross-check run.
-        runs: runs.len() + seeds.len() + usize::from(!seeds.is_empty()),
+        // Two attacked backends per configuration, one golden per seed.
+        runs: runs.len() * 2 + seeds.len(),
         threads: effective_threads(threads),
         wall_seconds: started.elapsed().as_secs_f64(),
         events_fired: 0,
@@ -399,25 +237,28 @@ pub fn run_chaos_campaign_batched_hooked(
     Ok(ChaosReport { runs, stats })
 }
 
-fn run_one(spec: &SystemSpec, job: ChaosJob, cycles: u64, budget: SimDuration) -> ChaosRun {
+/// An unfaulted run's outcome and per-SB traces.
+type Golden = (Result<RunOutcome, SimError>, Vec<SbIoTrace>);
+
+fn run_one(
+    spec: &SystemSpec,
+    job: ChaosJob,
+    (golden_outcome, golden): &Golden,
+    cycles: u64,
+    budget: SimDuration,
+) -> ChaosRun {
     let plan = FaultPlan::generate(job.class, spec, job.seed);
     let mut violations = Vec::new();
-
-    let mut golden_sys =
-        chaos_builder(spec, job.seed, cycles as usize).build_backend(Backend::Event);
-    match golden_sys.run_to_verdict(cycles, budget) {
+    match golden_outcome {
         Ok(RunOutcome::Reached) => {}
         other => violations.push(format!(
             "golden run did not reach {cycles} cycles: {other:?}"
         )),
     }
-    let golden: Vec<SbIoTrace> = (0..spec.sbs.len())
-        .map(|i| golden_sys.io_trace(SbId(i)).clone())
-        .collect();
 
     let mut outcomes = Vec::new();
     for backend in [Backend::Event, Backend::Compiled] {
-        let mut sys = chaos_builder(spec, job.seed, cycles as usize)
+        let mut sys = mixer_builder(spec, job.seed, cycles as usize)
             .with_fault_plan(plan.clone())
             .build_backend(backend);
         let outcome = match run_with_plan(&mut sys, &plan, cycles, budget) {
@@ -427,7 +268,7 @@ fn run_one(spec: &SystemSpec, job: ChaosJob, cycles: u64, budget: SimDuration) -
                 RunOutcome::TimedOut
             }
         };
-        outcomes.push((sys.backend_kind(), classify(&golden, &sys, &outcome)));
+        outcomes.push((sys.backend_kind(), classify(golden, &sys, &outcome)));
     }
 
     // Oracle 1 — the invariant proper: analog-class faults must leave
@@ -588,46 +429,11 @@ pub fn run_seu_sweep(
     threads: usize,
     min_fork_cycle: u64,
 ) -> SeuSweepReport {
-    match run_seu_sweep_hooked(
-        spec,
-        seed,
-        plans,
-        cycles,
-        budget,
-        threads,
-        min_fork_cycle,
-        RunHooks::default(),
-    ) {
-        Ok(report) => report,
-        Err(_) => unreachable!("no cancel token was installed"),
-    }
-}
-
-/// Jobified [`run_seu_sweep`] with [`RunHooks`] for cooperative
-/// cancellation and progress reporting (checked between variants; the
-/// golden and prefix prologue is not cancellable).
-///
-/// # Errors
-///
-/// Returns [`Cancelled`](synchro_tokens::Cancelled) carrying the
-/// completed [`SeuSweepRun`]s (in plan order) when the token trips
-/// before the last variant is claimed.
-#[allow(clippy::too_many_arguments)]
-pub fn run_seu_sweep_hooked(
-    spec: &SystemSpec,
-    seed: u64,
-    plans: &[FaultPlan],
-    cycles: u64,
-    budget: SimDuration,
-    threads: usize,
-    min_fork_cycle: u64,
-    hooks: RunHooks<'_>,
-) -> Result<SeuSweepReport, synchro_tokens::Cancelled<SeuSweepRun>> {
     let started = Instant::now();
 
     // Golden: the unfaulted workload, for outcome classification.
     let mut golden_sys =
-        chaos_builder(spec, seed, cycles as usize).build_backend(Backend::Compiled);
+        mixer_builder(spec, seed, cycles as usize).build_backend(Backend::Compiled);
     let golden_outcome = golden_sys
         .run_to_verdict(cycles, budget)
         .unwrap_or(RunOutcome::TimedOut);
@@ -653,7 +459,7 @@ pub fn run_seu_sweep_hooked(
         .into_iter()
         .filter_map(|f| {
             let mut sys =
-                chaos_builder(spec, seed, cycles as usize).build_backend(Backend::Compiled);
+                mixer_builder(spec, seed, cycles as usize).build_backend(Backend::Compiled);
             match sys.run_until_cycles(f, budget) {
                 // Decode once here: every variant restores from the
                 // decoded state instead of re-parsing the blob.
@@ -667,7 +473,7 @@ pub fn run_seu_sweep_hooked(
         })
         .collect();
 
-    let runs = run_jobs_hooked(plans, threads, hooks, |index, plan| {
+    let runs = run_jobs(plans, threads, |index, plan| {
         let mut violations = Vec::new();
         if golden_outcome != RunOutcome::Reached {
             violations.push(format!(
@@ -676,7 +482,7 @@ pub fn run_seu_sweep_hooked(
         }
 
         let straight = |violations: &mut Vec<String>| {
-            let mut sys = chaos_builder(spec, seed, cycles as usize)
+            let mut sys = mixer_builder(spec, seed, cycles as usize)
                 .with_fault_plan(plan.clone())
                 .build_backend(Backend::Compiled);
             let outcome = match run_with_plan(&mut sys, plan, cycles, budget) {
@@ -710,7 +516,7 @@ pub fn run_seu_sweep_hooked(
                         .is_some_and(|sys| sys.restore_decoded(ckpt).is_ok());
                     if !ready {
                         match AnySystem::resume_decoded(
-                            chaos_builder(spec, seed, cycles as usize),
+                            mixer_builder(spec, seed, cycles as usize),
                             ckpt,
                         ) {
                             Ok(sys) => {
@@ -751,7 +557,7 @@ pub fn run_seu_sweep_hooked(
             forked,
             violations,
         }
-    })?;
+    });
 
     let stats = CampaignStats {
         // One attacked engine per variant, plus the golden and one
@@ -762,11 +568,11 @@ pub fn run_seu_sweep_hooked(
         events_fired: 0,
         wakes: 0,
     };
-    Ok(SeuSweepReport {
+    SeuSweepReport {
         runs,
         prefixes: prefixes.len(),
         stats,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -798,43 +604,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_campaign_agrees_with_the_scalar_campaign() {
-        let spec = pingpong_spec();
-        let jobs = chaos_jobs(2);
-        let scalar = run_chaos_campaign(&spec, &jobs, 60, SimDuration::us(2000), 1);
-        let batched = run_chaos_campaign_batched(&spec, &jobs, 60, SimDuration::us(2000), 1);
-        assert_eq!(scalar.runs.len(), batched.runs.len());
-        for (s, b) in scalar.runs.iter().zip(&batched.runs) {
-            assert_eq!(s.job, b.job);
-            assert_eq!(s.plan, b.plan, "seed {}", s.job.seed);
-            // The batched campaign attacks the compiled backend only;
-            // its classification must match the scalar campaign's
-            // compiled entry (index 1 of [event, compiled]).
-            assert_eq!(b.outcomes.len(), 1);
-            assert_eq!(
-                s.outcomes[1].1, b.outcomes[0].1,
-                "outcome of seed {} {:?}",
-                s.job.seed, s.job.class
-            );
-            assert_eq!(s.violations, b.violations, "seed {}", s.job.seed);
-        }
-    }
-
-    #[test]
-    fn batched_campaign_is_thread_count_invariant() {
-        let spec = pingpong_spec();
-        let jobs = chaos_jobs(2);
-        let run = |threads| {
-            run_chaos_campaign_batched(&spec, &jobs, 60, SimDuration::us(2000), threads)
-                .runs
-                .iter()
-                .map(|r| (r.job, r.outcomes.clone(), r.violations.clone()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(1), run(4));
-    }
-
-    #[test]
     fn seu_sweep_forks_and_matches_straight_runs() {
         let spec = pingpong_spec();
         let (seed, cycles, budget) = (3u64, 60u64, SimDuration::us(2000));
@@ -852,13 +621,13 @@ mod tests {
 
         // The forked sweep must classify exactly as naive straight runs.
         let mut golden_sys =
-            chaos_builder(&spec, seed, cycles as usize).build_backend(Backend::Compiled);
+            mixer_builder(&spec, seed, cycles as usize).build_backend(Backend::Compiled);
         golden_sys.run_until_cycles(cycles, budget).unwrap();
         let golden: Vec<SbIoTrace> = (0..spec.sbs.len())
             .map(|i| golden_sys.io_trace(SbId(i)).clone())
             .collect();
         for (i, plan) in plans.iter().enumerate() {
-            let mut sys = chaos_builder(&spec, seed, cycles as usize)
+            let mut sys = mixer_builder(&spec, seed, cycles as usize)
                 .with_fault_plan(plan.clone())
                 .build_backend(Backend::Compiled);
             let outcome = run_with_plan(&mut sys, plan, cycles, budget).unwrap();

@@ -19,6 +19,7 @@ use st_sim::time::SimDuration;
 use synchro_tokens::compiled_system::AnySystem;
 use synchro_tokens::spec::{NodeParams, RingId, SbId, SystemSpec};
 use synchro_tokens::system::System;
+use synchro_tokens::{run_configs, Backend, RunLimits, Stop};
 
 /// The Test SB's TCK relationship to the token fabric (§4.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -269,40 +270,21 @@ pub fn shmoo(
     cycles: u64,
     build: &(dyn Fn(SystemSpec, u64) -> System + Sync),
 ) -> ShmooResult {
-    shmoo_any(spec, sb, periods, cycles, &|s, seed| build(s, seed).into())
-}
-
-/// Backend-polymorphic variant of [`shmoo`]: the build function returns
-/// an [`AnySystem`], so sweeps can run on the compiled fast-path backend
-/// (`SystemBuilder::build_backend`). Both backends are byte-identical,
-/// so the [`ShmooResult`] does not depend on the backend choice.
-pub fn shmoo_any(
-    spec: &SystemSpec,
-    sb: SbId,
-    periods: &[SimDuration],
-    cycles: u64,
-    build: &(dyn Fn(SystemSpec, u64) -> AnySystem + Sync),
-) -> ShmooResult {
+    let build = |s, seed| build(s, seed).into();
     let threads = synchro_tokens::campaign::default_threads();
-    match shmoo_any_hooked(
-        spec,
-        sb,
-        periods,
-        cycles,
-        build,
-        threads,
-        synchro_tokens::RunHooks::default(),
-    ) {
-        Ok(result) => result,
-        Err(_) => unreachable!("no cancel token was installed"),
-    }
+    let hooks = synchro_tokens::RunHooks::default();
+    shmoo_any_hooked(spec, sb, periods, cycles, &build, threads, hooks)
+        .unwrap_or_else(|_| unreachable!("no cancel token was installed"))
 }
 
-/// Jobified [`shmoo_any`]: the same sweep with an explicit thread count
-/// and [`RunHooks`](synchro_tokens::RunHooks), so a long shmoo can be
-/// driven as a *service job* — cancelled cooperatively between points
-/// and observed via the progress callback (`st-serve`'s worker pool
-/// uses exactly this entry point).
+/// Backend-polymorphic, jobified [`shmoo`]: the build function returns
+/// an [`AnySystem`], so sweeps can run on the compiled fast-path backend
+/// (`SystemBuilder::build_backend`), and an explicit thread count and
+/// [`RunHooks`](synchro_tokens::RunHooks) let a long shmoo run as a
+/// *service job* — cancelled cooperatively between points and observed
+/// via the progress callback (`st-serve`'s worker pool uses exactly
+/// this entry point). Both backends are byte-identical, so the
+/// [`ShmooResult`] does not depend on the backend choice.
 ///
 /// # Errors
 ///
@@ -372,12 +354,16 @@ pub struct ShmooGridPoint {
 /// `make` builds the workload for `(spec, seed)` — it must attach
 /// logic whose *send pattern* is seed-independent for the lanes to
 /// stay in lockstep (data-dependent sends still work; the engine
-/// splits the group and the sweep is merely slower). Builders outside
-/// the batched envelope fall back to scalar compiled runs, point by
-/// point, with identical results.
+/// splits the group and the sweep is merely slower). The cells run
+/// through [`run_configs`] on one worker, so builders outside the
+/// batched envelope fall back to scalar compiled runs with identical
+/// results. Every cell runs whole cycles ([`Stop::WholeCycles`])
+/// because it reports the swept SB's timing violations.
 ///
 /// Points come back period-major (`periods[0]` × every seed, then
 /// `periods[1]`, …), byte-identical to per-cell scalar sweeps.
+///
+/// [`BatchedSystem`]: synchro_tokens::BatchedSystem
 pub fn shmoo_grid(
     spec: &SystemSpec,
     sb: SbId,
@@ -386,39 +372,54 @@ pub fn shmoo_grid(
     cycles: u64,
     make: &(dyn Fn(SystemSpec, u64) -> synchro_tokens::SystemBuilder + Sync),
 ) -> Vec<ShmooGridPoint> {
-    let budget = SimDuration::us(5000);
-    // Every (period, seed) cell in one build: grouping by spec puts
-    // each period's seed lanes in their own lockstep group. When the
-    // sweep includes the nominal period (the usual shmoo shape), that
-    // column doubles as the per-seed golden batch; otherwise the
-    // goldens run as one extra batch at the nominal spec.
-    let nominal = spec.sbs[sb.0].period;
-    let nominal_col = periods.iter().position(|&p| p == nominal);
-    let cells: Vec<(SystemSpec, u64)> = periods
-        .iter()
-        .flat_map(|&period| {
+    use synchro_tokens::system::RunOutcome;
+    let limits = RunLimits {
+        cycles,
+        budget: SimDuration::us(5000),
+        stop: Stop::WholeCycles,
+    };
+    // Every (period, seed) cell of `columns` in one batch, period-major:
+    // grouping by spec puts each period's seed lanes in their own
+    // lockstep group. Reports `(reached, per-SB digests, violations)`.
+    let run_columns = |columns: &[SimDuration]| {
+        let cell = |i: usize| {
             let mut s = spec.clone();
-            s.sbs[sb.0].period = period;
-            seeds.iter().map(move |&seed| (s.clone(), seed))
-        })
-        .collect();
-    let results = run_grid_batch(spec, sb, &cells, cycles, budget, make);
-    let goldens: Vec<Vec<u64>> = match nominal_col {
+            s.sbs[sb.0].period = columns[i / seeds.len()];
+            make(s, seeds[i % seeds.len()])
+        };
+        let hooks = synchro_tokens::RunHooks::default();
+        let count = columns.len() * seeds.len();
+        run_configs(
+            count,
+            cell,
+            Backend::Compiled,
+            limits,
+            1,
+            hooks,
+            |_, run| {
+                let digests: Vec<u64> = (0..spec.sbs.len())
+                    .map(|i| run.trace_digest(SbId(i)))
+                    .collect();
+                let completed = matches!(run.outcome, Ok(RunOutcome::Reached));
+                (completed, digests, run.timing_violations(sb))
+            },
+        )
+        .unwrap_or_else(|_| unreachable!("no cancel token was installed"))
+    };
+    let results = run_columns(periods);
+    // When the sweep includes the nominal period (the usual shmoo
+    // shape), that column doubles as the per-seed golden batch;
+    // otherwise the goldens run as one extra batch at the nominal spec.
+    let nominal = spec.sbs[sb.0].period;
+    let goldens: Vec<Vec<u64>> = match periods.iter().position(|&p| p == nominal) {
         Some(p) => results[p * seeds.len()..(p + 1) * seeds.len()]
             .iter()
             .map(|(_, digests, _)| digests.clone())
             .collect(),
-        None => run_grid_batch(
-            spec,
-            sb,
-            &seeds.iter().map(|&s| (spec.clone(), s)).collect::<Vec<_>>(),
-            cycles,
-            budget,
-            make,
-        )
-        .into_iter()
-        .map(|(_, digests, _)| digests)
-        .collect(),
+        None => run_columns(&[nominal])
+            .into_iter()
+            .map(|(_, digests, _)| digests)
+            .collect(),
     };
     results
         .into_iter()
@@ -433,59 +434,6 @@ pub fn shmoo_grid(
             }
         })
         .collect()
-}
-
-/// Runs one batch of `(spec, seed)` cells and reports, per cell:
-/// `(reached, per-SB trace digests, swept-SB violations)`.
-fn run_grid_batch(
-    base: &SystemSpec,
-    sb: SbId,
-    cells: &[(SystemSpec, u64)],
-    cycles: u64,
-    budget: SimDuration,
-    make: &(dyn Fn(SystemSpec, u64) -> synchro_tokens::SystemBuilder + Sync),
-) -> Vec<(bool, Vec<u64>, u64)> {
-    use synchro_tokens::system::RunOutcome;
-    let sb_count = base.sbs.len();
-    let builders: Vec<synchro_tokens::SystemBuilder> = cells
-        .iter()
-        .map(|(s, seed)| make(s.clone(), *seed))
-        .collect();
-    match synchro_tokens::BatchedSystem::build(builders) {
-        Ok(mut batch) => {
-            let outcomes = batch.run_until_cycles(cycles, budget);
-            outcomes
-                .into_iter()
-                .enumerate()
-                .map(|(lane, outcome)| {
-                    // Streaming digests: no per-row materialization on
-                    // the batched fast path.
-                    let digests = (0..sb_count)
-                        .map(|i| batch.trace_digest(lane, SbId(i)))
-                        .collect();
-                    (
-                        outcome == RunOutcome::Reached,
-                        digests,
-                        batch.timing_violations(lane, sb),
-                    )
-                })
-                .collect()
-        }
-        Err(builders) => builders
-            .into_iter()
-            .map(|b| {
-                let mut sys = b.build_backend(synchro_tokens::Backend::Compiled);
-                let completed = matches!(
-                    sys.run_until_cycles(cycles, budget),
-                    Ok(RunOutcome::Reached)
-                );
-                let digests = (0..sb_count)
-                    .map(|i| sys.io_trace(SbId(i)).digest())
-                    .collect();
-                (completed, digests, sys.timing_violations(sb))
-            })
-            .collect(),
-    }
 }
 
 #[cfg(test)]

@@ -61,14 +61,12 @@ pub mod tap;
 
 pub use bist::{BistEngine, Lfsr, Misr};
 pub use chaos::{
-    chaos_jobs, configs_from_env, run_chaos_campaign, run_chaos_campaign_batched,
-    run_chaos_campaign_batched_hooked, run_chaos_campaign_hooked, run_seu_sweep,
-    run_seu_sweep_hooked, seu_sweep_plans, ChaosJob, ChaosReport, ChaosRun, SeuSweepReport,
-    SeuSweepRun,
+    chaos_jobs, configs_from_env, run_chaos_campaign, run_chaos_campaign_hooked, run_seu_sweep,
+    seu_sweep_plans, ChaosJob, ChaosReport, ChaosRun, SeuSweepReport, SeuSweepRun,
 };
 pub use debug::{
-    shmoo, shmoo_any, shmoo_any_hooked, shmoo_grid, BreakpointReport, ShmooGridPoint, ShmooPoint,
-    ShmooResult, TckMode, TestAccess,
+    shmoo, shmoo_any_hooked, shmoo_grid, BreakpointReport, ShmooGridPoint, ShmooPoint, ShmooResult,
+    TckMode, TestAccess,
 };
 pub use differential::case_budget;
 pub use player::TapPort;

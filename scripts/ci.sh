@@ -18,6 +18,18 @@ if [[ -n "$external" ]]; then
     exit 1
 fi
 
+echo "== one engine-selection path =="
+# Only synchro_tokens::run_configs (campaign.rs) builds batches; every
+# other library caller goes through it rather than re-copying the
+# batched -> scalar fallback ladder.
+ladders=$(grep -rlF 'BatchedSystem::build' crates/*/src \
+    | grep -vx -e 'crates/core/src/batched_system.rs' -e 'crates/core/src/campaign.rs' || true)
+if [[ -n "$ladders" ]]; then
+    echo "BatchedSystem::build outside run_configs (use synchro_tokens::run_configs):" >&2
+    echo "$ladders" >&2
+    exit 1
+fi
+
 echo "== clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
