@@ -1282,7 +1282,7 @@ impl BatchedSystem {
     /// Whether a single builder is inside the batched envelope: the
     /// scalar compiled envelope plus ≤ 32 outputs per SB (divergence
     /// patterns pack two bits per output into a `u64`).
-    pub fn supports(builder: &SystemBuilder) -> bool {
+    fn supports(builder: &SystemBuilder) -> bool {
         CompiledSystem::supports(builder)
             && (0..builder.spec.sbs.len()).all(|i| builder.spec.outputs_of(SbId(i)).count() <= 32)
     }

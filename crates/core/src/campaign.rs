@@ -34,7 +34,7 @@ use st_sim::SimError;
 use std::fmt;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 
@@ -414,22 +414,6 @@ pub struct RunLimits {
     pub stop: Stop,
 }
 
-impl RunLimits {
-    fn run_scalar(&self, sys: &mut AnySystem) -> Result<RunOutcome, SimError> {
-        match self.stop {
-            Stop::Verdict => sys.run_to_verdict(self.cycles, self.budget),
-            Stop::WholeCycles => sys.run_until_cycles(self.cycles, self.budget),
-        }
-    }
-
-    fn run_batched(&self, batch: &mut BatchedSystem) -> Vec<RunOutcome> {
-        match self.stop {
-            Stop::Verdict => batch.run_to_verdict(self.cycles, self.budget),
-            Stop::WholeCycles => batch.run_until_cycles(self.cycles, self.budget),
-        }
-    }
-}
-
 /// One finished configuration of [`run_configs`], as its reader sees
 /// it: a batched lane or a scalar system behind one read API. Nothing
 /// is cloned per configuration; the reader takes what it needs.
@@ -470,15 +454,23 @@ impl<'a> ConfigRun<'a> {
             Engine::Scalar(sys) => sys.timing_violations(sb),
         }
     }
+}
 
-    /// The batch and lane this configuration ran in, or `None` for a
-    /// scalar run.
-    pub fn batch(&self) -> Option<(&'a BatchedSystem, usize)> {
-        match self.engine {
-            Engine::Lane(batch, lane) => Some((batch, lane)),
-            Engine::Scalar(_) => None,
-        }
-    }
+// Cumulative counters of the batches [`run_configs`] forms, read by
+// [`batch_metrics`].
+static BATCHES_FORMED: AtomicU64 = AtomicU64::new(0);
+static BATCH_LANES: AtomicU64 = AtomicU64::new(0);
+static BATCH_GROUPS: AtomicU64 = AtomicU64::new(0);
+
+/// `(batches formed, total lanes, total lockstep groups after runs)`
+/// over every batch [`run_configs`] has run in this process; lanes /
+/// groups is the average lockstep sharing.
+pub fn batch_metrics() -> (u64, u64, u64) {
+    (
+        BATCHES_FORMED.load(Ordering::Relaxed),
+        BATCH_LANES.load(Ordering::Relaxed),
+        BATCH_GROUPS.load(Ordering::Relaxed),
+    )
 }
 
 /// Runs `count` configurations, `make(i)` building the `i`-th, and
@@ -488,22 +480,24 @@ impl<'a> ConfigRun<'a> {
 /// changes cost.
 ///
 /// * [`Backend::Compiled`] with two or more configurations runs
-///   [`BatchedSystem`] shards. With one effective worker (see
-///   [`effective_threads`]) the whole set is one batch; otherwise it is
-///   split into one shard per worker, at most [`DEFAULT_BATCH_LIMIT`]
-///   configurations each. Cancellation is honoured between shards and
-///   `hooks.progress` counts configurations, not shards. A shard the
-///   batched engine hands back (a builder outside its envelope) runs
-///   its configurations one by one on the scalar engine.
+///   [`BatchedSystem`] shards: one per effective worker (see
+///   [`effective_threads`]), at most [`DEFAULT_BATCH_LIMIT`]
+///   configurations each. A shard the batched engine hands back (a
+///   builder outside its envelope) runs its configurations one by one
+///   on the scalar engine.
 /// * Anything else runs each configuration on
 ///   [`SystemBuilder::build_backend`] through [`run_jobs_hooked`]; the
 ///   compiled → event fallback stays inside [`AnySystem`].
 ///
+/// Cancellation is honoured between shards and between scalar
+/// configurations, so a batched shard is the largest unit that runs
+/// after the token trips; `hooks.progress` counts configurations.
+///
 /// # Errors
 ///
 /// Returns [`Cancelled`] with the configurations that completed (in
-/// configuration order) when the token trips before the last shard or
-/// configuration is claimed.
+/// configuration order) when the token trips before the last one is
+/// started.
 pub fn run_configs<R, M, F>(
     count: usize,
     make: M,
@@ -520,23 +514,31 @@ where
 {
     let run_scalar = |i: usize, builder: SystemBuilder| {
         let mut sys = builder.build_backend(backend);
-        let (outcome, engine) = (limits.run_scalar(&mut sys), Engine::Scalar(&sys));
+        let outcome = match limits.stop {
+            Stop::Verdict => sys.run_to_verdict(limits.cycles, limits.budget),
+            Stop::WholeCycles => sys.run_until_cycles(limits.cycles, limits.budget),
+        };
+        let engine = Engine::Scalar(&sys);
         read(i, ConfigRun { outcome, engine })
     };
     if backend != Backend::Compiled || count < 2 {
         let configs: Vec<usize> = (0..count).collect();
         return run_jobs_hooked(&configs, threads, hooks, |_, &i| run_scalar(i, make(i)));
     }
-    let workers = effective_threads(threads);
-    let shard = match workers {
-        1 => count,
-        _ => count.div_ceil(workers).min(DEFAULT_BATCH_LIMIT),
-    };
+    let shard = count
+        .div_ceil(effective_threads(threads))
+        .min(DEFAULT_BATCH_LIMIT);
     let shards: Vec<Range<usize>> = (0..count)
         .step_by(shard)
         .map(|start| start..count.min(start + shard))
         .collect();
     let done = AtomicUsize::new(0);
+    let report = |n: usize| {
+        let completed = done.fetch_add(n, Ordering::Relaxed) + n;
+        if let Some(p) = hooks.progress {
+            p(completed, count);
+        }
+    };
     let shard_hooks = RunHooks {
         progress: None,
         ..hooks
@@ -544,34 +546,45 @@ where
     // Each shard yields `(configuration, result)` pairs, so a cancelled
     // campaign's partial state needs no index arithmetic.
     let runs = run_jobs_hooked(&shards, threads, shard_hooks, |_, range| {
-        let runs: Vec<(usize, R)> = match BatchedSystem::build(range.clone().map(&make).collect()) {
+        let mut runs: Vec<(usize, R)> = Vec::with_capacity(range.len());
+        match BatchedSystem::build(range.clone().map(&make).collect()) {
             Ok(mut batch) => {
-                let outcomes = limits.run_batched(&mut batch);
-                let lanes = range.clone().zip(outcomes).enumerate();
-                lanes
-                    .map(|(lane, (i, outcome))| {
-                        let (outcome, engine) = (Ok(outcome), Engine::Lane(&batch, lane));
-                        (i, read(i, ConfigRun { outcome, engine }))
-                    })
-                    .collect()
+                let outcomes = match limits.stop {
+                    Stop::Verdict => batch.run_to_verdict(limits.cycles, limits.budget),
+                    Stop::WholeCycles => batch.run_until_cycles(limits.cycles, limits.budget),
+                };
+                BATCHES_FORMED.fetch_add(1, Ordering::Relaxed);
+                BATCH_LANES.fetch_add(batch.lanes() as u64, Ordering::Relaxed);
+                BATCH_GROUPS.fetch_add(batch.group_count() as u64, Ordering::Relaxed);
+                for (lane, (i, outcome)) in range.clone().zip(outcomes).enumerate() {
+                    let (outcome, engine) = (Ok(outcome), Engine::Lane(&batch, lane));
+                    runs.push((i, read(i, ConfigRun { outcome, engine })));
+                }
+                report(runs.len());
             }
-            Err(builders) => (range.clone().zip(builders))
-                .map(|(i, b)| (i, run_scalar(i, b)))
-                .collect(),
-        };
-        let completed = done.fetch_add(runs.len(), Ordering::Relaxed) + runs.len();
-        if let Some(p) = hooks.progress {
-            p(completed, count);
+            Err(builders) => {
+                for (i, b) in range.clone().zip(builders) {
+                    if hooks.cancel.is_some_and(CancelToken::is_cancelled) {
+                        break;
+                    }
+                    runs.push((i, run_scalar(i, b)));
+                    report(1);
+                }
+            }
         }
         runs
     });
-    match runs {
-        Ok(shards) => Ok(shards.into_iter().flatten().map(|(_, r)| r).collect()),
-        Err(c) => Err(Cancelled {
-            completed: c.completed.into_iter().flat_map(|(_, runs)| runs).collect(),
+    let runs: Vec<(usize, R)> = match runs {
+        Ok(shards) => shards.into_iter().flatten().collect(),
+        Err(c) => c.completed.into_iter().flat_map(|(_, runs)| runs).collect(),
+    };
+    if runs.len() < count {
+        return Err(Cancelled {
+            completed: runs,
             total: count,
-        }),
+        });
     }
+    Ok(runs.into_iter().map(|(_, r)| r).collect())
 }
 
 /// Wall-clock and kernel-throughput counters for a completed campaign.

@@ -21,7 +21,6 @@
 use st_sim::time::SimDuration;
 use st_sim::SimError;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use synchro_tokens::scenarios::{
     chain_spec, e1_spec, mixer_builder, pingpong_spec, producer_consumer_spec,
 };
@@ -528,21 +527,10 @@ impl fmt::Display for ExecCancelled {
 
 impl std::error::Error for ExecCancelled {}
 
-// Cumulative batched-execution counters, surfaced on `/metrics` as
-// batch-occupancy gauges (lanes / groups = average lockstep sharing).
-static BATCHES_FORMED: AtomicU64 = AtomicU64::new(0);
-static BATCH_LANES: AtomicU64 = AtomicU64::new(0);
-static BATCH_GROUPS: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative batched-execution counters since process start:
-/// `(batches formed, total lanes, total lockstep groups after runs)`.
-pub fn batch_metrics() -> (u64, u64, u64) {
-    (
-        BATCHES_FORMED.load(Ordering::Relaxed),
-        BATCH_LANES.load(Ordering::Relaxed),
-        BATCH_GROUPS.load(Ordering::Relaxed),
-    )
-}
+/// Cumulative batched-execution counters since process start, surfaced
+/// on `/metrics` as batch-occupancy gauges: `(batches formed, total
+/// lanes, total lockstep groups after runs)`.
+pub use synchro_tokens::campaign::batch_metrics;
 
 /// The wire text of a run's outcome.
 fn outcome_text(outcome: &Result<RunOutcome, SimError>) -> String {
@@ -610,19 +598,12 @@ pub fn execute(
                 limits,
                 threads,
                 hooks,
-                |i, run| {
-                    if let Some((batch, 0)) = run.batch() {
-                        BATCHES_FORMED.fetch_add(1, Ordering::Relaxed);
-                        BATCH_LANES.fetch_add(batch.lanes() as u64, Ordering::Relaxed);
-                        BATCH_GROUPS.fetch_add(batch.group_count() as u64, Ordering::Relaxed);
-                    }
-                    SimRunResult {
-                        seed: r.seeds[i],
-                        outcome: outcome_text(&run.outcome),
-                        traces: (0..spec.sbs.len())
-                            .map(|sb| run.io_trace(SbId(sb)).to_canonical_bytes())
-                            .collect(),
-                    }
+                |i, run| SimRunResult {
+                    seed: r.seeds[i],
+                    outcome: outcome_text(&run.outcome),
+                    traces: (0..spec.sbs.len())
+                        .map(|sb| run.io_trace(SbId(sb)).to_canonical_bytes())
+                        .collect(),
                 },
             )
             .map_err(|_| ExecCancelled)?;
@@ -836,6 +817,29 @@ mod tests {
             execute(&tiny_sim(Backend::Compiled), 1, hooks),
             Err(ExecCancelled)
         );
+    }
+
+    #[test]
+    fn compiled_sim_cancels_between_shards_at_one_worker() {
+        // 130 seeds run as 64 + 64 + 2 batched lanes even on one worker,
+        // so a token tripped by the first progress report (as a job
+        // deadline does) stops the job after 64 seeds, not at the end.
+        let JobRequest::Sim(mut r) = tiny_sim(Backend::Compiled) else {
+            unreachable!()
+        };
+        r.seeds = (1..=130).collect();
+        let token = synchro_tokens::CancelToken::new();
+        let reports = std::sync::Mutex::new(Vec::new());
+        let progress = |done: usize, _: usize| {
+            reports.lock().unwrap().push(done);
+            token.cancel();
+        };
+        let hooks = RunHooks {
+            cancel: Some(&token),
+            progress: Some(&progress),
+        };
+        assert_eq!(execute(&JobRequest::Sim(r), 1, hooks), Err(ExecCancelled));
+        assert_eq!(reports.into_inner().unwrap(), vec![64]);
     }
 
     #[test]

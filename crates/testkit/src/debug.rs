@@ -345,17 +345,19 @@ pub struct ShmooGridPoint {
 }
 
 /// A frequency shmoo replicated over N workload seeds, batched: every
-/// candidate period is evaluated under every seed, and all the seeds
-/// of one period lower into a single [`BatchedSystem`] lockstep group
+/// candidate period is evaluated under every seed, and the seeds of
+/// one period lower into shared [`BatchedSystem`] lockstep groups
 /// (they share a spec — only their data differs), so the event-loop
-/// cost per period is paid once instead of once per seed. The goldens
+/// cost per period is paid per group instead of per seed. The goldens
 /// batch the same way at the nominal period.
 ///
 /// `make` builds the workload for `(spec, seed)` — it must attach
 /// logic whose *send pattern* is seed-independent for the lanes to
 /// stay in lockstep (data-dependent sends still work; the engine
 /// splits the group and the sweep is merely slower). The cells run
-/// through [`run_configs`] on one worker, so builders outside the
+/// through [`run_configs`] on one worker, in batches of at most
+/// [`DEFAULT_BATCH_LIMIT`] cells, so a period's seeds share one group
+/// whenever the seed count divides that cap; builders outside the
 /// batched envelope fall back to scalar compiled runs with identical
 /// results. Every cell runs whole cycles ([`Stop::WholeCycles`])
 /// because it reports the swept SB's timing violations.
@@ -364,6 +366,7 @@ pub struct ShmooGridPoint {
 /// `periods[1]`, …), byte-identical to per-cell scalar sweeps.
 ///
 /// [`BatchedSystem`]: synchro_tokens::BatchedSystem
+/// [`DEFAULT_BATCH_LIMIT`]: synchro_tokens::DEFAULT_BATCH_LIMIT
 pub fn shmoo_grid(
     spec: &SystemSpec,
     sb: SbId,
@@ -378,9 +381,9 @@ pub fn shmoo_grid(
         budget: SimDuration::us(5000),
         stop: Stop::WholeCycles,
     };
-    // Every (period, seed) cell of `columns` in one batch, period-major:
-    // grouping by spec puts each period's seed lanes in their own
-    // lockstep group. Reports `(reached, per-SB digests, violations)`.
+    // Every (period, seed) cell of `columns`, period-major: grouping by
+    // spec puts each period's seed lanes in their own lockstep group.
+    // Reports `(reached, per-SB digests, violations)`.
     let run_columns = |columns: &[SimDuration]| {
         let cell = |i: usize| {
             let mut s = spec.clone();
