@@ -461,15 +461,18 @@ impl<'a> ConfigRun<'a> {
 static BATCHES_FORMED: AtomicU64 = AtomicU64::new(0);
 static BATCH_LANES: AtomicU64 = AtomicU64::new(0);
 static BATCH_GROUPS: AtomicU64 = AtomicU64::new(0);
+static BATCH_SPLITS: AtomicU64 = AtomicU64::new(0);
 
-/// `(batches formed, total lanes, total lockstep groups after runs)`
-/// over every batch [`run_configs`] has run in this process; lanes /
-/// groups is the average lockstep sharing.
-pub fn batch_metrics() -> (u64, u64, u64) {
+/// `(batches formed, total lanes, total lockstep groups after runs,
+/// total divergence splits)` over every batch [`run_configs`] has run
+/// in this process; lanes / groups is the average lockstep sharing,
+/// and groups minus splits the groups formed at build.
+pub fn batch_metrics() -> (u64, u64, u64, u64) {
     (
         BATCHES_FORMED.load(Ordering::Relaxed),
         BATCH_LANES.load(Ordering::Relaxed),
         BATCH_GROUPS.load(Ordering::Relaxed),
+        BATCH_SPLITS.load(Ordering::Relaxed),
     )
 }
 
@@ -556,6 +559,7 @@ where
                 BATCHES_FORMED.fetch_add(1, Ordering::Relaxed);
                 BATCH_LANES.fetch_add(batch.lanes() as u64, Ordering::Relaxed);
                 BATCH_GROUPS.fetch_add(batch.group_count() as u64, Ordering::Relaxed);
+                BATCH_SPLITS.fetch_add(batch.splits() as u64, Ordering::Relaxed);
                 for (lane, (i, outcome)) in range.clone().zip(outcomes).enumerate() {
                     let (outcome, engine) = (Ok(outcome), Engine::Lane(&batch, lane));
                     runs.push((i, read(i, ConfigRun { outcome, engine })));

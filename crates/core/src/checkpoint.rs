@@ -377,7 +377,7 @@ impl From<CanonError> for CheckpointError {
 ///
 /// Obtain one from
 /// [`System::checkpoint`](crate::system::System::checkpoint),
-/// [`CompiledSystem::checkpoint`](crate::compiled_system::CompiledSystem::checkpoint)
+/// `CompiledSystem::checkpoint`
 /// or [`AnySystem::checkpoint`](crate::compiled_system::AnySystem::checkpoint);
 /// turn it back into a running system with the matching `resume`
 /// constructor plus an identically-configured builder.

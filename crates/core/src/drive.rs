@@ -1,11 +1,14 @@
 //! The chunk loop behind every cycle-bounded run.
 //!
-//! [`System`](crate::System), [`CompiledSystem`](crate::CompiledSystem)
-//! and [`BatchedSystem`](crate::BatchedSystem) all drive
-//! `run_until_cycles` and `run_to_verdict` through [`drive`]: advance
-//! simulated time one chunk at a time, checking after each chunk
-//! whether every SB reached the target, the system went quiescent, or
-//! the budget ran out. Where the chunk boundaries fall is observable —
+//! Both engines drive `run_until_cycles` and `run_to_verdict` through
+//! [`drive`]: the event kernel's [`System`](crate::System), and every
+//! lockstep group of the compiled engine, whether it is the one inline
+//! lane of a [`CompiledSystem`](crate::CompiledSystem) or a group of
+//! [`BatchedSystem`](crate::BatchedSystem) lanes (a group that splits
+//! mid-chunk hands its split-off groups the chunk's end to finish
+//! first). The loop advances simulated time one chunk at a time,
+//! checking after each chunk whether every SB reached the target, the
+//! system went quiescent, or the budget ran out. Where the chunk boundaries fall is observable —
 //! a run stops at a boundary, so the end time, the cycles past the
 //! target and every statistic depend on it — which is why the one
 //! [`ChunkRule`] lives here and nowhere else.

@@ -1,0 +1,1853 @@
+//! The compiled engine: a whole GALS system lowered to a flat
+//! typed-event engine that runs lanes of configurations in lockstep.
+//!
+//! The paper's central observation is that under synchro-tokens every
+//! SB's I/O sequence is a pure function of its local-cycle schedule —
+//! and between token events that schedule is statically known. The
+//! general event kernel still pays for that determinism the hard way:
+//! every clock phase is a timer event that drives a `clk` signal, which
+//! wakes a wrapper through a watcher list, which drives FIFO handshake
+//! signals, which wake FIFO components, all with per-delta batch
+//! bookkeeping and per-edge `Vec` allocation.
+//!
+//! A [`Group`] lowers built system descriptions once into flat
+//! index-based arrays (`u32` channel/node/SB indices, SoA per-SB state,
+//! reused per-edge scratch buffers) and replaces the generic
+//! signal/watcher machinery with typed events: FIFO pushes/pops/stage
+//! moves, token passes and clock enables in a single `(time, seq)`-
+//! ordered heap, plus per-SB clock-phase and rising-edge slots the
+//! dispatch loop scans beside the heap top. FIFO occupancy is a `u64`
+//! bitmask per channel (one bit per stage, which gates depth to ≤ 64),
+//! and on channels whose stage delay exceeds the bundled-data setup
+//! delay the internal move cascade never touches the heap at all: moves
+//! are queued in a per-channel buffer and drained lazily just before
+//! any push, pop or rising edge reads that FIFO. One iteration of the
+//! loop advances a whole clock phase segment instead of popping a chain
+//! of per-delta kernel events.
+//!
+//! # Shared control, per-lane data
+//!
+//! Configurations built from the *same* spec make exactly the same
+//! control-flow decisions at exactly the same instants, so a group
+//! holds one copy of the control state — the event heap, clock slots,
+//! FIFO occupancy and move cascades, node FSMs and every counter — and
+//! keeps only the data per lane: the `SyncLogic` instances, the
+//! `SbIoTrace`s, the FIFO words and each in-flight push's words. The
+//! [`Plane`] type parameter picks how those per-lane columns are stored:
+//!
+//! * [`Scalar`] — exactly one lane, stored inline: one logic and one
+//!   trace per SB, FIFO words indexed by stage, a `u64` push payload.
+//!   This is [`CompiledSystem`](crate::CompiledSystem).
+//! * [`Lanes`] — boxed columns of any width, the lockstep groups of
+//!   [`BatchedSystem`](crate::BatchedSystem). The only way lane data
+//!   can steer control flow is a logic's send decision on a rising
+//!   edge, so a lanes group partitions its lanes by send pattern there
+//!   and, on a disagreement, **splits**: control state is cloned per
+//!   partition and the columns are dealt out. A split lane's control
+//!   state *is* its scalar state, so it stays byte-identical.
+//!
+//! Both instantiations run the same lowering, dispatch loop, event
+//! handlers, FIFO cascade and checkpoint dump; the plane only supplies
+//! step 4 of the rising edge (tick the logic, record the trace).
+//!
+//! # Equivalence
+//!
+//! The engine is **observationally byte-identical** to the event-driven
+//! [`System`](crate::System): `SbIoTrace` rows, cycle counts, edge
+//! times, clock and FIFO statistics, node statistics and end times all
+//! match exactly (`tests/compiled_equiv.rs`, and lane by lane
+//! `tests/batched_equiv.rs`). The monotone `seq` tiebreak reproduces the
+//! kernel's delta-batch ordering: an event scheduled by a handler always
+//! fires after every already-queued event at the same instant, exactly
+//! as a zero-delay drive lands in the next delta batch.
+//!
+//! # Support envelope
+//!
+//! Lowering requires [`WrapperMode::SynchroTokens`], no node
+//! observability signals, every SB half-period at least the bundled
+//! data setup delay (1 ps), and every channel FIFO depth between 1 and
+//! 64 (the occupancy bitmask is a `u64`). Outside it (bypass mode
+//! models metastability through the kernel RNG; sub-picosecond clocks
+//! break the bundling constraint the FIFO events rely on),
+//! [`SystemBuilder::build_backend`] silently falls back to the event
+//! backend — callers never observe a behavioural difference, only a
+//! speed difference.
+
+use crate::checkpoint::{
+    config_hash, encode_compiled_payload, Checkpoint, CheckpointBackend, CheckpointError,
+    CompiledEvDump, CompiledFifoDump, CompiledSbDump, CompiledStateDump, DecodedCheckpoint,
+    DecodedState,
+};
+use crate::compiled_system::ChaosState;
+use crate::drive::{drive, ChunkRule, Drive};
+use crate::faults::{DataAction, TokenPassAction};
+use crate::iotrace::SbIoTrace;
+use crate::logic::{IdleLogic, InputView, OutputSlot, SbIo, SyncLogic};
+use crate::node::{NodeFsm, NodePhase, TokenAction};
+use crate::spec::{ChannelId, RingId, SbId, SystemSpec};
+use crate::system::{RunOutcome, SystemBuilder};
+use crate::wrapper::{WrapperMode, BUNDLE_DELAY};
+use st_sim::prelude::*;
+use std::any::Any;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::mem;
+use std::ops::{Deref, DerefMut};
+
+/// One value per lane of a group, indexed by lane slot.
+pub trait Column<T>: DerefMut<Target = [T]> {
+    /// A column of `lanes` values, `f(slot)` each.
+    fn from_fn(lanes: usize, f: impl FnMut(usize) -> T) -> Self;
+}
+
+/// The scalar column: exactly one lane, stored inline.
+#[derive(Debug, Clone, Copy)]
+pub struct One<T>(T);
+
+impl<T> Deref for One<T> {
+    type Target = [T];
+    #[inline]
+    fn deref(&self) -> &[T] {
+        std::slice::from_ref(&self.0)
+    }
+}
+
+impl<T> DerefMut for One<T> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [T] {
+        std::slice::from_mut(&mut self.0)
+    }
+}
+
+impl<T> Column<T> for One<T> {
+    #[inline]
+    fn from_fn(_lanes: usize, mut f: impl FnMut(usize) -> T) -> Self {
+        One(f(0))
+    }
+}
+
+impl<T> Column<T> for Box<[T]> {
+    fn from_fn(lanes: usize, f: impl FnMut(usize) -> T) -> Self {
+        (0..lanes).map(f).collect()
+    }
+}
+
+/// How a group stores its per-lane data, and how a rising edge ticks
+/// it (step 4 of the wrapper's posedge).
+pub trait Plane: Sized {
+    /// Per-lane storage.
+    type Col<T>: Column<T>;
+    /// Per-edge scratch of the lane tick, reused across edges.
+    type Scratch: Default;
+    /// Ticks every lane's logic on SB `sbi`, records the trace rows,
+    /// and finishes the edge through [`Group::finish_posedge`] — once
+    /// per group when the lanes disagree and `g` splits (the split-off
+    /// groups go to `splits`).
+    fn tick(g: &mut Group<Self>, sbi: usize, violated: bool, splits: &mut Vec<Group<Self>>);
+}
+
+/// The one-lane data plane of [`CompiledSystem`](crate::CompiledSystem).
+#[derive(Debug)]
+pub struct Scalar;
+
+/// The any-width data plane of [`BatchedSystem`](crate::BatchedSystem).
+#[derive(Debug)]
+pub struct Lanes;
+
+/// A typed event. `u32` indices keep the heap payload small beside the
+/// timestamp. Clock phase boundaries and rising edges do not appear
+/// here: each SB has at most one of each pending, so they live in
+/// per-SB slots (`Group::clk`) that the dispatch loop scans beside the
+/// heap top — same `(time, seq)` keys, same order, no heap traffic for
+/// the per-cycle clock machinery.
+#[derive(Debug, Clone)]
+enum EvKind<W> {
+    /// Bundled-data words (one per lane) arrive at channel `ch`'s tail.
+    Push { ch: u32, words: W },
+    /// The consumer's acknowledge arrives at channel `ch`'s head.
+    Pop { ch: u32 },
+    /// The word in `stage` of channel `ch` attempts to advance.
+    Move { ch: u32, stage: u32 },
+    /// A token toggle arrives at node `node` of SB `sb`.
+    Token { sb: u32, node: u32 },
+    /// SB `sb`'s clock enable takes value `ena` (the AND over its nodes,
+    /// captured at schedule time like a driven signal value).
+    Clken { sb: u32, ena: bool },
+}
+
+/// Heap entry ordered by `(time, seq)`; `seq` is globally monotone, so
+/// ordering ignores the payload (seqs are unique).
+#[derive(Debug, Clone)]
+struct Ev<W> {
+    time: SimTime,
+    seq: u64,
+    kind: EvKind<W>,
+}
+
+// The scalar heap entry stays what a scalar-only engine would push:
+// time, seq, and a tag + `u32` channel + inline `u64` word. Lane
+// genericity must not fatten the scalar event (a lanes push carries a
+// boxed column instead).
+const _: () = assert!(std::mem::size_of::<Reverse<Ev<One<u64>>>>() <= 32);
+
+impl<W> PartialEq for Ev<W> {
+    fn eq(&self, other: &Self) -> bool {
+        self.time == other.time && self.seq == other.seq
+    }
+}
+impl<W> Eq for Ev<W> {}
+impl<W> PartialOrd for Ev<W> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<W> Ord for Ev<W> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.time, self.seq).cmp(&(other.time, other.seq))
+    }
+}
+
+type Heap<P> = BinaryHeap<Reverse<Ev<<P as Plane>::Col<u64>>>>;
+
+#[inline]
+fn sched<W>(heap: &mut BinaryHeap<Reverse<Ev<W>>>, seq: &mut u64, time: SimTime, kind: EvKind<W>) {
+    let s = *seq;
+    *seq += 1;
+    heap.push(Reverse(Ev { time, seq: s, kind }));
+}
+
+/// When a data-handshake toggle sent at `now` arrives, `jitter` being
+/// its drive jitter draw; `None` when the fault injector drops it.
+#[inline]
+fn handshake_at(
+    action: DataAction,
+    now: SimTime,
+    jitter: impl FnOnce() -> SimDuration,
+) -> Option<SimTime> {
+    match action {
+        DataAction::Drop => None,
+        DataAction::Delay(extra) => Some(now + BUNDLE_DELAY + extra + jitter()),
+        DataAction::Deliver => Some(now + BUNDLE_DELAY + jitter()),
+    }
+}
+
+/// Ticks one lane's logic against `sb`'s prepared views and slots, then
+/// records the lane's determinism trace row.
+#[inline]
+fn tick_lane(sb: &mut SbState, logic: &mut dyn SyncLogic, trace: &mut SbIoTrace, violated: bool) {
+    logic.tick(sb.cycle, &mut SbIo::new(&sb.views, &mut sb.slots));
+    trace.record_with(
+        sb.cycle,
+        sb.views.iter().map(|v| v.data),
+        sb.slots.iter().map(|s| s.transmitted(violated)),
+    );
+}
+
+/// A word as transmitted on an edge that did (or did not) violate the
+/// setup time.
+#[inline]
+fn corrupt(word: u64, violated: bool) -> u64 {
+    if violated {
+        word ^ 0x5A5A
+    } else {
+        word
+    }
+}
+
+/// One token-ring node, with its pass destination pre-resolved to flat
+/// indices.
+#[derive(Debug, Clone)]
+struct Node {
+    ring: RingId,
+    fsm: NodeFsm,
+    /// SB index the pass toggle lands in.
+    dest_sb: u32,
+    /// Node index within the destination SB.
+    dest_node: u32,
+    /// Node output delay + ring wire delay to the peer.
+    pass_delay: SimDuration,
+    /// True when outgoing passes travel toward the ring's initial
+    /// holder (i.e. this node sits on the peer side) — the token
+    /// fault-injection direction bit.
+    to_holder: bool,
+}
+
+/// Flattened per-SB control state: clock, wrapper and scratch in one
+/// place (the per-lane logics and traces live in the group's columns).
+#[derive(Clone)]
+struct SbState {
+    half: SimDuration,
+    restart_delay: SimDuration,
+    logic_delay: SimDuration,
+    nodes: Vec<Node>,
+    /// Input channels in channel-id order: (channel index, node index).
+    inputs: Vec<(u32, u32)>,
+    /// Output channels in channel-id order: (channel index, node index).
+    outputs: Vec<(u32, u32)>,
+    // Clock state (mirrors StoppableClock).
+    clk_high: bool,
+    parked: bool,
+    clken: bool,
+    edges: u64,
+    clock_stops: u64,
+    // Wrapper state (mirrors SbWrapper).
+    cycle: u64,
+    dropped_words: u64,
+    timing_violations: u64,
+    last_edge: Option<SimTime>,
+    edge_times: Vec<SimTime>,
+    edge_times_cap: usize,
+    // Per-edge scratch, reused so the steady state allocates nothing.
+    // A divergence split clones it mid-edge: every partition must still
+    // acknowledge the words its lanes consumed (`pops`).
+    views: Vec<InputView>,
+    slots: Vec<OutputSlot>,
+    pops: Vec<bool>,
+}
+
+/// Flattened self-timed FIFO state (mirrors `SelfTimedFifo`, minus the
+/// published signals — the engine reads `stages` directly, which under
+/// the support envelope is always what the published signals would say
+/// at the instant a wrapper samples them).
+struct FifoState<P: Plane> {
+    /// Stage occupancy, bit `s` set when stage `s` holds a word.
+    /// Bit 0 is the tail; bit `depth - 1` is the head. Lowering
+    /// requires `depth <= 64` so the whole ladder fits one word.
+    occ: u64,
+    /// The words in each stage, one per lane (meaningful only where
+    /// `occ` is set).
+    words: Vec<P::Col<u64>>,
+    depth: u32,
+    stage_delay: SimDuration,
+    /// Whether the stage-advance cascade runs through the private
+    /// `pending` queue instead of global `Move` events. Exact when
+    /// `stage_delay > BUNDLE_DELAY`: a move firing at `t` was then
+    /// scheduled (seq-allocated) strictly before any same-instant
+    /// push/pop (allocated `BUNDLE_DELAY` before `t`) or rising edge
+    /// (allocated at `t`), so every reader of the stages observes all
+    /// moves with fire time `<= t` already applied — which is exactly
+    /// what draining before the reader does. Within one channel the
+    /// cascade's relative order is its allocation order, preserved by
+    /// stable insertion.
+    virtualized: bool,
+    /// Pending stage-advance attempts `(fire time, stage)`, sorted by
+    /// time with stable (allocation) order among equal times.
+    pending: Vec<(SimTime, u32)>,
+    pushes: u64,
+    pops: u64,
+    overruns: u64,
+    underruns: u64,
+}
+
+impl<P: Plane> FifoState<P> {
+    /// Queues a stage-advance attempt on a virtualized channel.
+    #[inline]
+    fn queue_move(&mut self, at: SimTime, stage: u32) {
+        // Stable insert: after every entry with time <= at (equal-time
+        // entries were allocated earlier, so they stay in front). The
+        // cascade almost always appends in time order, so check the
+        // back before binary-searching.
+        if self.pending.last().is_none_or(|&(t, _)| t <= at) {
+            self.pending.push((at, stage));
+        } else {
+            let pos = self.pending.partition_point(|&(t, _)| t <= at);
+            self.pending.insert(pos, (at, stage));
+        }
+    }
+
+    /// Applies every pending stage advance with fire time `<= upto`,
+    /// in fire order, counting each application like a dispatched
+    /// event (the totals must match the non-virtualized engine).
+    fn drain(&mut self, upto: SimTime, events: &mut u64) {
+        // Cursor walk: applied entries are cleared in one splice at the
+        // end. Follow-ups queued during the walk land at `at + F`, i.e.
+        // never before the cursor, so indexing stays stable.
+        let mut i = 0;
+        while let Some(&(at, stage)) = self.pending.get(i) {
+            if at > upto {
+                break;
+            }
+            i += 1;
+            let [up, down] = self.advance(stage as usize);
+            if let Some(s) = up {
+                self.queue_move(at + self.stage_delay, s);
+            }
+            if let Some(s) = down {
+                self.queue_move(at + self.stage_delay, s);
+            }
+        }
+        if i > 0 {
+            *events += i as u64;
+            self.pending.drain(..i);
+        }
+    }
+
+    /// One stage-advance attempt (mirrors the FIFO's move timer): moves
+    /// the word in `stage` up one stage unless the attempt is stale or
+    /// blocked, and returns the follow-up attempts, in scheduling order.
+    #[inline]
+    fn advance(&mut self, stage: usize) -> [Option<u32>; 2] {
+        let bit = 1u64 << stage;
+        if self.occ & bit == 0 || self.occ & (bit << 1) != 0 {
+            // Stale (word already popped/advanced) or blocked (a later
+            // pop/advance reschedules).
+            return [None, None];
+        }
+        self.occ ^= bit | (bit << 1);
+        let (below, above) = self.words.split_at_mut(stage + 1);
+        above[0].copy_from_slice(&below[stage]);
+        [
+            (stage as u32 + 2 < self.depth).then_some(stage as u32 + 1),
+            (stage > 0 && self.occ & (bit >> 1) != 0).then(|| stage as u32 - 1),
+        ]
+    }
+}
+
+/// A pending clock event as a packed `(time << 64) | seq` sort key;
+/// `u128::MAX` marks an empty slot. One compare orders two keys the
+/// same way `(time, seq)` tuples would, and the per-SB array is dense
+/// enough that the dispatch loop's scan stays in one or two cache
+/// lines for paper-scale systems.
+#[derive(Debug, Clone, Copy)]
+struct ClockSlots {
+    /// The next phase boundary (rising or falling check).
+    phase: u128,
+    /// The pending rising-edge delivery to the wrapper.
+    posedge: u128,
+}
+
+const SLOT_EMPTY: u128 = u128::MAX;
+
+#[inline]
+fn slot_key(time: SimTime, seq: u64) -> u128 {
+    (u128::from(time.as_fs()) << 64) | u128::from(seq)
+}
+
+/// Whether `builder`'s system can be lowered (see the module docs).
+pub(crate) fn supports(builder: &SystemBuilder) -> bool {
+    builder.mode == WrapperMode::SynchroTokens
+        && !builder.observe_nodes
+        && builder
+            .spec
+            .sbs
+            .iter()
+            .all(|s| !s.period.is_zero() && s.period / 2 >= BUNDLE_DELAY)
+        && builder
+            .spec
+            .channels
+            .iter()
+            .all(|c| (1..=64).contains(&c.fifo_depth))
+}
+
+/// One lockstep group of lanes built from the same spec. All control
+/// flow (and the `seq` stream) is shared, so it equals every member
+/// lane's scalar run while the group holds.
+pub struct Group<P: Plane> {
+    spec: SystemSpec,
+    trace_limit: usize,
+    /// Global lane ids, in lane-slot order.
+    ids: P::Col<usize>,
+    /// The configuration hash of the builder each lane was lowered from
+    /// (captured before lowering consumes the fault plan).
+    hashes: P::Col<[u8; 16]>,
+    sbs: Vec<SbState>,
+    /// Per SB: each lane's synchronous logic.
+    logics: Vec<P::Col<Box<dyn SyncLogic>>>,
+    /// Per SB: each lane's determinism trace.
+    traces: Vec<P::Col<SbIoTrace>>,
+    fifos: Vec<FifoState<P>>,
+    /// Pending clock events, one pair of slots per SB (indexed like
+    /// `sbs`). At most one phase boundary and one rising edge exist
+    /// per SB at any time, so they never need the heap; seqs still
+    /// come from the same global counter at the same points, keeping
+    /// dispatch order identical to a single-queue engine.
+    clk: Vec<ClockSlots>,
+    heap: Heap<P>,
+    now: SimTime,
+    seq: u64,
+    events: u64,
+    /// Fault-injection mirror, present only on a single-lane group
+    /// whose builder carries a plan (faulted lanes never share control
+    /// state: their jitter perturbs event timing immediately).
+    chaos: Option<Box<ChaosState>>,
+    scratch: P::Scratch,
+}
+
+impl<P: Plane> std::fmt::Debug for Group<P> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Group")
+            .field("lanes", &self.ids.len())
+            .field("sbs", &self.sbs.len())
+            .field("now", &self.now)
+            .field("pending_events", &self.heap.len())
+            .finish()
+    }
+}
+
+/// One group driven through [`drive`]; divergence splits are kept with
+/// the chunk end they split in.
+pub(crate) struct GroupRun<'a, P: Plane> {
+    pub(crate) group: &'a mut Group<P>,
+    pub(crate) splits: Vec<(Group<P>, SimTime)>,
+}
+
+impl<P: Plane> Drive for GroupRun<'_, P> {
+    fn now(&self) -> SimTime {
+        self.group.now
+    }
+
+    fn min_cycles(&self) -> u64 {
+        self.group.min_cycles()
+    }
+
+    fn run_chunk(&mut self, until: SimTime) -> Result<bool, SimError> {
+        let mut fresh = Vec::new();
+        let quiescent = self.group.dispatch(until, &mut fresh);
+        self.splits.extend(fresh.into_iter().map(|g| (g, until)));
+        Ok(quiescent)
+    }
+
+    fn stopped_sbs(&self) -> Vec<SbId> {
+        self.group.stopped_sbs()
+    }
+}
+
+impl<P: Plane> Group<P> {
+    /// Lowers builders that share one spec and trace limit (checked by
+    /// the caller, as is the support envelope) into a group whose lane
+    /// slots follow `builders` and carry the global lane ids `ids`.
+    pub(crate) fn lower(builders: &mut [SystemBuilder], ids: P::Col<usize>) -> Group<P> {
+        let nl = builders.len();
+        debug_assert_eq!(nl, ids.len());
+        let spec = builders[0].spec.clone();
+        let trace_limit = builders[0].trace_limit;
+        // Before `faults` is taken below: the hash covers the plan.
+        let hashes = Column::from_fn(nl, |s| {
+            let b = &builders[s];
+            config_hash(&b.spec, b.seed, b.trace_limit, b.faults.as_ref())
+        });
+        let chaos = match builders {
+            [b] => b
+                .faults
+                .take()
+                .and_then(|p| ChaosState::from_plan(p, spec.rings.len(), spec.channels.len())),
+            _ => {
+                debug_assert!(
+                    builders.iter().all(|b| b.faults.is_none()),
+                    "faulted lanes must be singleton groups"
+                );
+                None
+            }
+        };
+
+        let fifos: Vec<FifoState<P>> = spec
+            .channels
+            .iter()
+            .map(|ch| FifoState {
+                occ: 0,
+                words: (0..ch.fifo_depth)
+                    .map(|_| Column::from_fn(nl, |_| 0))
+                    .collect(),
+                depth: ch.fifo_depth as u32,
+                stage_delay: ch.stage_delay,
+                virtualized: ch.stage_delay > BUNDLE_DELAY,
+                pending: Vec::new(),
+                pushes: 0,
+                pops: 0,
+                overruns: 0,
+                underruns: 0,
+            })
+            .collect();
+
+        // First pass: per-SB node lists in the same order the event
+        // builder creates them (rings_of order), so node indices match.
+        let node_rings: Vec<Vec<RingId>> = (0..spec.sbs.len())
+            .map(|i| spec.rings_of(SbId(i)).map(|(rid, _)| rid).collect())
+            .collect();
+        let node_index = |sb: usize, ring: RingId| -> u32 {
+            node_rings[sb]
+                .iter()
+                .position(|r| *r == ring)
+                .expect("peer SB must have a node on the shared ring") as u32
+        };
+
+        let mut sbs = Vec::with_capacity(spec.sbs.len());
+        let mut logics = Vec::with_capacity(spec.sbs.len());
+        let mut traces = Vec::with_capacity(spec.sbs.len());
+        for (i, sb_spec) in spec.sbs.iter().enumerate() {
+            let sb = SbId(i);
+            let half = sb_spec.period / 2;
+            let mut nodes = Vec::new();
+            for (ring_id, ring) in spec.rings_of(sb) {
+                let holder_side = ring.holder == sb;
+                let fsm = if holder_side {
+                    NodeFsm::new_holder(ring.holder_node)
+                } else {
+                    let initial = ring.peer_initial_recycle.unwrap_or(ring.peer_node.recycle);
+                    NodeFsm::new_waiter(ring.peer_node, initial)
+                };
+                let (dest, pass_delay) = if holder_side {
+                    (ring.peer, ring.delay_fwd)
+                } else {
+                    (ring.holder, ring.delay_back)
+                };
+                nodes.push(Node {
+                    ring: ring_id,
+                    fsm,
+                    dest_sb: dest.0 as u32,
+                    dest_node: node_index(dest.0, ring_id),
+                    pass_delay,
+                    to_holder: !holder_side,
+                });
+            }
+            let inputs: Vec<(u32, u32)> = spec
+                .inputs_of(sb)
+                .map(|(cid, ch)| (cid.0 as u32, node_index(i, ch.ring)))
+                .collect();
+            let outputs: Vec<(u32, u32)> = spec
+                .outputs_of(sb)
+                .map(|(cid, ch)| (cid.0 as u32, node_index(i, ch.ring)))
+                .collect();
+            logics.push(Column::from_fn(nl, |s| {
+                builders[s]
+                    .logics
+                    .remove(&i)
+                    .unwrap_or_else(|| Box::new(IdleLogic) as Box<dyn SyncLogic>)
+            }));
+            traces.push(Column::from_fn(nl, |_| SbIoTrace::with_limit(trace_limit)));
+            let (n_inputs, n_outputs) = (inputs.len(), outputs.len());
+            sbs.push(SbState {
+                half,
+                restart_delay: half / 10,
+                logic_delay: sb_spec.logic_delay,
+                nodes,
+                inputs,
+                outputs,
+                clk_high: false,
+                parked: false,
+                // The wrapper drives clken high from Start; nodes never
+                // begin in `Stopped`, so the enable starts asserted.
+                clken: true,
+                edges: 0,
+                clock_stops: 0,
+                cycle: 0,
+                dropped_words: 0,
+                timing_violations: 0,
+                last_edge: None,
+                edge_times: Vec::new(),
+                edge_times_cap: if trace_limit == 0 {
+                    1 << 20
+                } else {
+                    trace_limit
+                },
+                views: Vec::with_capacity(n_inputs),
+                slots: Vec::with_capacity(n_outputs),
+                pops: vec![false; n_inputs],
+            });
+        }
+
+        let n_sbs = sbs.len();
+        let mut g = Group {
+            spec,
+            trace_limit,
+            ids,
+            hashes,
+            sbs,
+            logics,
+            traces,
+            fifos,
+            clk: vec![
+                ClockSlots {
+                    phase: SLOT_EMPTY,
+                    posedge: SLOT_EMPTY,
+                };
+                n_sbs
+            ],
+            heap: BinaryHeap::new(),
+            now: SimTime::ZERO,
+            seq: 0,
+            events: 0,
+            chaos,
+            scratch: P::Scratch::default(),
+        };
+        // First phase boundary of every clock, in SB (registration)
+        // order — the same relative order the kernel's start timers get.
+        for i in 0..n_sbs {
+            g.clk[i].phase = slot_key(SimTime::ZERO + g.sbs[i].half, g.seq);
+            g.seq += 1;
+        }
+        g
+    }
+
+    /// Runs until simulated time would exceed `deadline` or nothing is
+    /// pending; `true` when nothing is. Mirrors `Simulator::run_until`,
+    /// including processing events exactly at the deadline and
+    /// advancing `now` to the deadline on quiescence. Divergence splits
+    /// append fully-formed groups to `splits`; this group keeps the
+    /// first partition and keeps running.
+    fn dispatch(&mut self, deadline: SimTime, splits: &mut Vec<Group<P>>) -> bool {
+        let mut quiescent = false;
+        let deadline_fs = deadline.as_fs();
+        // Dispatch sources: clock slots are scanned linearly (two
+        // packed keys per SB), everything else comes off the heap.
+        // Seqs are globally unique, so the packed-key minimum is
+        // unique and the pop order is identical to a single-queue
+        // engine.
+        loop {
+            let mut best = SLOT_EMPTY;
+            let mut src_sb = usize::MAX; // usize::MAX = heap (or none)
+            let mut is_posedge = false;
+            for (i, c) in self.clk.iter().enumerate() {
+                if c.phase < best {
+                    best = c.phase;
+                    src_sb = i;
+                    is_posedge = false;
+                }
+                if c.posedge < best {
+                    best = c.posedge;
+                    src_sb = i;
+                    is_posedge = true;
+                }
+            }
+            let heap_first = match self.heap.peek() {
+                Some(Reverse(ev)) => {
+                    let k = slot_key(ev.time, ev.seq);
+                    if k < best {
+                        best = k;
+                        true
+                    } else {
+                        false
+                    }
+                }
+                None => false,
+            };
+            if best == SLOT_EMPTY {
+                quiescent = true;
+                break;
+            }
+            if (best >> 64) as u64 > deadline_fs {
+                break;
+            }
+            self.now = SimTime::from_fs((best >> 64) as u64);
+            self.events += 1;
+            if heap_first {
+                let Some(Reverse(ev)) = self.heap.pop() else {
+                    unreachable!("heap top vanished");
+                };
+                match ev.kind {
+                    EvKind::Push { ch, words } => self.on_push(ch as usize, words),
+                    EvKind::Pop { ch } => self.on_pop(ch as usize),
+                    EvKind::Move { ch, stage } => self.on_move(ch as usize, stage as usize),
+                    EvKind::Token { sb, node } => self.on_token(sb as usize, node as usize),
+                    EvKind::Clken { sb, ena } => self.on_clken(sb as usize, ena),
+                }
+            } else if is_posedge {
+                self.clk[src_sb].posedge = SLOT_EMPTY;
+                self.on_posedge(src_sb, splits);
+            } else {
+                self.clk[src_sb].phase = SLOT_EMPTY;
+                self.on_phase(src_sb);
+            }
+        }
+        // Settle virtualized FIFO cascades: every move that would have
+        // fired by the deadline is applied (and counted) now, so the
+        // externally observable state and event totals match the
+        // all-real-events engine at every chunk boundary. Moves only
+        // schedule moves, so draining cannot wake anything global —
+        // but moves still pending *beyond* the deadline would have
+        // kept the reference engine's heap non-empty, so they veto
+        // quiescence.
+        for f in &mut self.fifos {
+            if !f.pending.is_empty() {
+                f.drain(deadline, &mut self.events);
+                if !f.pending.is_empty() {
+                    quiescent = false;
+                }
+            }
+        }
+        if self.now < deadline {
+            self.now = deadline;
+        }
+        quiescent
+    }
+
+    // --- event handlers -------------------------------------------------
+
+    /// Clock phase boundary (mirrors `StoppableClock`'s phase timer).
+    fn on_phase(&mut self, sbi: usize) {
+        let now = self.now;
+        let Self {
+            sbs,
+            clk,
+            seq,
+            chaos,
+            ..
+        } = self;
+        let sb = &mut sbs[sbi];
+        if sb.parked {
+            // Stale phase while parked cannot happen (parking consumes
+            // the only outstanding phase event), but mirror the clock's
+            // defensive guard.
+            return;
+        }
+        if sb.clk_high {
+            // Falling edges always complete.
+            sb.clk_high = false;
+            clk[sbi].phase = slot_key(now + sb.half, *seq);
+            *seq += 1;
+        } else if sb.clken {
+            sb.clk_high = true;
+            sb.edges += 1;
+            // Analog faults jitter the rising drive only; the phase
+            // timer (and so the falling edge) stays on the oscillator's
+            // nominal grid, mirroring the event backend's `DelayModel`
+            // perturbing the `clk <- One` drive and nothing else.
+            let j = chaos
+                .as_deref_mut()
+                .map_or(SimDuration::ZERO, |c| c.clk_jitter(sbi as u32));
+            // The rising edge reaches the wrapper "one delta later":
+            // the fresh seq puts it after every event already queued at
+            // this instant, exactly like the kernel's zero-delay drive.
+            clk[sbi].posedge = slot_key(now + j, *seq);
+            *seq += 1;
+            clk[sbi].phase = slot_key(now + sb.half, *seq);
+            *seq += 1;
+        } else {
+            // Synchronous stop: park with the clock low.
+            sb.parked = true;
+            sb.clock_stops += 1;
+        }
+    }
+
+    /// Clock-enable change (mirrors the `clken` signal: unchanged
+    /// values are suppressed, a rise while parked restarts the clock).
+    fn on_clken(&mut self, sbi: usize, ena: bool) {
+        let now = self.now;
+        let Self {
+            sbs,
+            clk,
+            seq,
+            chaos,
+            ..
+        } = self;
+        let sb = &mut sbs[sbi];
+        if ena == sb.clken {
+            return;
+        }
+        sb.clken = ena;
+        if sb.parked && ena {
+            // Asynchronous restart: full high phase, no runt pulse.
+            // The restart rise is a jittered drive like any other; the
+            // phase boundary stays nominal.
+            sb.parked = false;
+            sb.clk_high = true;
+            sb.edges += 1;
+            let j = chaos
+                .as_deref_mut()
+                .map_or(SimDuration::ZERO, |c| c.clk_jitter(sbi as u32));
+            clk[sbi].posedge = slot_key(now + sb.restart_delay + j, *seq);
+            *seq += 1;
+            clk[sbi].phase = slot_key(now + sb.restart_delay + sb.half, *seq);
+            *seq += 1;
+        }
+    }
+
+    /// Token toggle arrival (mirrors `SbWrapper::handle_token`; toggles
+    /// always change value, so there is no suppression to replicate).
+    fn on_token(&mut self, sbi: usize, node: usize) {
+        let sb = &mut self.sbs[sbi];
+        if sb.nodes[node].fsm.token_arrived() == TokenAction::RestartClock {
+            let ena = sb.nodes.iter().all(|n| n.fsm.clock_enabled());
+            let kind = EvKind::Clken {
+                sb: sbi as u32,
+                ena,
+            };
+            sched(&mut self.heap, &mut self.seq, self.now, kind);
+        }
+    }
+
+    /// Bundled-data push arrival (mirrors the FIFO's `put_req` wake; the
+    /// event carries the words captured at transmit time, which under
+    /// the half-period ≥ bundle-delay envelope equal what `put_data`
+    /// holds when the request lands).
+    fn on_push(&mut self, chi: usize, words: P::Col<u64>) {
+        let now = self.now;
+        let f = &mut self.fifos[chi];
+        if f.virtualized {
+            f.drain(now, &mut self.events);
+        }
+        if f.occ & 1 != 0 {
+            f.overruns += 1;
+            return;
+        }
+        f.occ |= 1;
+        f.words[0] = words;
+        f.pushes += 1;
+        if f.depth > 1 {
+            self.follow_up(chi, 0);
+        }
+    }
+
+    /// Acknowledge arrival (mirrors the FIFO's `get_ack` wake).
+    fn on_pop(&mut self, chi: usize) {
+        let now = self.now;
+        let f = &mut self.fifos[chi];
+        if f.virtualized {
+            f.drain(now, &mut self.events);
+        }
+        let head = (f.depth - 1) as usize;
+        let head_bit = 1u64 << head;
+        if f.occ & head_bit == 0 {
+            f.underruns += 1;
+            return;
+        }
+        f.occ ^= head_bit;
+        f.pops += 1;
+        if head > 0 && f.occ & (head_bit >> 1) != 0 {
+            // The word behind the head can now advance.
+            self.follow_up(chi, head as u32 - 1);
+        }
+    }
+
+    /// Stage-advance attempt on a non-virtualized channel.
+    fn on_move(&mut self, chi: usize, stage: usize) {
+        for next in self.fifos[chi].advance(stage).into_iter().flatten() {
+            self.follow_up(chi, next);
+        }
+    }
+
+    /// Schedules a stage-advance attempt one stage delay from now:
+    /// privately on a virtualized channel, as a `Move` event otherwise.
+    #[inline(always)]
+    fn follow_up(&mut self, chi: usize, stage: u32) {
+        let f = &mut self.fifos[chi];
+        let at = self.now + f.stage_delay;
+        if f.virtualized {
+            f.queue_move(at, stage);
+        } else {
+            let kind = EvKind::Move {
+                ch: chi as u32,
+                stage,
+            };
+            sched(&mut self.heap, &mut self.seq, at, kind);
+        }
+    }
+
+    /// Rising edge at the wrapper (a step-for-step port of
+    /// `SbWrapper::handle_posedge`, reading FIFO stages directly).
+    /// Steps 0–3 are shared control; the plane ticks step 4 and
+    /// finishes through [`finish_posedge`](Self::finish_posedge).
+    fn on_posedge(&mut self, sbi: usize, splits: &mut Vec<Group<P>>) {
+        let now = self.now;
+        let Self {
+            sbs, fifos, events, ..
+        } = self;
+        let sb = &mut sbs[sbi];
+
+        // 0. Setup-time check against the modelled critical path.
+        let violated = match sb.last_edge {
+            Some(prev) if !sb.logic_delay.is_zero() => now.since(prev) < sb.logic_delay,
+            _ => false,
+        };
+        sb.last_edge = Some(now);
+        if violated {
+            sb.timing_violations += 1;
+        }
+        if sb.edge_times.len() < sb.edge_times_cap {
+            sb.edge_times.push(now);
+        }
+
+        // 1–2. Input interfaces, gated by this cycle's enable windows.
+        // The node FSMs only advance in step 7, so querying them per
+        // interface reads the same pre-step state the wrapper's
+        // once-per-cycle enable snapshot would. A popped view carries
+        // lane slot 0's word; other lanes' ticks patch their own in.
+        sb.views.clear();
+        for (i, &(ch, node_idx)) in sb.inputs.iter().enumerate() {
+            let ena = sb.nodes[node_idx as usize].fsm.interfaces_enabled();
+            let f = &mut fifos[ch as usize];
+            if f.virtualized {
+                f.drain(now, events);
+            }
+            let head = (f.depth - 1) as usize;
+            sb.pops[i] = ena && f.occ & (1u64 << head) != 0;
+            sb.views.push(if sb.pops[i] {
+                InputView {
+                    data: Some(f.words[head][0]),
+                    enabled: true,
+                    empty: false,
+                }
+            } else {
+                InputView {
+                    data: None,
+                    enabled: ena,
+                    empty: ena,
+                }
+            });
+        }
+
+        // 3. Output availability.
+        sb.slots.clear();
+        for &(ch, node_idx) in &sb.outputs {
+            let f = &mut fifos[ch as usize];
+            if f.virtualized {
+                f.drain(now, events);
+            }
+            sb.slots.push(OutputSlot {
+                can_send: sb.nodes[node_idx as usize].fsm.interfaces_enabled() && f.occ & 1 == 0,
+                word: None,
+            });
+        }
+
+        // 4. The synchronous logic computes, lane by lane.
+        P::tick(self, sbi, violated, splits);
+    }
+
+    /// Steps 5–8 of a rising edge, under the send pattern the group's
+    /// output slots hold (uniform across its lanes). `payload(k, w)`
+    /// builds output `k`'s push words, `w` being the slots' word as
+    /// transmitted.
+    fn finish_posedge(
+        &mut self,
+        sbi: usize,
+        violated: bool,
+        payload: impl Fn(usize, u64) -> P::Col<u64>,
+    ) {
+        let now = self.now;
+        let Self {
+            sbs,
+            heap,
+            seq,
+            chaos,
+            ..
+        } = self;
+        let sb = &mut sbs[sbi];
+
+        // 5. Transmit accepted words; the chaos mirror only exists on
+        // single-lane groups, so its draw sequence is the scalar one.
+        for (k, &(ch, _)) in sb.outputs.iter().enumerate() {
+            let slot = sb.slots[k];
+            match slot.word {
+                Some(w) if slot.can_send => {
+                    let action = chaos
+                        .as_deref_mut()
+                        .map_or(DataAction::Deliver, |c| c.on_push(ChannelId(ch as usize)));
+                    let jitter = || {
+                        chaos
+                            .as_deref_mut()
+                            .map_or(SimDuration::ZERO, |c| c.data_jitter(ch * 2))
+                    };
+                    // A dropped request toggle is lost on the wire; the
+                    // trace still records the transmit.
+                    if let Some(at) = handshake_at(action, now, jitter) {
+                        let words = payload(k, corrupt(w, violated));
+                        sched(heap, seq, at, EvKind::Push { ch, words });
+                    }
+                }
+                Some(_) => sb.dropped_words += 1,
+                None => {}
+            }
+        }
+
+        // 6. Acknowledge consumed words (a dropped acknowledge toggle
+        // never pops the head).
+        for (i, &(ch, _)) in sb.inputs.iter().enumerate() {
+            if !sb.pops[i] {
+                continue;
+            }
+            let action = chaos
+                .as_deref_mut()
+                .map_or(DataAction::Deliver, |c| c.on_ack(ChannelId(ch as usize)));
+            let jitter = || {
+                chaos
+                    .as_deref_mut()
+                    .map_or(SimDuration::ZERO, |c| c.data_jitter(ch * 2 + 1))
+            };
+            if let Some(at) = handshake_at(action, now, jitter) {
+                sched(heap, seq, at, EvKind::Pop { ch });
+            }
+        }
+
+        // 7. Node FSMs advance; tokens pass; clock enable updates.
+        let mut any_stop = false;
+        for n in &mut sb.nodes {
+            let action = n.fsm.on_posedge();
+            if action.pass_token {
+                let dest = || EvKind::Token {
+                    sb: n.dest_sb,
+                    node: n.dest_node,
+                };
+                let unit = (n.ring.0 * 2 + usize::from(n.to_holder)) as u32;
+                let pass = chaos.as_deref_mut().map_or(TokenPassAction::Deliver, |c| {
+                    c.on_token_pass(n.ring, n.to_holder)
+                });
+                let mut jitter = || {
+                    chaos
+                        .as_deref_mut()
+                        .map_or(SimDuration::ZERO, |c| c.token_jitter(unit))
+                };
+                match pass {
+                    TokenPassAction::Drop => {
+                        // Toggle lost on the ring: no arrival, and (as on
+                        // the event backend, where no drive happens) no
+                        // jitter draw.
+                    }
+                    TokenPassAction::Delay(extra) => {
+                        let j = jitter();
+                        sched(heap, seq, now + n.pass_delay + extra + j, dest());
+                    }
+                    TokenPassAction::Duplicate(extra) => {
+                        // Two toggles = two arrivals = two drive draws,
+                        // exactly like the event backend's pair of
+                        // perturbed drives.
+                        let (j1, j2) = (jitter(), jitter());
+                        sched(heap, seq, now + n.pass_delay + j1, dest());
+                        sched(heap, seq, now + n.pass_delay + extra + j2, dest());
+                    }
+                    TokenPassAction::Deliver => {
+                        let j = jitter();
+                        sched(heap, seq, now + n.pass_delay + j, dest());
+                    }
+                }
+            }
+            any_stop |= action.stop_clock;
+        }
+        if any_stop {
+            let ena = sb.nodes.iter().all(|n| n.fsm.clock_enabled());
+            let kind = EvKind::Clken {
+                sb: sbi as u32,
+                ena,
+            };
+            sched(heap, seq, now, kind);
+        }
+
+        // 8. The determinism trace rows were recorded at the tick.
+        sb.cycle += 1;
+    }
+
+    // --- accessors ------------------------------------------------------
+
+    fn min_cycles(&self) -> u64 {
+        self.sbs.iter().map(|s| s.cycle).min().unwrap_or(0)
+    }
+
+    /// The specification this system was built from.
+    pub fn spec(&self) -> &SystemSpec {
+        &self.spec
+    }
+
+    /// Local cycles elapsed in `sb`.
+    pub fn cycles(&self, sb: SbId) -> u64 {
+        self.sbs[sb.0].cycle
+    }
+
+    /// The phase of `sb`'s node on `ring`, if it has one.
+    pub fn node_phase(&self, sb: SbId, ring: RingId) -> Option<NodePhase> {
+        self.node(sb, ring).map(NodeFsm::phase)
+    }
+
+    /// The node FSM itself (token statistics etc.).
+    pub fn node(&self, sb: SbId, ring: RingId) -> Option<&NodeFsm> {
+        self.sbs[sb.0]
+            .nodes
+            .iter()
+            .find(|n| n.ring == ring)
+            .map(|n| &n.fsm)
+    }
+
+    /// Mutable node access (debug hooks, SEU injection).
+    pub fn node_mut(&mut self, sb: SbId, ring: RingId) -> Option<&mut NodeFsm> {
+        self.sbs[sb.0]
+            .nodes
+            .iter_mut()
+            .find(|n| n.ring == ring)
+            .map(|n| &mut n.fsm)
+    }
+
+    /// SBs whose clocks are currently parked.
+    pub fn stopped_sbs(&self) -> Vec<SbId> {
+        self.sbs
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.parked)
+            .map(|(i, _)| SbId(i))
+            .collect()
+    }
+
+    /// Clock statistics: (rising edges, synchronous stops) of `sb`.
+    pub fn clock_stats(&self, sb: SbId) -> (u64, u64) {
+        let s = &self.sbs[sb.0];
+        (s.edges, s.clock_stops)
+    }
+
+    /// FIFO statistics for `channel`: (pushes, pops, overruns, underruns).
+    pub fn fifo_stats(&self, channel: ChannelId) -> (u64, u64, u64, u64) {
+        let f = &self.fifos[channel.0];
+        (f.pushes, f.pops, f.overruns, f.underruns)
+    }
+
+    /// Words the logic of `sb` attempted to send on blocked channels.
+    pub fn dropped_words(&self, sb: SbId) -> u64 {
+        self.sbs[sb.0].dropped_words
+    }
+
+    /// Bypass-mode metastable samples: always zero (the compiled engine
+    /// only runs synchro-tokens mode).
+    pub fn metastable_samples(&self, _sb: SbId) -> u64 {
+        0
+    }
+
+    /// Setup-time violations taken by `sb`.
+    pub fn timing_violations(&self, sb: SbId) -> u64 {
+        self.sbs[sb.0].timing_violations
+    }
+
+    /// Wall-clock times of `sb`'s rising edges, indexed by local cycle
+    /// (capped at the trace limit).
+    pub fn edge_times(&self, sb: SbId) -> &[SimTime] {
+        &self.sbs[sb.0].edge_times
+    }
+
+    /// Current simulated time.
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// Typed events processed so far (the engine's analogue of the
+    /// kernel's fired-event counter; each event wakes one handler). A
+    /// group dispatches each shared event once, on behalf of every
+    /// member lane's scalar run.
+    pub fn events_processed(&self) -> u64 {
+        self.events
+    }
+
+    /// The trace limit the group's lanes were built with.
+    pub(crate) fn trace_limit(&self) -> usize {
+        self.trace_limit
+    }
+
+    /// Lane `slot`'s I/O trace of `sb`.
+    pub(crate) fn lane_trace(&self, slot: usize, sb: SbId) -> &SbIoTrace {
+        &self.traces[sb.0][slot]
+    }
+
+    /// Lane `slot`'s logic on `sb`, downcast to its concrete type.
+    pub(crate) fn lane_logic<T: SyncLogic>(&self, slot: usize, sb: SbId) -> &T {
+        let logic: &dyn Any = self.logics[sb.0][slot].as_ref();
+        logic.downcast_ref::<T>().expect("logic type mismatch")
+    }
+
+    /// Lane `slot`'s configuration hash.
+    pub(crate) fn lane_hash(&self, slot: usize) -> [u8; 16] {
+        self.hashes[slot]
+    }
+
+    /// Freezes lane `slot`'s complete state into a canonical
+    /// compiled-backend [`Checkpoint`]: the group's control state *is*
+    /// each member lane's scalar state, and lane `slot`'s columns carry
+    /// the rest, so every lane's checkpoint is byte-identical to the
+    /// one its scalar run would take at the same point.
+    pub(crate) fn lane_checkpoint(&self, slot: usize) -> Result<Checkpoint, CheckpointError> {
+        let mut sbs = Vec::with_capacity(self.sbs.len());
+        for (i, sb) in self.sbs.iter().enumerate() {
+            let logic = self.logics[i][slot]
+                .save_state()
+                .ok_or(CheckpointError::Unsupported(
+                    "attached logic does not implement save_state",
+                ))?;
+            sbs.push(CompiledSbDump {
+                clk_high: sb.clk_high,
+                parked: sb.parked,
+                clken: sb.clken,
+                edges: sb.edges,
+                clock_stops: sb.clock_stops,
+                cycle: sb.cycle,
+                dropped_words: sb.dropped_words,
+                timing_violations: sb.timing_violations,
+                last_edge: sb.last_edge,
+                edge_times: sb.edge_times.clone(),
+                trace: self.traces[i][slot].clone(),
+                nodes: sb.nodes.iter().map(|n| n.fsm.snapshot()).collect(),
+                logic,
+            });
+        }
+        let mut heap: Vec<&Ev<P::Col<u64>>> = self.heap.iter().map(|Reverse(ev)| ev).collect();
+        heap.sort_unstable_by_key(|ev| (ev.time, ev.seq));
+        let heap = heap
+            .into_iter()
+            .map(|ev| {
+                let (kind, a, b) = match &ev.kind {
+                    EvKind::Push { ch, words } => (0, *ch, words[slot]),
+                    EvKind::Pop { ch } => (1, *ch, 0),
+                    EvKind::Move { ch, stage } => (2, *ch, u64::from(*stage)),
+                    EvKind::Token { sb, node } => (3, *sb, u64::from(*node)),
+                    EvKind::Clken { sb, ena } => (4, *sb, u64::from(*ena)),
+                };
+                CompiledEvDump {
+                    time: ev.time,
+                    seq: ev.seq,
+                    kind,
+                    a,
+                    b,
+                }
+            })
+            .collect();
+        let (jitter, injector) = match self.chaos.as_deref() {
+            Some(c) => c.snapshot_counters(),
+            None => (None, None),
+        };
+        let dump = CompiledStateDump {
+            now: self.now,
+            seq: self.seq,
+            events: self.events,
+            clk: self.clk.iter().map(|c| (c.phase, c.posedge)).collect(),
+            heap,
+            sbs,
+            fifos: self
+                .fifos
+                .iter()
+                .map(|f| CompiledFifoDump {
+                    occ: f.occ,
+                    words: f.words.iter().map(|w| w[slot]).collect(),
+                    pending: f.pending.clone(),
+                    pushes: f.pushes,
+                    pops: f.pops,
+                    overruns: f.overruns,
+                    underruns: f.underruns,
+                })
+                .collect(),
+            jitter,
+            injector,
+        };
+        Ok(Checkpoint::new(
+            CheckpointBackend::Compiled,
+            self.hashes[slot],
+            self.min_cycles(),
+            self.now,
+            encode_compiled_payload(&dump),
+        ))
+    }
+}
+
+impl Plane for Scalar {
+    type Col<T> = One<T>;
+    type Scratch = ();
+
+    #[inline]
+    fn tick(g: &mut Group<Scalar>, sbi: usize, violated: bool, _splits: &mut Vec<Group<Scalar>>) {
+        tick_lane(
+            &mut g.sbs[sbi],
+            g.logics[sbi][0].as_mut(),
+            &mut g.traces[sbi][0],
+            violated,
+        );
+        g.finish_posedge(sbi, violated, |_, w| One(w));
+    }
+}
+
+/// Per-edge scratch of a lanes group's tick.
+#[derive(Debug, Default)]
+pub struct LaneScratch {
+    /// Lane-major output words of the edge.
+    out: Vec<Option<u64>>,
+    /// Per-lane send patterns.
+    patterns: Vec<u64>,
+    /// Per output: the shared `can_send`.
+    can_send: Vec<bool>,
+    /// Per popped input: `(input, channel, head stage)`.
+    heads: Vec<(usize, usize, usize)>,
+}
+
+impl Plane for Lanes {
+    type Col<T> = Box<[T]>;
+    type Scratch = LaneScratch;
+
+    /// Ticks every lane against its own data columns (views and slots
+    /// are built once per edge; per lane only the popped input words
+    /// and the output words change), then compares the lanes' send
+    /// patterns — 2 bits per output: bit `2k` = word written, `2k+1` =
+    /// can_send. Identical patterns keep the lockstep; otherwise the
+    /// group splits by pattern and each partition finishes the edge
+    /// under its own (now uniform) pattern. Each lane logs its own
+    /// `(sent, can_send)` outcome, exactly what its scalar run would
+    /// log, so recording before a split is byte-identical.
+    fn tick(g: &mut Group<Lanes>, sbi: usize, violated: bool, splits: &mut Vec<Group<Lanes>>) {
+        let nl = g.ids.len();
+        let mut s = mem::take(&mut g.scratch);
+        let sb = &g.sbs[sbi];
+        let n_out = sb.outputs.len();
+        s.out.clear();
+        s.out.resize(nl * n_out, None);
+        s.patterns.clear();
+        s.can_send.clear();
+        s.can_send.extend(sb.slots.iter().map(|o| o.can_send));
+        s.heads.clear();
+        for (i, &(ch, _)) in sb.inputs.iter().enumerate() {
+            if sb.pops[i] {
+                let ch = ch as usize;
+                s.heads.push((i, ch, (g.fifos[ch].depth - 1) as usize));
+            }
+        }
+        let (sb, logics, traces) = (&mut g.sbs[sbi], &mut g.logics[sbi], &mut g.traces[sbi]);
+        for slot in 0..nl {
+            for &(i, ch, head) in &s.heads {
+                sb.views[i].data = Some(g.fifos[ch].words[head][slot]);
+            }
+            for (o, &can_send) in sb.slots.iter_mut().zip(&s.can_send) {
+                *o = OutputSlot {
+                    can_send,
+                    word: None,
+                };
+            }
+            tick_lane(sb, logics[slot].as_mut(), &mut traces[slot], violated);
+            let mut pat = 0u64;
+            for (k, o) in sb.slots.iter().enumerate() {
+                pat |= u64::from(o.word.is_some()) << (2 * k);
+                pat |= u64::from(o.can_send) << (2 * k + 1);
+                s.out[slot * n_out + k] = o.word;
+            }
+            s.patterns.push(pat);
+        }
+        // Output `k`'s words of the lanes in `part`, as transmitted.
+        fn column(
+            out: &[Option<u64>],
+            n_out: usize,
+            part: impl Iterator<Item = usize>,
+            k: usize,
+            violated: bool,
+        ) -> Box<[u64]> {
+            part.map(|slot| corrupt(out[slot * n_out + k].expect("pattern bit set"), violated))
+                .collect()
+        }
+
+        if s.patterns.windows(2).all(|w| w[0] == w[1]) {
+            // The slots still hold the last lane's, i.e. every lane's,
+            // pattern.
+            g.finish_posedge(sbi, violated, |k, _| {
+                column(&s.out, n_out, 0..nl, k, violated)
+            });
+        } else {
+            // Split: partition lane slots by pattern, in first-appearance
+            // order (deterministic in lane order).
+            let mut order: Vec<u64> = Vec::new();
+            let mut parts: Vec<Vec<usize>> = Vec::new();
+            for (slot, &p) in s.patterns.iter().enumerate() {
+                match order.iter().position(|&q| q == p) {
+                    Some(i) => parts[i].push(slot),
+                    None => {
+                        order.push(p);
+                        parts.push(vec![slot]);
+                    }
+                }
+            }
+            let mut children = g.partition_into(&parts);
+            let groups = std::iter::once(&mut *g).chain(children.iter_mut());
+            for ((group, part), pat) in groups.zip(&parts).zip(order) {
+                for (k, o) in group.sbs[sbi].slots.iter_mut().enumerate() {
+                    o.word = (pat >> (2 * k) & 1 != 0).then_some(0);
+                    o.can_send = pat >> (2 * k + 1) & 1 != 0;
+                }
+                let part = part.iter().copied();
+                group.finish_posedge(sbi, violated, |k, _| {
+                    column(&s.out, n_out, part.clone(), k, violated)
+                });
+            }
+            splits.extend(children);
+        }
+        g.scratch = s;
+    }
+}
+
+impl Group<Lanes> {
+    /// Global lane ids, in lane-slot order.
+    pub(crate) fn ids(&self) -> &[usize] {
+        &self.ids
+    }
+
+    /// Splits this group's lanes along `parts` (disjoint slot sets in
+    /// lane order, covering every slot). The group keeps `parts[0]`;
+    /// the rest come back as fully independent groups with cloned
+    /// control state and their lanes' columns.
+    pub(crate) fn partition_into(&mut self, parts: &[Vec<usize>]) -> Vec<Group<Lanes>> {
+        debug_assert!(
+            self.chaos.is_none(),
+            "faulted groups are singletons and never split"
+        );
+        /// Moves a column's lanes out, one column per part.
+        fn deal<T>(col: Box<[T]>, parts: &[Vec<usize>]) -> std::vec::IntoIter<Box<[T]>> {
+            let mut pool: Vec<Option<T>> = col.into_vec().into_iter().map(Some).collect();
+            let dealt: Vec<Box<[T]>> = parts
+                .iter()
+                .map(|p| {
+                    p.iter()
+                        .map(|&s| pool[s].take().expect("slot dealt once"))
+                        .collect()
+                })
+                .collect();
+            dealt.into_iter()
+        }
+        let mut ids = deal(mem::take(&mut self.ids), parts);
+        let mut hashes = deal(mem::take(&mut self.hashes), parts);
+        let mut logics: Vec<_> = mem::take(&mut self.logics)
+            .into_iter()
+            .map(|c| deal(c, parts))
+            .collect();
+        let mut traces: Vec<_> = mem::take(&mut self.traces)
+            .into_iter()
+            .map(|c| deal(c, parts))
+            .collect();
+        let heap = mem::take(&mut self.heap).into_vec();
+
+        let mut groups: Vec<Group<Lanes>> = parts
+            .iter()
+            .map(|part| {
+                let gather = |col: &[u64]| -> Box<[u64]> { part.iter().map(|&s| col[s]).collect() };
+                Group {
+                    spec: self.spec.clone(),
+                    trace_limit: self.trace_limit,
+                    ids: ids.next().expect("one column per part"),
+                    hashes: hashes.next().expect("one column per part"),
+                    sbs: self.sbs.clone(),
+                    logics: logics
+                        .iter_mut()
+                        .map(|c| c.next().expect("one column per part"))
+                        .collect(),
+                    traces: traces
+                        .iter_mut()
+                        .map(|c| c.next().expect("one column per part"))
+                        .collect(),
+                    fifos: self
+                        .fifos
+                        .iter()
+                        .map(|f| FifoState {
+                            occ: f.occ,
+                            words: f.words.iter().map(|w| gather(w)).collect(),
+                            depth: f.depth,
+                            stage_delay: f.stage_delay,
+                            virtualized: f.virtualized,
+                            pending: f.pending.clone(),
+                            pushes: f.pushes,
+                            pops: f.pops,
+                            overruns: f.overruns,
+                            underruns: f.underruns,
+                        })
+                        .collect(),
+                    clk: self.clk.clone(),
+                    heap: heap
+                        .iter()
+                        .map(|Reverse(ev)| {
+                            let kind = match &ev.kind {
+                                EvKind::Push { ch, words } => EvKind::Push {
+                                    ch: *ch,
+                                    words: gather(words),
+                                },
+                                other => other.clone(),
+                            };
+                            Reverse(Ev { kind, ..*ev })
+                        })
+                        .collect(),
+                    now: self.now,
+                    seq: self.seq,
+                    events: self.events,
+                    chaos: None,
+                    scratch: LaneScratch::default(),
+                }
+            })
+            .collect();
+        *self = groups.remove(0);
+        groups
+    }
+}
+
+impl Group<Scalar> {
+    /// Lowers the builder, or hands it back untouched when the system
+    /// is outside the support envelope. Runs once per build, so the
+    /// by-value `Err` hand-back costs nothing measurable.
+    #[allow(clippy::result_large_err)]
+    pub(crate) fn lower_scalar(mut builder: SystemBuilder) -> Result<Self, SystemBuilder> {
+        if !supports(&builder) {
+            return Err(builder);
+        }
+        Ok(Group::lower(std::slice::from_mut(&mut builder), One(0)))
+    }
+
+    /// Runs until simulated time would exceed `deadline` or the heap
+    /// drains. Mirrors `Simulator::run_until`, including processing
+    /// events exactly at the deadline and advancing `now` to the
+    /// deadline on quiescence.
+    ///
+    /// # Errors
+    ///
+    /// Never fails; the `Result` matches the event backend's signature.
+    pub fn run_until(&mut self, deadline: SimTime) -> Result<RunSummary, SimError> {
+        let fired_before = self.events;
+        let quiescent = self.dispatch(deadline, &mut Vec::new());
+        let fired = self.events - fired_before;
+        Ok(RunSummary {
+            events_fired: fired,
+            wakes: fired,
+            end_time: self.now,
+            quiescent,
+        })
+    }
+
+    /// Runs for a further `span` of simulated time.
+    ///
+    /// # Errors
+    ///
+    /// Never fails; the `Result` matches the event backend's signature.
+    pub fn run_for(&mut self, span: SimDuration) -> Result<RunSummary, SimError> {
+        let deadline = self.now + span;
+        self.run_until(deadline)
+    }
+
+    /// Runs until every SB has executed at least `cycles` local cycles,
+    /// deadlock is detected, or `max_time` of simulated time elapses —
+    /// the same chunk loop as
+    /// [`System::run_until_cycles`](crate::System::run_until_cycles),
+    /// so intermediate end times match exactly.
+    ///
+    /// # Errors
+    ///
+    /// Never fails; the `Result` matches the event backend's signature.
+    pub fn run_until_cycles(
+        &mut self,
+        cycles: u64,
+        max_time: SimDuration,
+    ) -> Result<RunOutcome, SimError> {
+        let rule = ChunkRule::new(&self.spec, cycles, None);
+        self.drive_to(rule, max_time)
+    }
+
+    /// A verdict run, as
+    /// [`System::run_to_verdict`](crate::System::run_to_verdict): the
+    /// outcome and traces of [`run_until_cycles`](Self::run_until_cycles),
+    /// with an unspecified end state.
+    ///
+    /// # Errors
+    ///
+    /// Never fails; the `Result` matches the event backend's signature.
+    pub fn run_to_verdict(
+        &mut self,
+        cycles: u64,
+        max_time: SimDuration,
+    ) -> Result<RunOutcome, SimError> {
+        let rule = ChunkRule::new(&self.spec, cycles, Some(self.trace_limit));
+        self.drive_to(rule, max_time)
+    }
+
+    fn drive_to(&mut self, rule: ChunkRule, max_time: SimDuration) -> Result<RunOutcome, SimError> {
+        let deadline = self.now + max_time;
+        let mut run = GroupRun {
+            group: self,
+            splits: Vec::new(),
+        };
+        drive(&mut run, rule, deadline, None)
+    }
+
+    /// The I/O trace of `sb`.
+    pub fn io_trace(&self, sb: SbId) -> &SbIoTrace {
+        self.lane_trace(0, sb)
+    }
+
+    /// The final state of `sb`'s logic, downcast to its concrete type.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the logic attached to `sb` is not a `T`.
+    pub fn logic<T: SyncLogic>(&self, sb: SbId) -> &T {
+        self.lane_logic(0, sb)
+    }
+
+    /// Mutable access to `sb`'s logic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the logic attached to `sb` is not a `T`.
+    pub fn logic_mut<T: SyncLogic>(&mut self, sb: SbId) -> &mut T {
+        let logic: &mut dyn Any = self.logics[sb.0][0].as_mut();
+        logic.downcast_mut::<T>().expect("logic type mismatch")
+    }
+
+    /// The configuration content key this system (and its checkpoints)
+    /// are bound to.
+    pub fn spec_hash(&self) -> [u8; 16] {
+        self.lane_hash(0)
+    }
+
+    /// Freezes the complete engine state into a canonical
+    /// [`Checkpoint`]. The compiled engine is always inside the
+    /// deterministic envelope; the only remaining requirement is that
+    /// every attached logic implements
+    /// [`SyncLogic::save_state`](crate::logic::SyncLogic::save_state).
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Unsupported`] when a logic cannot save state.
+    pub fn checkpoint(&self) -> Result<Checkpoint, CheckpointError> {
+        self.lane_checkpoint(0)
+    }
+
+    /// Reconstructs a running compiled system from `checkpoint`, using a
+    /// builder configured **identically** to the one that produced it.
+    /// Continuation from the restored state is byte-identical to a
+    /// straight run.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::BackendMismatch`] for event-backend
+    /// checkpoints, [`CheckpointError::Unsupported`] outside the
+    /// compiled envelope, [`CheckpointError::SpecMismatch`] when the
+    /// builder differs from the originating configuration,
+    /// [`CheckpointError::Corrupt`] for malformed payload bytes.
+    pub fn resume(
+        builder: SystemBuilder,
+        checkpoint: &Checkpoint,
+    ) -> Result<Self, CheckpointError> {
+        if checkpoint.backend() != CheckpointBackend::Compiled {
+            return Err(CheckpointError::BackendMismatch);
+        }
+        Self::resume_decoded(builder, &checkpoint.decode()?)
+    }
+
+    /// [`resume`](Self::resume) from a pre-decoded checkpoint (see
+    /// [`Checkpoint::decode`]): restoring is a plain copy of the decoded
+    /// state, so forking many runs from one blob decodes it once.
+    ///
+    /// # Errors
+    ///
+    /// As [`resume`](Self::resume), minus the payload decode.
+    pub fn resume_decoded(
+        builder: SystemBuilder,
+        checkpoint: &DecodedCheckpoint,
+    ) -> Result<Self, CheckpointError> {
+        let hash = config_hash(
+            &builder.spec,
+            builder.seed,
+            builder.trace_limit,
+            builder.faults.as_ref(),
+        );
+        if hash != checkpoint.spec_hash() {
+            return Err(CheckpointError::SpecMismatch);
+        }
+        let mut sys = Self::lower_scalar(builder).map_err(|_| {
+            CheckpointError::Unsupported("system is outside the compiled support envelope")
+        })?;
+        sys.restore_decoded(checkpoint)?;
+        Ok(sys)
+    }
+
+    /// Restores this engine in place to the checkpointed state, reusing
+    /// every existing allocation (trace rows, edge-time ring, FIFO
+    /// buffers, event heap). Equivalent to
+    /// [`resume_decoded`](Self::resume_decoded) with this engine's own
+    /// configuration, minus the lowering: a prefix-fork campaign keeps
+    /// one engine per worker and rewinds it per variant instead of
+    /// building a fresh one.
+    ///
+    /// The checkpoint's configuration hash must match this engine's
+    /// [`spec_hash`](Self::spec_hash) — same spec, seed, trace limit and
+    /// fault plan — so a stale engine cached across campaigns fails
+    /// closed with [`CheckpointError::SpecMismatch`] rather than
+    /// resuming the wrong workload. On any error the engine state is
+    /// unspecified (possibly partially restored); restore again or
+    /// discard it.
+    ///
+    /// # Errors
+    ///
+    /// - [`CheckpointError::BackendMismatch`] for an event-backend
+    ///   checkpoint.
+    /// - [`CheckpointError::SpecMismatch`] when the configuration hash
+    ///   or any structural shape disagrees.
+    pub fn restore_decoded(
+        &mut self,
+        checkpoint: &DecodedCheckpoint,
+    ) -> Result<(), CheckpointError> {
+        let DecodedState::Compiled(dump) = &checkpoint.state else {
+            return Err(CheckpointError::BackendMismatch);
+        };
+        if self.hashes.0 != checkpoint.spec_hash()
+            || dump.sbs.len() != self.sbs.len()
+            || dump.fifos.len() != self.fifos.len()
+            || dump.clk.len() != self.clk.len()
+        {
+            return Err(CheckpointError::SpecMismatch);
+        }
+        for (i, (sb, d)) in self.sbs.iter_mut().zip(&dump.sbs).enumerate() {
+            if d.nodes.len() != sb.nodes.len() || !self.logics[i].0.restore_state(&d.logic) {
+                return Err(CheckpointError::SpecMismatch);
+            }
+            sb.clk_high = d.clk_high;
+            sb.parked = d.parked;
+            sb.clken = d.clken;
+            sb.edges = d.edges;
+            sb.clock_stops = d.clock_stops;
+            sb.cycle = d.cycle;
+            sb.dropped_words = d.dropped_words;
+            sb.timing_violations = d.timing_violations;
+            sb.last_edge = d.last_edge;
+            sb.edge_times.clone_from(&d.edge_times);
+            self.traces[i].0.clone_from(&d.trace);
+            for (n, snap) in sb.nodes.iter_mut().zip(&d.nodes) {
+                n.fsm.restore(snap);
+            }
+        }
+        for (f, d) in self.fifos.iter_mut().zip(&dump.fifos) {
+            if d.words.len() != f.words.len() {
+                return Err(CheckpointError::SpecMismatch);
+            }
+            f.occ = d.occ;
+            for (w, &v) in f.words.iter_mut().zip(&d.words) {
+                *w = One(v);
+            }
+            f.pending.clone_from(&d.pending);
+            f.pushes = d.pushes;
+            f.pops = d.pops;
+            f.overruns = d.overruns;
+            f.underruns = d.underruns;
+        }
+        for (c, &(phase, posedge)) in self.clk.iter_mut().zip(&dump.clk) {
+            c.phase = phase;
+            c.posedge = posedge;
+        }
+        self.heap.clear();
+        for ev in &dump.heap {
+            let kind = match ev.kind {
+                0 => EvKind::Push {
+                    ch: ev.a,
+                    words: One(ev.b),
+                },
+                1 => EvKind::Pop { ch: ev.a },
+                2 => EvKind::Move {
+                    ch: ev.a,
+                    stage: ev.b as u32,
+                },
+                3 => EvKind::Token {
+                    sb: ev.a,
+                    node: ev.b as u32,
+                },
+                4 => EvKind::Clken {
+                    sb: ev.a,
+                    ena: ev.b != 0,
+                },
+                _ => return Err(CheckpointError::SpecMismatch),
+            };
+            self.heap.push(Reverse(Ev {
+                time: ev.time,
+                seq: ev.seq,
+                kind,
+            }));
+        }
+        let restored = match self.chaos.as_deref_mut() {
+            Some(c) => c.restore_counters(&dump.jitter, &dump.injector),
+            None => dump.jitter.is_none() && dump.injector.is_none(),
+        };
+        if !restored {
+            return Err(CheckpointError::SpecMismatch);
+        }
+        self.now = dump.now;
+        self.seq = dump.seq;
+        self.events = dump.events;
+        Ok(())
+    }
+}

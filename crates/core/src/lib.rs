@@ -37,9 +37,14 @@
 //!   reports byte-identical to sequential runs,
 //! * [`scenarios`] — the canonical systems used across tests, examples
 //!   and benches (including the paper's 3-SB / 6-FIFO test case),
-//! * [`compiled_system`] — the compiled fast-path backend: a built
-//!   system lowered once to a flat typed-event engine, byte-identical
-//!   to the event kernel and roughly an order of magnitude faster,
+//! * [`compiled_system`] — backend selection and the compiled
+//!   fast-path backend: a built system lowered once to a flat
+//!   typed-event engine, byte-identical to the event kernel and
+//!   roughly an order of magnitude faster,
+//! * [`batched_system`] — the same compiled engine over lanes of
+//!   same-spec configurations that share one control plane (the engine
+//!   source, `engine.rs`, is generic over its lane data plane;
+//!   `CompiledSystem` is its one-lane instantiation),
 //! * [`faults`] — deterministic fault injection (analog jitter/drift,
 //!   protocol token/handshake attacks, state SEUs) and the chaos
 //!   oracle that turns the paper's determinism claim into an
@@ -77,6 +82,7 @@ pub mod compiled_system;
 pub mod deadlock;
 pub mod determinism;
 mod drive;
+mod engine;
 pub mod faults;
 pub mod formal;
 pub mod iotrace;

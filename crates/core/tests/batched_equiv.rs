@@ -173,10 +173,9 @@ fn gated_builders(spec: &SystemSpec, trace_limit: usize, gates: &[u64]) -> Vec<S
 /// structural assertions (group counts after splits, etc.).
 fn assert_batch_matches_scalar(
     make: &dyn Fn() -> Vec<SystemBuilder>,
-    limit: usize,
     cycles: u64,
 ) -> BatchedSystem {
-    let mut batch = BatchedSystem::build_with_limit(make(), limit)
+    let mut batch = BatchedSystem::build(make())
         .unwrap_or_else(|_| panic!("builders unexpectedly outside the batched envelope"));
     let outcomes = batch.run_until_cycles(cycles, MAX_TIME);
     let compiled = make();
@@ -279,20 +278,21 @@ fn assert_batch_matches_scalar(
 fn uniform_pingpong_batch_stays_one_group() {
     let spec = pingpong_spec();
     let make = || mixer_builders(&spec, 100, &[1, 2, 3, 4]);
-    let batch = assert_batch_matches_scalar(&make, 64, 300);
+    let batch = assert_batch_matches_scalar(&make, 300);
     assert_eq!(batch.lanes(), 4);
     assert_eq!(
         batch.group_count(),
         1,
         "data-only lane differences must not split the group"
     );
+    assert_eq!(batch.splits(), 0);
 }
 
 #[test]
 fn single_lane_batch_matches_scalar() {
     let spec = producer_consumer_spec();
     let make = || mixer_builders(&spec, 100, &[7]);
-    let batch = assert_batch_matches_scalar(&make, 64, 150);
+    let batch = assert_batch_matches_scalar(&make, 150);
     assert_eq!(batch.group_count(), 1);
 }
 
@@ -301,7 +301,7 @@ fn sixty_five_lanes_split_over_the_lane_cap() {
     let spec = producer_consumer_spec();
     let salts: Vec<u64> = (0..65).collect();
     let make = || mixer_builders(&spec, 32, &salts);
-    let batch = assert_batch_matches_scalar(&make, 64, 60);
+    let batch = assert_batch_matches_scalar(&make, 60);
     assert_eq!(batch.lanes(), 65);
     assert_eq!(batch.group_count(), 2, "65 lanes over a 64-lane cap");
 }
@@ -318,7 +318,7 @@ fn mixed_spec_batch_forms_one_group_per_spec() {
         }
         v
     };
-    let batch = assert_batch_matches_scalar(&make, 64, 120);
+    let batch = assert_batch_matches_scalar(&make, 120);
     assert_eq!(batch.group_count(), 2, "two distinct specs, two groups");
     assert_eq!(batch.spec(0), batch.spec(2));
     assert_ne!(batch.spec(0), batch.spec(1));
@@ -332,7 +332,7 @@ fn mismatched_trace_limits_do_not_share_a_group() {
         v.extend(mixer_builders(&spec, 64, &[2]));
         v
     };
-    let batch = assert_batch_matches_scalar(&make, 64, 100);
+    let batch = assert_batch_matches_scalar(&make, 100);
     assert_eq!(batch.group_count(), 2);
 }
 
@@ -346,7 +346,7 @@ fn late_tokens_and_clock_stops_batch_equivalently() {
     for recycle in [1, 3, 6] {
         let spec = e1_spec_uncalibrated(recycle);
         let make = || mixer_builders(&spec, 80, &[11, 22, 33]);
-        let batch = assert_batch_matches_scalar(&make, 64, 100);
+        let batch = assert_batch_matches_scalar(&make, 100);
         assert_eq!(batch.group_count(), 1);
     }
 }
@@ -356,23 +356,23 @@ fn stretched_and_zero_delay_ring_wires_batch_equivalently() {
     let mut spec = producer_consumer_spec();
     spec.rings[0].delay_fwd = SimDuration::us(1);
     spec.rings[0].delay_back = SimDuration::us(1);
-    assert_batch_matches_scalar(&|| mixer_builders(&spec, 100, &[1, 2, 3]), 64, 150);
+    assert_batch_matches_scalar(&|| mixer_builders(&spec, 100, &[1, 2, 3]), 150);
     spec.rings[0].delay_fwd = SimDuration::ZERO;
     spec.rings[0].delay_back = SimDuration::ZERO;
-    assert_batch_matches_scalar(&|| mixer_builders(&spec, 100, &[1, 2, 3]), 64, 150);
+    assert_batch_matches_scalar(&|| mixer_builders(&spec, 100, &[1, 2, 3]), 150);
 }
 
 #[test]
 fn chronic_timing_violations_corrupt_all_lanes_identically() {
     let mut spec = producer_consumer_spec();
     spec.sbs[0].logic_delay = SimDuration::ns(25);
-    assert_batch_matches_scalar(&|| mixer_builders(&spec, 100, &[5, 6, 7, 8]), 64, 120);
+    assert_batch_matches_scalar(&|| mixer_builders(&spec, 100, &[5, 6, 7, 8]), 120);
 }
 
 #[test]
 fn starved_triangle_deadlocks_every_lane_equivalently() {
     let spec = synchro_tokens::scenarios::starved_triangle_spec();
-    assert_batch_matches_scalar(&|| mixer_builders(&spec, 64, &[1, 2, 3]), 64, 100);
+    assert_batch_matches_scalar(&|| mixer_builders(&spec, 64, &[1, 2, 3]), 100);
 }
 
 // --- divergence splits ---------------------------------------------------
@@ -390,12 +390,13 @@ fn divergent_send_schedules_split_and_stay_byte_identical() {
         0xF0F0_F0F0_F0F0_F0F0,
     ];
     let make = || gated_builders(&spec, 100, &gates);
-    let batch = assert_batch_matches_scalar(&make, 64, 150);
+    let batch = assert_batch_matches_scalar(&make, 150);
     assert_eq!(
         batch.group_count(),
         4,
         "four distinct schedules, four groups after the split"
     );
+    assert_eq!(batch.splits(), batch.group_count() - 1);
     // The split must move the right per-lane logic state around.
     let compiled = make();
     for (lane, b) in compiled.into_iter().enumerate() {
@@ -416,8 +417,9 @@ fn all_lanes_diverge_on_the_first_edge() {
         .map(|l| if l % 2 == 0 { u64::MAX << 1 } else { u64::MAX })
         .collect();
     let make = || gated_builders(&spec, 64, &gates);
-    let batch = assert_batch_matches_scalar(&make, 64, 100);
+    let batch = assert_batch_matches_scalar(&make, 100);
     assert_eq!(batch.group_count(), 2);
+    assert_eq!(batch.splits(), batch.group_count() - 1);
 }
 
 #[test]
@@ -427,8 +429,9 @@ fn divergence_cascade_ends_with_every_lane_alone() {
     // all 6 lanes run in singleton groups.
     let gates: Vec<u64> = (0..6).map(|l| u64::MAX << l).collect();
     let make = || gated_builders(&spec, 64, &gates);
-    let batch = assert_batch_matches_scalar(&make, 64, 120);
+    let batch = assert_batch_matches_scalar(&make, 120);
     assert_eq!(batch.group_count(), 6, "cascade must fully unzip the batch");
+    assert_eq!(batch.splits(), batch.group_count() - 1);
 }
 
 #[test]
@@ -444,11 +447,12 @@ fn divergence_on_a_consuming_edge_preserves_input_acks() {
     // token schedule).
     let gates = [u64::MAX, u64::MAX, !(1u64 << 16), !(1u64 << 44)];
     let make = || gated_mixer_builders(&spec, 150, &gates);
-    let batch = assert_batch_matches_scalar(&make, 64, 150);
+    let batch = assert_batch_matches_scalar(&make, 150);
     assert!(
         batch.group_count() >= 3,
         "distinct gate words must have split the batch"
     );
+    assert_eq!(batch.splits(), batch.group_count() - 1);
     // The split must move the right per-lane logic state around.
     let compiled = make();
     for (lane, b) in compiled.into_iter().enumerate() {
@@ -482,7 +486,7 @@ fn per_lane_fault_plans_run_as_singleton_groups() {
         v.extend(mixer_builders(&spec, 64, &[100, 101]));
         v
     };
-    let batch = assert_batch_matches_scalar(&make, 64, 120);
+    let batch = assert_batch_matches_scalar(&make, 120);
     assert_eq!(
         batch.group_count(),
         3,
@@ -603,7 +607,7 @@ proptest! {
         let spec = build_spec(&recipe);
         prop_assert!(spec.validate().is_ok(), "recipe built an invalid spec");
         let salts: Vec<u64> = (0..lanes as u64).map(|l| seed ^ (l * 0xABCD)).collect();
-        assert_batch_matches_scalar(&|| mixer_builders(&spec, 64, &salts), 64, 120);
+        assert_batch_matches_scalar(&|| mixer_builders(&spec, 64, &salts), 120);
     }
 
     /// Random per-lane send schedules over a fixed pair: divergence
@@ -614,7 +618,7 @@ proptest! {
         gates in prop::collection::vec(any::<u64>(), 2..7),
     ) {
         let spec = producer_consumer_spec();
-        assert_batch_matches_scalar(&|| gated_builders(&spec, 64, &gates), 64, 100);
+        assert_batch_matches_scalar(&|| gated_builders(&spec, 64, &gates), 100);
     }
 
     /// Random per-lane send schedules on a *consuming* SB: splits land
@@ -626,6 +630,6 @@ proptest! {
         gates in prop::collection::vec(any::<u64>(), 2..7),
     ) {
         let spec = pingpong_spec();
-        assert_batch_matches_scalar(&|| gated_mixer_builders(&spec, 64, &gates), 64, 100);
+        assert_batch_matches_scalar(&|| gated_mixer_builders(&spec, 64, &gates), 100);
     }
 }

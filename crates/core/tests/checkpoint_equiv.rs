@@ -348,8 +348,8 @@ fn batched_lane_checkpoint_matches_scalar_and_resumes() {
     let salts = [3u64, 88, 1234];
     let (k, total) = (18u64, 45u64);
 
-    let mut batch = BatchedSystem::build_with_limit(batch_builders(&spec, 96, &salts), 64)
-        .expect("supported batch");
+    let mut batch =
+        BatchedSystem::build(batch_builders(&spec, 96, &salts)).expect("supported batch");
     assert_eq!(batch.group_count(), 1, "lanes must share one group");
     for out in batch.run_until_cycles(k, MAX_TIME) {
         assert_eq!(out, RunOutcome::Reached);
@@ -404,8 +404,8 @@ fn batched_split_lane_checkpoint_matches_scalar() {
     let ring = RingId(0);
     let holder = spec.rings[ring.0].holder;
 
-    let mut batch = BatchedSystem::build_with_limit(batch_builders(&spec, 96, &salts), 64)
-        .expect("supported batch");
+    let mut batch =
+        BatchedSystem::build(batch_builders(&spec, 96, &salts)).expect("supported batch");
     batch.run_until_cycles(k, MAX_TIME);
     batch
         .node_mut(struck, holder, ring)

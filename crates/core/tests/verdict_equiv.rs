@@ -132,8 +132,7 @@ fn assert_batched(
     cycles: u64,
     max_time: SimDuration,
 ) -> (Vec<RunOutcome>, u64, u64) {
-    let build =
-        || BatchedSystem::build_with_limit(make(), 64).expect("inside the batched envelope");
+    let build = || BatchedSystem::build(make()).expect("inside the batched envelope");
     let (mut chunked, mut fast) = (build(), build());
     let a = chunked.run_until_cycles(cycles, max_time);
     let b = fast.run_to_verdict(cycles, max_time);

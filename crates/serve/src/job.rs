@@ -794,7 +794,7 @@ mod tests {
             .unwrap()
             .to_canonical_bytes();
         assert_eq!(executed, direct);
-        let (batches, lanes, groups) = batch_metrics();
+        let (batches, lanes, groups, _) = batch_metrics();
         assert!(batches >= 1, "the batched path must have been taken");
         assert!(lanes >= groups);
     }

@@ -652,7 +652,7 @@ impl JobService {
         } else {
             (mem_hits + disk_hits) as f64 / lookups as f64
         };
-        let (batches, lanes, groups) = crate::job::batch_metrics();
+        let (batches, lanes, groups, splits) = crate::job::batch_metrics();
         let occupancy = if groups == 0 {
             0.0
         } else {
@@ -681,6 +681,7 @@ impl JobService {
              st_serve_batches_formed_total {batches}\n\
              st_serve_batch_lanes_total {lanes}\n\
              st_serve_batch_groups_total {groups}\n\
+             st_serve_batch_splits_total {splits}\n\
              st_serve_batch_occupancy {occupancy:.4}\n",
             self.queue_depth(),
             r(&self.stats.submitted),
@@ -922,6 +923,7 @@ mod tests {
             "st_serve_job_latency_p99_ms",
             "st_serve_job_latency_p50_us",
             "st_serve_job_latency_p99_us",
+            "st_serve_batch_splits_total",
         ] {
             assert!(text.contains(series), "missing {series} in {text}");
         }

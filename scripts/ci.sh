@@ -30,6 +30,17 @@ if [[ -n "$ladders" ]]; then
     exit 1
 fi
 
+echo "== one compiled engine source =="
+# The compiled engine (engine.rs) is the only typed-event engine in the
+# core crate; CompiledSystem and BatchedSystem are its two
+# instantiations, not two copies.
+engines=$(grep -rlF 'BinaryHeap<Reverse<' crates/core/src || true)
+if [[ $(grep -c . <<<"$engines") -gt 1 ]]; then
+    echo "typed-event heaps in more than one file (extend engine.rs instead):" >&2
+    echo "$engines" >&2
+    exit 1
+fi
+
 echo "== clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
