@@ -13,10 +13,13 @@
 //! The case budget honours `PROPTEST_CASES` (CI runs a fixed reduced
 //! budget; see `scripts/ci.sh`).
 
+use st_sim::hash::fnv1a64;
 use st_sim::prelude::*;
 use st_testkit::prop::prelude::*;
 use synchro_tokens::prelude::*;
-use synchro_tokens::scenarios::{chain_spec, pingpong_spec, producer_consumer_spec, MixerLogic};
+use synchro_tokens::scenarios::{
+    build_e1_backend, chain_spec, e1_spec, pingpong_spec, producer_consumer_spec, MixerLogic,
+};
 use synchro_tokens::Checkpoint;
 use synchro_tokens::FaultClass;
 
@@ -538,4 +541,92 @@ fn in_place_restore_rejects_mismatched_engine() {
         ev.restore_decoded(&ckpt),
         Err(CheckpointError::Unsupported(_))
     ));
+}
+
+// --- pinned STCP bytes ----------------------------------------------------
+
+/// `fnv1a64` of a checkpoint's canonical bytes. The suites above only
+/// compare engines and re-encodes against each other; these pins hold
+/// the absolute bytes, so an engine-internal change (e.g. how pending
+/// events are stored) cannot silently move the STCP v1 format.
+fn blob_hash(ckpt: &Checkpoint) -> u64 {
+    fnv1a64(&ckpt.to_canonical_bytes())
+}
+
+/// E1 compiled checkpoints at cycles 20 and 60 (100-cycle trace, the
+/// campaign's nominal configuration).
+#[test]
+fn e1_compiled_checkpoint_bytes_are_pinned() {
+    let mut sys = build_e1_backend(e1_spec(), 0, 100, Backend::Compiled);
+    assert_eq!(sys.backend_kind(), BackendKind::Compiled);
+    sys.run_until_cycles(20, MAX_TIME).unwrap();
+    let at20 = blob_hash(&sys.checkpoint().unwrap());
+    sys.run_until_cycles(60, MAX_TIME).unwrap();
+    let at60 = blob_hash(&sys.checkpoint().unwrap());
+    assert_eq!(
+        (at20, at60),
+        (0x1e75_7c6a_957d_c737, 0xba60_77ae_ceb9_7082),
+        "E1 checkpoint bytes moved: {at20:#018x} {at60:#018x}"
+    );
+}
+
+/// Every lane of a batch checkpointed after an SEU flip split its group.
+#[test]
+fn split_batch_lane_checkpoint_bytes_are_pinned() {
+    let spec = pingpong_spec();
+    let mut batch =
+        BatchedSystem::build(batch_builders(&spec, 96, &[7, 7, 21])).expect("supported batch");
+    batch.run_until_cycles(12, MAX_TIME);
+    let holder = spec.rings[0].holder;
+    batch
+        .node_mut(1, holder, RingId(0))
+        .expect("ring node exists")
+        .seu_flip_token_latch();
+    assert!(batch.group_count() > 1, "the flip must split the group");
+    batch.run_until_cycles(40, MAX_TIME);
+    let got: Vec<u64> = (0..3)
+        .map(|lane| blob_hash(&batch.checkpoint(lane).unwrap()))
+        .collect();
+    assert_eq!(
+        got,
+        [
+            0x8d6b_bdfc_d0ae_b426,
+            0x66b7_c29d_2a92_14a9,
+            0x903d_81d7_9764_f5b1
+        ],
+        "split lane checkpoint bytes moved: {got:#018x?}"
+    );
+}
+
+/// A chaos-jittered ping-pong checkpointed every 4.999 ns for 1.2 µs
+/// (~120 cycles), all blobs hashed together. Jittered rising edges land
+/// after their phase boundary, so some dumps carry pending rising-edge
+/// slots; token jitter far past the recycle slack stops clocks, so
+/// others carry parked clocks and their in-flight tokens.
+#[test]
+fn chaos_pingpong_checkpoint_bytes_are_pinned() {
+    let spec = pingpong_spec();
+    let plan = FaultPlan {
+        seed: 7,
+        analog: AnalogFault {
+            clock_jitter: SimDuration::ps(900),
+            token_jitter: SimDuration::ns(60),
+            data_jitter: SimDuration::ps(400),
+            ..AnalogFault::default()
+        },
+        protocol: Vec::new(),
+        seu: Vec::new(),
+    };
+    let mut sys = make_builder(&spec, 64, Some(&plan)).build_backend(Backend::Compiled);
+    assert_eq!(sys.backend_kind(), BackendKind::Compiled);
+    let mut blobs = Vec::new();
+    for _ in 0..240 {
+        sys.run_for(SimDuration::ps(4999)).unwrap();
+        blobs.extend(sys.checkpoint().unwrap().to_canonical_bytes());
+    }
+    let got = fnv1a64(&blobs);
+    assert_eq!(
+        got, 0xc26e_b538_2a14_29a1,
+        "chaos checkpoint bytes moved: {got:#018x}"
+    );
 }
