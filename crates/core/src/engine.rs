@@ -13,10 +13,13 @@
 //! A [`Group`] lowers built system descriptions once into flat
 //! index-based arrays (`u32` channel/node/SB indices, SoA per-SB state,
 //! reused per-edge scratch buffers) and replaces the generic
-//! signal/watcher machinery with typed events: FIFO pushes/pops/stage
-//! moves, token passes and clock enables in a single `(time, seq)`-
-//! ordered heap, plus per-SB clock-phase and rising-edge slots the
-//! dispatch loop scans beside the heap top. FIFO occupancy is a `u64`
+//! signal/watcher machinery with typed events: clock phase boundaries,
+//! rising edges, FIFO pushes/pops/stage moves, token passes and clock
+//! enables, all in one pending queue sorted by `(time, seq)`. The queue
+//! is a plain `Vec` with the next event at the back: dispatch pops it,
+//! and scheduling scans back from the end for the insertion point,
+//! which for the few events a GALS system has in flight is cheaper than
+//! a heap. FIFO occupancy is a `u64`
 //! bitmask per channel (one bit per stage, which gates depth to ≤ 64),
 //! and on channels whose stage delay exceeds the bundled-data setup
 //! delay the internal move cascade never touches the heap at all: moves
@@ -29,8 +32,8 @@
 //!
 //! Configurations built from the *same* spec make exactly the same
 //! control-flow decisions at exactly the same instants, so a group
-//! holds one copy of the control state — the event heap, clock slots,
-//! FIFO occupancy and move cascades, node FSMs and every counter — and
+//! holds one copy of the control state — the pending queue, FIFO
+//! occupancy and move cascades, node FSMs and every counter — and
 //! keeps only the data per lane: the `SyncLogic` instances, the
 //! `SbIoTrace`s, the FIFO words and each in-flight push's words. The
 //! [`Plane`] type parameter picks how those per-lane columns are stored:
@@ -89,8 +92,6 @@ use crate::system::{RunOutcome, SystemBuilder};
 use crate::wrapper::{WrapperMode, BUNDLE_DELAY};
 use st_sim::prelude::*;
 use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::mem;
 use std::ops::{Deref, DerefMut};
 
@@ -154,14 +155,15 @@ pub struct Scalar;
 #[derive(Debug)]
 pub struct Lanes;
 
-/// A typed event. `u32` indices keep the heap payload small beside the
-/// timestamp. Clock phase boundaries and rising edges do not appear
-/// here: each SB has at most one of each pending, so they live in
-/// per-SB slots (`Group::clk`) that the dispatch loop scans beside the
-/// heap top — same `(time, seq)` keys, same order, no heap traffic for
-/// the per-cycle clock machinery.
+/// A typed event. `u32` indices keep the queue entry small beside the
+/// timestamp. Each SB has at most one `Phase` and one `Edge` pending at
+/// any time; the checkpoint format stores those two as per-SB slots.
 #[derive(Debug, Clone)]
 enum EvKind<W> {
+    /// SB `sb`'s clock reaches a phase boundary (rising or falling check).
+    Phase { sb: u32 },
+    /// SB `sb`'s rising edge reaches its wrapper.
+    Edge { sb: u32 },
     /// Bundled-data words (one per lane) arrive at channel `ch`'s tail.
     Push { ch: u32, words: W },
     /// The consumer's acknowledge arrives at channel `ch`'s head.
@@ -175,8 +177,8 @@ enum EvKind<W> {
     Clken { sb: u32, ena: bool },
 }
 
-/// Heap entry ordered by `(time, seq)`; `seq` is globally monotone, so
-/// ordering ignores the payload (seqs are unique).
+/// A pending event. `seq` is globally monotone, so `(time, seq)` keys
+/// are unique and order the queue.
 #[derive(Debug, Clone)]
 struct Ev<W> {
     time: SimTime,
@@ -184,36 +186,31 @@ struct Ev<W> {
     kind: EvKind<W>,
 }
 
-// The scalar heap entry stays what a scalar-only engine would push:
+// The scalar queue entry stays what a scalar-only engine would push:
 // time, seq, and a tag + `u32` channel + inline `u64` word. Lane
 // genericity must not fatten the scalar event (a lanes push carries a
 // boxed column instead).
-const _: () = assert!(std::mem::size_of::<Reverse<Ev<One<u64>>>>() <= 32);
+const _: () = assert!(std::mem::size_of::<Ev<One<u64>>>() <= 32);
 
-impl<W> PartialEq for Ev<W> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<W> Eq for Ev<W> {}
-impl<W> PartialOrd for Ev<W> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<W> Ord for Ev<W> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
+/// Pending events sorted by `(time, seq)`, latest first: the next event
+/// to dispatch is the last one.
+type Queue<P> = Vec<Ev<<P as Plane>::Col<u64>>>;
 
-type Heap<P> = BinaryHeap<Reverse<Ev<<P as Plane>::Col<u64>>>>;
-
+/// Queues `kind` at `time` under the next `seq`. A fresh seq is larger
+/// than every queued one, so the event goes in front of (dispatches
+/// after) everything due at or before `time` — equal-time events keep
+/// allocation order, exactly as a zero-delay kernel drive lands in the
+/// next delta batch. Most events land near the back, so the scan is
+/// short.
 #[inline]
-fn sched<W>(heap: &mut BinaryHeap<Reverse<Ev<W>>>, seq: &mut u64, time: SimTime, kind: EvKind<W>) {
+fn sched<W>(queue: &mut Vec<Ev<W>>, seq: &mut u64, time: SimTime, kind: EvKind<W>) {
     let s = *seq;
     *seq += 1;
-    heap.push(Reverse(Ev { time, seq: s, kind }));
+    let mut pos = queue.len();
+    while pos > 0 && queue[pos - 1].time <= time {
+        pos -= 1;
+    }
+    queue.insert(pos, Ev { time, seq: s, kind });
 }
 
 /// When a data-handshake toggle sent at `now` arrives, `jitter` being
@@ -357,8 +354,18 @@ impl<P: Plane> FifoState<P> {
 
     /// Applies every pending stage advance with fire time `<= upto`,
     /// in fire order, counting each application like a dispatched
-    /// event (the totals must match the non-virtualized engine).
+    /// event (the totals must match the non-virtualized engine). Most
+    /// readers find nothing due, so only that check is inlined.
+    #[inline]
     fn drain(&mut self, upto: SimTime, events: &mut u64) {
+        if self.pending.first().is_some_and(|&(at, _)| at <= upto) {
+            self.drain_due(upto, events);
+        }
+    }
+
+    /// The cascade walk of [`drain`](Self::drain), once a move is due.
+    #[inline(never)]
+    fn drain_due(&mut self, upto: SimTime, events: &mut u64) {
         // Cursor walk: applied entries are cleared in one splice at the
         // end. Follow-ups queued during the walk land at `at + F`, i.e.
         // never before the cursor, so indexing stays stable.
@@ -403,22 +410,10 @@ impl<P: Plane> FifoState<P> {
     }
 }
 
-/// A pending clock event as a packed `(time << 64) | seq` sort key;
-/// `u128::MAX` marks an empty slot. One compare orders two keys the
-/// same way `(time, seq)` tuples would, and the per-SB array is dense
-/// enough that the dispatch loop's scan stays in one or two cache
-/// lines for paper-scale systems.
-#[derive(Debug, Clone, Copy)]
-struct ClockSlots {
-    /// The next phase boundary (rising or falling check).
-    phase: u128,
-    /// The pending rising-edge delivery to the wrapper.
-    posedge: u128,
-}
-
+/// A checkpoint's per-SB clock slot: a pending `Phase` or `Edge` event
+/// packed as `(time << 64) | seq`, `u128::MAX` when none is pending.
 const SLOT_EMPTY: u128 = u128::MAX;
 
-#[inline]
 fn slot_key(time: SimTime, seq: u64) -> u128 {
     (u128::from(time.as_fs()) << 64) | u128::from(seq)
 }
@@ -456,13 +451,7 @@ pub struct Group<P: Plane> {
     /// Per SB: each lane's determinism trace.
     traces: Vec<P::Col<SbIoTrace>>,
     fifos: Vec<FifoState<P>>,
-    /// Pending clock events, one pair of slots per SB (indexed like
-    /// `sbs`). At most one phase boundary and one rising edge exist
-    /// per SB at any time, so they never need the heap; seqs still
-    /// come from the same global counter at the same points, keeping
-    /// dispatch order identical to a single-queue engine.
-    clk: Vec<ClockSlots>,
-    heap: Heap<P>,
+    queue: Queue<P>,
     now: SimTime,
     seq: u64,
     events: u64,
@@ -479,7 +468,7 @@ impl<P: Plane> std::fmt::Debug for Group<P> {
             .field("lanes", &self.ids.len())
             .field("sbs", &self.sbs.len())
             .field("now", &self.now)
-            .field("pending_events", &self.heap.len())
+            .field("pending_events", &self.queue.len())
             .finish()
     }
 }
@@ -551,7 +540,8 @@ impl<P: Plane> Group<P> {
                 depth: ch.fifo_depth as u32,
                 stage_delay: ch.stage_delay,
                 virtualized: ch.stage_delay > BUNDLE_DELAY,
-                pending: Vec::new(),
+                // Two attempts per stage: the cascade rarely holds more.
+                pending: Vec::with_capacity(2 * ch.fifo_depth),
                 pushes: 0,
                 pops: 0,
                 overruns: 0,
@@ -634,7 +624,7 @@ impl<P: Plane> Group<P> {
                 dropped_words: 0,
                 timing_violations: 0,
                 last_edge: None,
-                edge_times: Vec::new(),
+                edge_times: Vec::with_capacity(trace_limit),
                 edge_times_cap: if trace_limit == 0 {
                     1 << 20
                 } else {
@@ -647,6 +637,9 @@ impl<P: Plane> Group<P> {
         }
 
         let n_sbs = sbs.len();
+        // Room for each SB's two clock events and a token toggle, and a
+        // push and a pop per channel.
+        let queue = Vec::with_capacity(3 * n_sbs + 2 * fifos.len());
         let mut g = Group {
             spec,
             trace_limit,
@@ -656,14 +649,7 @@ impl<P: Plane> Group<P> {
             logics,
             traces,
             fifos,
-            clk: vec![
-                ClockSlots {
-                    phase: SLOT_EMPTY,
-                    posedge: SLOT_EMPTY,
-                };
-                n_sbs
-            ],
-            heap: BinaryHeap::new(),
+            queue,
             now: SimTime::ZERO,
             seq: 0,
             events: 0,
@@ -673,8 +659,8 @@ impl<P: Plane> Group<P> {
         // First phase boundary of every clock, in SB (registration)
         // order — the same relative order the kernel's start timers get.
         for i in 0..n_sbs {
-            g.clk[i].phase = slot_key(SimTime::ZERO + g.sbs[i].half, g.seq);
-            g.seq += 1;
+            let at = SimTime::ZERO + g.sbs[i].half;
+            sched(&mut g.queue, &mut g.seq, at, EvKind::Phase { sb: i as u32 });
         }
         g
     }
@@ -686,84 +672,33 @@ impl<P: Plane> Group<P> {
     /// append fully-formed groups to `splits`; this group keeps the
     /// first partition and keeps running.
     fn dispatch(&mut self, deadline: SimTime, splits: &mut Vec<Group<P>>) -> bool {
-        let mut quiescent = false;
-        let deadline_fs = deadline.as_fs();
-        // Dispatch sources: clock slots are scanned linearly (two
-        // packed keys per SB), everything else comes off the heap.
-        // Seqs are globally unique, so the packed-key minimum is
-        // unique and the pop order is identical to a single-queue
-        // engine.
-        loop {
-            let mut best = SLOT_EMPTY;
-            let mut src_sb = usize::MAX; // usize::MAX = heap (or none)
-            let mut is_posedge = false;
-            for (i, c) in self.clk.iter().enumerate() {
-                if c.phase < best {
-                    best = c.phase;
-                    src_sb = i;
-                    is_posedge = false;
-                }
-                if c.posedge < best {
-                    best = c.posedge;
-                    src_sb = i;
-                    is_posedge = true;
-                }
-            }
-            let heap_first = match self.heap.peek() {
-                Some(Reverse(ev)) => {
-                    let k = slot_key(ev.time, ev.seq);
-                    if k < best {
-                        best = k;
-                        true
-                    } else {
-                        false
-                    }
-                }
-                None => false,
+        let mut quiescent = loop {
+            let Some(ev) = self.queue.pop_if(|ev| ev.time <= deadline) else {
+                break self.queue.is_empty();
             };
-            if best == SLOT_EMPTY {
-                quiescent = true;
-                break;
-            }
-            if (best >> 64) as u64 > deadline_fs {
-                break;
-            }
-            self.now = SimTime::from_fs((best >> 64) as u64);
+            self.now = ev.time;
             self.events += 1;
-            if heap_first {
-                let Some(Reverse(ev)) = self.heap.pop() else {
-                    unreachable!("heap top vanished");
-                };
-                match ev.kind {
-                    EvKind::Push { ch, words } => self.on_push(ch as usize, words),
-                    EvKind::Pop { ch } => self.on_pop(ch as usize),
-                    EvKind::Move { ch, stage } => self.on_move(ch as usize, stage as usize),
-                    EvKind::Token { sb, node } => self.on_token(sb as usize, node as usize),
-                    EvKind::Clken { sb, ena } => self.on_clken(sb as usize, ena),
-                }
-            } else if is_posedge {
-                self.clk[src_sb].posedge = SLOT_EMPTY;
-                self.on_posedge(src_sb, splits);
-            } else {
-                self.clk[src_sb].phase = SLOT_EMPTY;
-                self.on_phase(src_sb);
+            match ev.kind {
+                EvKind::Phase { sb } => self.on_phase(sb as usize),
+                EvKind::Edge { sb } => self.on_posedge(sb as usize, splits),
+                EvKind::Push { ch, words } => self.on_push(ch as usize, words),
+                EvKind::Pop { ch } => self.on_pop(ch as usize),
+                EvKind::Move { ch, stage } => self.on_move(ch as usize, stage as usize),
+                EvKind::Token { sb, node } => self.on_token(sb as usize, node as usize),
+                EvKind::Clken { sb, ena } => self.on_clken(sb as usize, ena),
             }
-        }
+        };
         // Settle virtualized FIFO cascades: every move that would have
         // fired by the deadline is applied (and counted) now, so the
         // externally observable state and event totals match the
         // all-real-events engine at every chunk boundary. Moves only
         // schedule moves, so draining cannot wake anything global —
         // but moves still pending *beyond* the deadline would have
-        // kept the reference engine's heap non-empty, so they veto
+        // kept the reference engine's queue non-empty, so they veto
         // quiescence.
         for f in &mut self.fifos {
-            if !f.pending.is_empty() {
-                f.drain(deadline, &mut self.events);
-                if !f.pending.is_empty() {
-                    quiescent = false;
-                }
-            }
+            f.drain(deadline, &mut self.events);
+            quiescent &= f.pending.is_empty();
         }
         if self.now < deadline {
             self.now = deadline;
@@ -778,12 +713,12 @@ impl<P: Plane> Group<P> {
         let now = self.now;
         let Self {
             sbs,
-            clk,
+            queue,
             seq,
             chaos,
             ..
         } = self;
-        let sb = &mut sbs[sbi];
+        let (sb, id) = (&mut sbs[sbi], sbi as u32);
         if sb.parked {
             // Stale phase while parked cannot happen (parking consumes
             // the only outstanding phase event), but mirror the clock's
@@ -793,8 +728,7 @@ impl<P: Plane> Group<P> {
         if sb.clk_high {
             // Falling edges always complete.
             sb.clk_high = false;
-            clk[sbi].phase = slot_key(now + sb.half, *seq);
-            *seq += 1;
+            sched(queue, seq, now + sb.half, EvKind::Phase { sb: id });
         } else if sb.clken {
             sb.clk_high = true;
             sb.edges += 1;
@@ -804,14 +738,12 @@ impl<P: Plane> Group<P> {
             // perturbing the `clk <- One` drive and nothing else.
             let j = chaos
                 .as_deref_mut()
-                .map_or(SimDuration::ZERO, |c| c.clk_jitter(sbi as u32));
+                .map_or(SimDuration::ZERO, |c| c.clk_jitter(id));
             // The rising edge reaches the wrapper "one delta later":
             // the fresh seq puts it after every event already queued at
             // this instant, exactly like the kernel's zero-delay drive.
-            clk[sbi].posedge = slot_key(now + j, *seq);
-            *seq += 1;
-            clk[sbi].phase = slot_key(now + sb.half, *seq);
-            *seq += 1;
+            sched(queue, seq, now + j, EvKind::Edge { sb: id });
+            sched(queue, seq, now + sb.half, EvKind::Phase { sb: id });
         } else {
             // Synchronous stop: park with the clock low.
             sb.parked = true;
@@ -825,12 +757,12 @@ impl<P: Plane> Group<P> {
         let now = self.now;
         let Self {
             sbs,
-            clk,
+            queue,
             seq,
             chaos,
             ..
         } = self;
-        let sb = &mut sbs[sbi];
+        let (sb, id) = (&mut sbs[sbi], sbi as u32);
         if ena == sb.clken {
             return;
         }
@@ -844,11 +776,10 @@ impl<P: Plane> Group<P> {
             sb.edges += 1;
             let j = chaos
                 .as_deref_mut()
-                .map_or(SimDuration::ZERO, |c| c.clk_jitter(sbi as u32));
-            clk[sbi].posedge = slot_key(now + sb.restart_delay + j, *seq);
-            *seq += 1;
-            clk[sbi].phase = slot_key(now + sb.restart_delay + sb.half, *seq);
-            *seq += 1;
+                .map_or(SimDuration::ZERO, |c| c.clk_jitter(id));
+            let at = now + sb.restart_delay;
+            sched(queue, seq, at + j, EvKind::Edge { sb: id });
+            sched(queue, seq, at + sb.half, EvKind::Phase { sb: id });
         }
     }
 
@@ -862,7 +793,7 @@ impl<P: Plane> Group<P> {
                 sb: sbi as u32,
                 ena,
             };
-            sched(&mut self.heap, &mut self.seq, self.now, kind);
+            sched(&mut self.queue, &mut self.seq, self.now, kind);
         }
     }
 
@@ -929,7 +860,7 @@ impl<P: Plane> Group<P> {
                 ch: chi as u32,
                 stage,
             };
-            sched(&mut self.heap, &mut self.seq, at, kind);
+            sched(&mut self.queue, &mut self.seq, at, kind);
         }
     }
 
@@ -1016,7 +947,7 @@ impl<P: Plane> Group<P> {
         let now = self.now;
         let Self {
             sbs,
-            heap,
+            queue,
             seq,
             chaos,
             ..
@@ -1041,7 +972,7 @@ impl<P: Plane> Group<P> {
                     // trace still records the transmit.
                     if let Some(at) = handshake_at(action, now, jitter) {
                         let words = payload(k, corrupt(w, violated));
-                        sched(heap, seq, at, EvKind::Push { ch, words });
+                        sched(queue, seq, at, EvKind::Push { ch, words });
                     }
                 }
                 Some(_) => sb.dropped_words += 1,
@@ -1064,7 +995,7 @@ impl<P: Plane> Group<P> {
                     .map_or(SimDuration::ZERO, |c| c.data_jitter(ch * 2 + 1))
             };
             if let Some(at) = handshake_at(action, now, jitter) {
-                sched(heap, seq, at, EvKind::Pop { ch });
+                sched(queue, seq, at, EvKind::Pop { ch });
             }
         }
 
@@ -1094,19 +1025,19 @@ impl<P: Plane> Group<P> {
                     }
                     TokenPassAction::Delay(extra) => {
                         let j = jitter();
-                        sched(heap, seq, now + n.pass_delay + extra + j, dest());
+                        sched(queue, seq, now + n.pass_delay + extra + j, dest());
                     }
                     TokenPassAction::Duplicate(extra) => {
                         // Two toggles = two arrivals = two drive draws,
                         // exactly like the event backend's pair of
                         // perturbed drives.
                         let (j1, j2) = (jitter(), jitter());
-                        sched(heap, seq, now + n.pass_delay + j1, dest());
-                        sched(heap, seq, now + n.pass_delay + extra + j2, dest());
+                        sched(queue, seq, now + n.pass_delay + j1, dest());
+                        sched(queue, seq, now + n.pass_delay + extra + j2, dest());
                     }
                     TokenPassAction::Deliver => {
                         let j = jitter();
-                        sched(heap, seq, now + n.pass_delay + j, dest());
+                        sched(queue, seq, now + n.pass_delay + j, dest());
                     }
                 }
             }
@@ -1118,7 +1049,7 @@ impl<P: Plane> Group<P> {
                 sb: sbi as u32,
                 ena,
             };
-            sched(heap, seq, now, kind);
+            sched(queue, seq, now, kind);
         }
 
         // 8. The determinism trace rows were recorded at the tick.
@@ -1271,27 +1202,34 @@ impl<P: Plane> Group<P> {
                 logic,
             });
         }
-        let mut heap: Vec<&Ev<P::Col<u64>>> = self.heap.iter().map(|Reverse(ev)| ev).collect();
-        heap.sort_unstable_by_key(|ev| (ev.time, ev.seq));
-        let heap = heap
-            .into_iter()
-            .map(|ev| {
-                let (kind, a, b) = match &ev.kind {
-                    EvKind::Push { ch, words } => (0, *ch, words[slot]),
-                    EvKind::Pop { ch } => (1, *ch, 0),
-                    EvKind::Move { ch, stage } => (2, *ch, u64::from(*stage)),
-                    EvKind::Token { sb, node } => (3, *sb, u64::from(*node)),
-                    EvKind::Clken { sb, ena } => (4, *sb, u64::from(*ena)),
-                };
-                CompiledEvDump {
-                    time: ev.time,
-                    seq: ev.seq,
-                    kind,
-                    a,
-                    b,
+        // The format keeps clock events as per-SB slots and the rest as
+        // a `(time, seq)`-sorted list: the queue read earliest first.
+        let mut clk = vec![(SLOT_EMPTY, SLOT_EMPTY); self.sbs.len()];
+        let mut heap = Vec::with_capacity(self.queue.len());
+        for ev in self.queue.iter().rev() {
+            let (kind, a, b) = match &ev.kind {
+                EvKind::Phase { sb } => {
+                    clk[*sb as usize].0 = slot_key(ev.time, ev.seq);
+                    continue;
                 }
-            })
-            .collect();
+                EvKind::Edge { sb } => {
+                    clk[*sb as usize].1 = slot_key(ev.time, ev.seq);
+                    continue;
+                }
+                EvKind::Push { ch, words } => (0, *ch, words[slot]),
+                EvKind::Pop { ch } => (1, *ch, 0),
+                EvKind::Move { ch, stage } => (2, *ch, u64::from(*stage)),
+                EvKind::Token { sb, node } => (3, *sb, u64::from(*node)),
+                EvKind::Clken { sb, ena } => (4, *sb, u64::from(*ena)),
+            };
+            heap.push(CompiledEvDump {
+                time: ev.time,
+                seq: ev.seq,
+                kind,
+                a,
+                b,
+            });
+        }
         let (jitter, injector) = match self.chaos.as_deref() {
             Some(c) => c.snapshot_counters(),
             None => (None, None),
@@ -1300,7 +1238,7 @@ impl<P: Plane> Group<P> {
             now: self.now,
             seq: self.seq,
             events: self.events,
-            clk: self.clk.iter().map(|c| (c.phase, c.posedge)).collect(),
+            clk,
             heap,
             sbs,
             fifos: self
@@ -1496,7 +1434,7 @@ impl Group<Lanes> {
             .into_iter()
             .map(|c| deal(c, parts))
             .collect();
-        let heap = mem::take(&mut self.heap).into_vec();
+        let queue = mem::take(&mut self.queue);
 
         let mut groups: Vec<Group<Lanes>> = parts
             .iter()
@@ -1532,10 +1470,9 @@ impl Group<Lanes> {
                             underruns: f.underruns,
                         })
                         .collect(),
-                    clk: self.clk.clone(),
-                    heap: heap
+                    queue: queue
                         .iter()
-                        .map(|Reverse(ev)| {
+                        .map(|ev| {
                             let kind = match &ev.kind {
                                 EvKind::Push { ch, words } => EvKind::Push {
                                     ch: *ch,
@@ -1543,7 +1480,7 @@ impl Group<Lanes> {
                                 },
                                 other => other.clone(),
                             };
-                            Reverse(Ev { kind, ..*ev })
+                            Ev { kind, ..*ev }
                         })
                         .collect(),
                     now: self.now,
@@ -1571,7 +1508,7 @@ impl Group<Scalar> {
         Ok(Group::lower(std::slice::from_mut(&mut builder), One(0)))
     }
 
-    /// Runs until simulated time would exceed `deadline` or the heap
+    /// Runs until simulated time would exceed `deadline` or the queue
     /// drains. Mirrors `Simulator::run_until`, including processing
     /// events exactly at the deadline and advancing `now` to the
     /// deadline on quiescence.
@@ -1739,7 +1676,7 @@ impl Group<Scalar> {
 
     /// Restores this engine in place to the checkpointed state, reusing
     /// every existing allocation (trace rows, edge-time ring, FIFO
-    /// buffers, event heap). Equivalent to
+    /// buffers, pending queue). Equivalent to
     /// [`resume_decoded`](Self::resume_decoded) with this engine's own
     /// configuration, minus the lowering: a prefix-fork campaign keeps
     /// one engine per worker and rewinds it per variant instead of
@@ -1758,7 +1695,9 @@ impl Group<Scalar> {
     /// - [`CheckpointError::BackendMismatch`] for an event-backend
     ///   checkpoint.
     /// - [`CheckpointError::SpecMismatch`] when the configuration hash
-    ///   or any structural shape disagrees.
+    ///   or any structural shape disagrees, or when a pending event,
+    ///   FIFO move or occupancy bit names an SB, node, channel or stage
+    ///   this engine does not have.
     pub fn restore_decoded(
         &mut self,
         checkpoint: &DecodedCheckpoint,
@@ -1769,7 +1708,7 @@ impl Group<Scalar> {
         if self.hashes.0 != checkpoint.spec_hash()
             || dump.sbs.len() != self.sbs.len()
             || dump.fifos.len() != self.fifos.len()
-            || dump.clk.len() != self.clk.len()
+            || dump.clk.len() != self.sbs.len()
         {
             return Err(CheckpointError::SpecMismatch);
         }
@@ -1793,7 +1732,11 @@ impl Group<Scalar> {
             }
         }
         for (f, d) in self.fifos.iter_mut().zip(&dump.fifos) {
-            if d.words.len() != f.words.len() {
+            // Stage-advance attempts name a stage with one above it.
+            if d.words.len() != f.words.len()
+                || d.pending.iter().any(|&(_, stage)| stage >= f.depth - 1)
+                || (f.depth < 64 && d.occ >> f.depth != 0)
+            {
                 return Err(CheckpointError::SpecMismatch);
             }
             f.occ = d.occ;
@@ -1806,38 +1749,46 @@ impl Group<Scalar> {
             f.overruns = d.overruns;
             f.underruns = d.underruns;
         }
-        for (c, &(phase, posedge)) in self.clk.iter_mut().zip(&dump.clk) {
-            c.phase = phase;
-            c.posedge = posedge;
+        self.queue.clear();
+        for (sb, &(phase, edge)) in dump.clk.iter().enumerate() {
+            let sb = sb as u32;
+            for (key, kind) in [(phase, EvKind::Phase { sb }), (edge, EvKind::Edge { sb })] {
+                if key != SLOT_EMPTY {
+                    let (time, seq) = (SimTime::from_fs((key >> 64) as u64), key as u64);
+                    self.queue.push(Ev { time, seq, kind });
+                }
+            }
         }
-        self.heap.clear();
+        let (n_sbs, n_fifos) = (self.sbs.len() as u32, self.fifos.len() as u32);
         for ev in &dump.heap {
+            let (a, b) = (ev.a, ev.b);
             let kind = match ev.kind {
-                0 => EvKind::Push {
-                    ch: ev.a,
-                    words: One(ev.b),
+                0 if a < n_fifos => EvKind::Push {
+                    ch: a,
+                    words: One(b),
                 },
-                1 => EvKind::Pop { ch: ev.a },
-                2 => EvKind::Move {
-                    ch: ev.a,
-                    stage: ev.b as u32,
+                1 if a < n_fifos => EvKind::Pop { ch: a },
+                2 if a < n_fifos && b < u64::from(self.fifos[a as usize].depth - 1) => {
+                    EvKind::Move {
+                        ch: a,
+                        stage: b as u32,
+                    }
+                }
+                3 if a < n_sbs && b < self.sbs[a as usize].nodes.len() as u64 => EvKind::Token {
+                    sb: a,
+                    node: b as u32,
                 },
-                3 => EvKind::Token {
-                    sb: ev.a,
-                    node: ev.b as u32,
-                },
-                4 => EvKind::Clken {
-                    sb: ev.a,
-                    ena: ev.b != 0,
-                },
+                4 if a < n_sbs => EvKind::Clken { sb: a, ena: b != 0 },
                 _ => return Err(CheckpointError::SpecMismatch),
             };
-            self.heap.push(Reverse(Ev {
+            self.queue.push(Ev {
                 time: ev.time,
                 seq: ev.seq,
                 kind,
-            }));
+            });
         }
+        self.queue
+            .sort_unstable_by_key(|ev| std::cmp::Reverse((ev.time, ev.seq)));
         let restored = match self.chaos.as_deref_mut() {
             Some(c) => c.restore_counters(&dump.jitter, &dump.injector),
             None => dump.jitter.is_none() && dump.injector.is_none(),

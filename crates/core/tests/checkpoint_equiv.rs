@@ -280,6 +280,36 @@ fn corrupt_blob_is_rejected_not_resumed() {
     }
 }
 
+/// Indices inside a well-formed payload are checked against the engine
+/// before anything is restored: the blob below decodes cleanly, but
+/// its first pending event (a token toggle) names SB 99 of a 3-SB
+/// system. Resuming it must fail closed, not panic on the first run.
+#[test]
+fn resume_rejects_out_of_range_event_indices() {
+    let builder = || {
+        let mut b = SystemBuilder::new(e1_spec())
+            .expect("E1 spec is valid")
+            .with_trace_limit(100);
+        for i in 0..3 {
+            b = b.with_logic(SbId(i), MixerLogic::new(0x1000 * i as u64));
+        }
+        b
+    };
+    let mut sys = builder().build_backend(Backend::Compiled);
+    sys.run_until_cycles(20, MAX_TIME).unwrap();
+    let mut bytes = sys.checkpoint().unwrap().to_canonical_bytes();
+    // 46 header bytes; the payload's 3 clock-slot pairs end at 174, the
+    // heap length at 178; heap entry 0 is time(8) seq(8) tag(1) a(4).
+    assert_eq!(bytes[190], 3, "heap entry 0 is a token toggle");
+    assert!(u32::from_le_bytes(bytes[191..195].try_into().unwrap()) < 3);
+    bytes[191..195].copy_from_slice(&99u32.to_le_bytes());
+    let ckpt = Checkpoint::from_canonical_bytes(&bytes).expect("still well-formed");
+    assert_eq!(
+        AnySystem::resume(builder(), &ckpt).err(),
+        Some(CheckpointError::SpecMismatch)
+    );
+}
+
 // --- `run_until_cycles` after resume: edge cases (never hang) -----------
 
 #[test]

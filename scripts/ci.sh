@@ -33,11 +33,19 @@ fi
 echo "== one compiled engine source =="
 # The compiled engine (engine.rs) is the only typed-event engine in the
 # core crate; CompiledSystem and BatchedSystem are its two
-# instantiations, not two copies.
-engines=$(grep -rlF 'BinaryHeap<Reverse<' crates/core/src || true)
-if [[ $(grep -c . <<<"$engines") -gt 1 ]]; then
-    echo "typed-event heaps in more than one file (extend engine.rs instead):" >&2
-    echo "$engines" >&2
+# instantiations, not two copies. Its pending events live in one
+# time-ordered queue: no BinaryHeap beside it, and one insertion
+# function (`sched`).
+heaps=$(grep -rlF 'BinaryHeap' crates/core/src || true)
+if [[ -n "$heaps" ]]; then
+    echo "BinaryHeap in the core crate (schedule through engine.rs's queue):" >&2
+    echo "$heaps" >&2
+    exit 1
+fi
+queues=$(grep -rlE '\bfn sched\b' crates/core/src || true)
+if [[ $(grep -c . <<<"$queues") -gt 1 ]]; then
+    echo "pending-queue insertion defined in more than one file (extend engine.rs instead):" >&2
+    echo "$queues" >&2
     exit 1
 fi
 

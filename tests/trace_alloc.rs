@@ -1,18 +1,21 @@
-//! Allocation guard for I/O trace recording.
+//! Allocation guards for the compiled engine's hot path.
 //!
 //! Every engine records one trace row per SB per rising edge, on the
 //! innermost loop of every campaign. Rows land in the trace's flat
 //! columns, so once the columns have grown the steady state must not
-//! allocate per row. A counting global allocator checks that on the
-//! compiled engine.
+//! allocate per row. A whole E1 verdict run (the unit of the paper's
+//! 16,200-configuration campaign) must also stay within a small fixed
+//! allocation budget: lowering pre-sizes the pending-event queue, the
+//! edge-time log and the FIFO move queues. A counting global allocator
+//! checks both on the compiled engine.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use st_sim::prelude::*;
-use synchro_tokens::scenarios::build_pingpong_backend;
-use synchro_tokens::{Backend, SbId};
+use synchro_tokens::scenarios::{build_e1_backend, build_pingpong_backend, e1_spec};
+use synchro_tokens::{Backend, RunOutcome, SbId};
 
 /// Counts allocations made by threads that opted in.
 struct Counting;
@@ -82,5 +85,21 @@ fn compiled_recording_does_not_allocate_per_row() {
     assert!(
         allocs < sb_cycles / 4,
         "{allocs} allocations over {sb_cycles} recorded SB-cycles"
+    );
+}
+
+#[test]
+fn compiled_e1_verdict_run_allocates_a_fixed_handful() {
+    const CYCLES: u64 = 100;
+    let mut sys = build_e1_backend(e1_spec(), 0, CYCLES as usize, Backend::Compiled);
+    let allocs = allocations_in(|| {
+        let out = sys
+            .run_to_verdict(CYCLES, SimDuration::us(3000))
+            .expect("verdict run");
+        assert_eq!(out, RunOutcome::Reached);
+    });
+    assert!(
+        allocs <= 16,
+        "{allocs} allocations in one {CYCLES}-cycle E1 verdict run"
     );
 }
