@@ -1016,7 +1016,8 @@ pub(crate) fn decode_event_payload(bytes: &[u8]) -> Result<EventStateDump, Canon
 
 // --- compiled-backend payload --------------------------------------------
 
-/// One typed event off the compiled heap, flattened for serialization.
+/// One pending compiled-engine event other than a clock phase or rising
+/// edge (those are per-SB slots), flattened for serialization.
 /// `kind` tags: 0 Push, 1 Pop, 2 Move, 3 Token, 4 Clken.
 pub(crate) struct CompiledEvDump {
     pub time: SimTime,
@@ -1064,7 +1065,7 @@ pub(crate) struct CompiledStateDump {
     /// Per SB: (phase slot, posedge slot) packed `(time << 64) | seq`
     /// keys, `u128::MAX` when empty.
     pub clk: Vec<(u128, u128)>,
-    /// Heap events sorted by `(time, seq)`.
+    /// Every other pending event, sorted by `(time, seq)`.
     pub heap: Vec<CompiledEvDump>,
     pub sbs: Vec<CompiledSbDump>,
     pub fifos: Vec<CompiledFifoDump>,

@@ -22,7 +22,7 @@
 //! a heap. FIFO occupancy is a `u64`
 //! bitmask per channel (one bit per stage, which gates depth to ≤ 64),
 //! and on channels whose stage delay exceeds the bundled-data setup
-//! delay the internal move cascade never touches the heap at all: moves
+//! delay the internal move cascade never touches the queue at all: moves
 //! are queued in a per-channel buffer and drained lazily just before
 //! any push, pop or rising edge reads that FIFO. One iteration of the
 //! loop advances a whole clock phase segment instead of popping a chain
