@@ -157,7 +157,8 @@ pub struct Lanes;
 
 /// A typed event. `u32` indices keep the queue entry small beside the
 /// timestamp. Each SB has at most one `Phase` and one `Edge` pending at
-/// any time; the checkpoint format stores those two as per-SB slots.
+/// any time (see [`sched_edge`]); the checkpoint format stores those two
+/// as per-SB slots.
 #[derive(Debug, Clone)]
 enum EvKind<W> {
     /// SB `sb`'s clock reaches a phase boundary (rising or falling check).
@@ -211,6 +212,18 @@ fn sched<W>(queue: &mut Vec<Ev<W>>, seq: &mut u64, time: SimTime, kind: EvKind<W
         pos -= 1;
     }
     queue.insert(pos, Ev { time, seq: s, kind });
+}
+
+/// Queues SB `sb`'s rising edge at `time`. An SB has at most one rising
+/// edge in flight: clock jitter beyond a clock period can leave the
+/// previous one pending, and the new edge replaces it (`jittered` runs
+/// only; without jitter an edge lands before the next phase boundary).
+#[inline]
+fn sched_edge<W>(queue: &mut Vec<Ev<W>>, seq: &mut u64, time: SimTime, sb: u32, jittered: bool) {
+    if jittered {
+        queue.retain(|ev| !matches!(ev.kind, EvKind::Edge { sb: s } if s == sb));
+    }
+    sched(queue, seq, time, EvKind::Edge { sb });
 }
 
 /// When a data-handshake toggle sent at `now` arrives, `jitter` being
@@ -532,20 +545,28 @@ impl<P: Plane> Group<P> {
         let fifos: Vec<FifoState<P>> = spec
             .channels
             .iter()
-            .map(|ch| FifoState {
-                occ: 0,
-                words: (0..ch.fifo_depth)
-                    .map(|_| Column::from_fn(nl, |_| 0))
-                    .collect(),
-                depth: ch.fifo_depth as u32,
-                stage_delay: ch.stage_delay,
-                virtualized: ch.stage_delay > BUNDLE_DELAY,
-                // Two attempts per stage: the cascade rarely holds more.
-                pending: Vec::with_capacity(2 * ch.fifo_depth),
-                pushes: 0,
-                pops: 0,
-                overruns: 0,
-                underruns: 0,
+            .map(|ch| {
+                let virtualized = ch.stage_delay > BUNDLE_DELAY;
+                FifoState {
+                    occ: 0,
+                    words: (0..ch.fifo_depth)
+                        .map(|_| Column::from_fn(nl, |_| 0))
+                        .collect(),
+                    depth: ch.fifo_depth as u32,
+                    stage_delay: ch.stage_delay,
+                    virtualized,
+                    // Two attempts per stage: the cascade rarely holds more.
+                    // Only virtualized channels ever queue one.
+                    pending: if virtualized {
+                        Vec::with_capacity(2 * ch.fifo_depth)
+                    } else {
+                        Vec::new()
+                    },
+                    pushes: 0,
+                    pops: 0,
+                    overruns: 0,
+                    underruns: 0,
+                }
             })
             .collect();
 
@@ -624,7 +645,9 @@ impl<P: Plane> Group<P> {
                 dropped_words: 0,
                 timing_violations: 0,
                 last_edge: None,
-                edge_times: Vec::with_capacity(trace_limit),
+                // Pre-size for short traces only: the limit can be any
+                // caller-supplied value, far past the cycles that run.
+                edge_times: Vec::with_capacity(trace_limit.min(1024)),
                 edge_times_cap: if trace_limit == 0 {
                     1 << 20
                 } else {
@@ -742,7 +765,7 @@ impl<P: Plane> Group<P> {
             // The rising edge reaches the wrapper "one delta later":
             // the fresh seq puts it after every event already queued at
             // this instant, exactly like the kernel's zero-delay drive.
-            sched(queue, seq, now + j, EvKind::Edge { sb: id });
+            sched_edge(queue, seq, now + j, id, chaos.is_some());
             sched(queue, seq, now + sb.half, EvKind::Phase { sb: id });
         } else {
             // Synchronous stop: park with the clock low.
@@ -778,7 +801,7 @@ impl<P: Plane> Group<P> {
                 .as_deref_mut()
                 .map_or(SimDuration::ZERO, |c| c.clk_jitter(id));
             let at = now + sb.restart_delay;
-            sched(queue, seq, at + j, EvKind::Edge { sb: id });
+            sched_edge(queue, seq, at + j, id, chaos.is_some());
             sched(queue, seq, at + sb.half, EvKind::Phase { sb: id });
         }
     }

@@ -280,10 +280,52 @@ fn corrupt_blob_is_rejected_not_resumed() {
     }
 }
 
+/// One in-place edit of a compiled E1 checkpoint blob (see
+/// [`resume_rejects_out_of_range_event_indices`] for the layout).
+#[derive(Debug, Clone, Copy)]
+enum Patch {
+    /// Rewrite pending event 0 as `(tag, a, b)`.
+    Event(u8, u32, u64),
+    /// Set the last channel's occupancy bits.
+    Occ(u64),
+    /// Give the last channel one pending move of this stage.
+    Pending(u32),
+}
+
+fn apply(blob: &[u8], patch: Patch) -> Vec<u8> {
+    let mut bytes = blob.to_vec();
+    // The payload ends with the last channel's occupancy(8), words(4 +
+    // 4 * 8), move count(4) and moves(12 each), four u64 counters, and
+    // one byte each for the absent jitter and injector counters.
+    let end = bytes.len() - 2;
+    assert_eq!(bytes[end..], [0, 0], "no fault state");
+    assert_eq!(bytes[end - 36..end - 32], 0u32.to_le_bytes(), "no moves");
+    assert_eq!(bytes[end - 72..end - 68], 4u32.to_le_bytes(), "depth 4");
+    match patch {
+        Patch::Event(tag, a, b) => {
+            bytes[190] = tag;
+            bytes[191..195].copy_from_slice(&a.to_le_bytes());
+            bytes[195..203].copy_from_slice(&b.to_le_bytes());
+        }
+        Patch::Occ(occ) => bytes[end - 80..end - 72].copy_from_slice(&occ.to_le_bytes()),
+        Patch::Pending(stage) => {
+            bytes[end - 36..end - 32].copy_from_slice(&1u32.to_le_bytes());
+            let mv = [&u64::MAX.to_le_bytes()[..], &stage.to_le_bytes()].concat();
+            bytes.splice(end - 32..end - 32, mv);
+            let len = u64::from_le_bytes(bytes[38..46].try_into().unwrap()) + 12;
+            bytes[38..46].copy_from_slice(&len.to_le_bytes());
+        }
+    }
+    bytes
+}
+
 /// Indices inside a well-formed payload are checked against the engine
-/// before anything is restored: the blob below decodes cleanly, but
-/// its first pending event (a token toggle) names SB 99 of a 3-SB
-/// system. Resuming it must fail closed, not panic on the first run.
+/// before anything is restored. Each patch below leaves an E1 cycle-20
+/// blob decodable but names an SB, node, channel, stage or occupancy
+/// bit the 3-SB, 6-channel, depth-4 system lacks; resuming it must fail
+/// closed, not panic on the first run. The in-range patch of the same
+/// bytes beside each one must resume, so every rejection is the index
+/// check's and not a mis-aimed patch.
 #[test]
 fn resume_rejects_out_of_range_event_indices() {
     let builder = || {
@@ -297,17 +339,35 @@ fn resume_rejects_out_of_range_event_indices() {
     };
     let mut sys = builder().build_backend(Backend::Compiled);
     sys.run_until_cycles(20, MAX_TIME).unwrap();
-    let mut bytes = sys.checkpoint().unwrap().to_canonical_bytes();
-    // 46 header bytes; the payload's 3 clock-slot pairs end at 174, the
-    // heap length at 178; heap entry 0 is time(8) seq(8) tag(1) a(4).
-    assert_eq!(bytes[190], 3, "heap entry 0 is a token toggle");
-    assert!(u32::from_le_bytes(bytes[191..195].try_into().unwrap()) < 3);
-    bytes[191..195].copy_from_slice(&99u32.to_le_bytes());
-    let ckpt = Checkpoint::from_canonical_bytes(&bytes).expect("still well-formed");
-    assert_eq!(
-        AnySystem::resume(builder(), &ckpt).err(),
-        Some(CheckpointError::SpecMismatch)
-    );
+    let blob = sys.checkpoint().unwrap().to_canonical_bytes();
+    // 46 header bytes (payload length at 38..46); the payload's 3
+    // clock-slot pairs end at 170, the event count at 174. Event 0 is
+    // time(8) seq(8) tag(1) a(4) b(8): tag at 190, a at 191, b at 195.
+    assert_eq!(blob[190], 3, "event 0 is a token toggle");
+    assert!(u32::from_le_bytes(blob[191..195].try_into().unwrap()) < 3);
+    let node0 = u64::from_le_bytes(blob[195..203].try_into().unwrap());
+    // (out of range, in range): tags 0 Push, 1 Pop, 2 Move, 3 Token,
+    // 4 Clken. Each SB has two nodes.
+    let cases = [
+        (Patch::Event(3, 99, node0), Patch::Event(3, 2, node0)),
+        (Patch::Event(3, 0, 2), Patch::Event(3, 0, 1)),
+        (Patch::Event(0, 6, 7), Patch::Event(0, 5, 7)),
+        (Patch::Event(1, 6, 0), Patch::Event(1, 5, 0)),
+        (Patch::Event(2, 6, 0), Patch::Event(2, 5, 0)),
+        (Patch::Event(2, 5, 3), Patch::Event(2, 5, 2)),
+        (Patch::Event(4, 3, 1), Patch::Event(4, 2, 1)),
+        (Patch::Occ(1 << 4), Patch::Occ(1 << 3)),
+        (Patch::Pending(3), Patch::Pending(2)),
+    ];
+    for (bad, good) in cases {
+        let resume = |patch| {
+            let ckpt =
+                Checkpoint::from_canonical_bytes(&apply(&blob, patch)).expect("still well-formed");
+            AnySystem::resume(builder(), &ckpt).err()
+        };
+        assert_eq!(resume(bad), Some(CheckpointError::SpecMismatch), "{bad:?}");
+        assert_eq!(resume(good), None, "{good:?}");
+    }
 }
 
 // --- `run_until_cycles` after resume: edge cases (never hang) -----------
@@ -659,4 +719,70 @@ fn chaos_pingpong_checkpoint_bytes_are_pinned() {
         got, 0xc26e_b538_2a14_29a1,
         "chaos checkpoint bytes moved: {got:#018x}"
     );
+}
+
+/// Clock jitter beyond a clock period can fire an SB's next rising
+/// edge while the previous one is still in flight. The engine keeps one
+/// rising edge per SB in flight (the new one replaces it), which the
+/// pinned end states below lock. The checkpoint format's one edge slot
+/// per SB then holds every pending edge, so a checkpoint taken at any
+/// point resumes exactly like the run it was taken from.
+#[test]
+fn jitter_past_a_clock_period_keeps_one_pending_edge_per_sb() {
+    let spec = pingpong_spec();
+    // (jitter ns, end time ns, cycles per SB, trace digests per SB)
+    let pins = [
+        (
+            15,
+            1200,
+            [78, 74],
+            [0x2847_b8c6_dfa4_13f7, 0x70b7_7e43_fa57_8d72],
+        ),
+        (
+            35,
+            2400,
+            [65, 60],
+            [0x2847_b8c6_dfa4_13f7, 0x6e4b_776c_50d1_4bfe],
+        ),
+    ];
+    for (jitter, end, cycles, digests) in pins {
+        let plan = FaultPlan {
+            seed: 3,
+            analog: AnalogFault {
+                clock_jitter: SimDuration::ns(jitter),
+                ..AnalogFault::default()
+            },
+            protocol: Vec::new(),
+            seu: Vec::new(),
+        };
+        let build = || make_builder(&spec, 64, Some(&plan));
+        let mut sys = build().build_backend(Backend::Compiled);
+        sys.run_until_cycles(60, MAX_TIME).unwrap();
+        let end_state = observe(&sys);
+        assert_eq!(
+            end_state.now,
+            SimTime::ZERO + SimDuration::ns(end),
+            "{jitter} ns"
+        );
+        assert_eq!(end_state.cycles, cycles, "{jitter} ns");
+        assert_eq!(end_state.digests, digests, "{jitter} ns");
+        let stepped = |steps| {
+            let mut sys = build().build_backend(Backend::Compiled);
+            for _ in 0..steps {
+                sys.run_for(SimDuration::ps(9999)).unwrap();
+            }
+            sys
+        };
+        for steps in 1..=40 {
+            let ckpt = stepped(steps).checkpoint().unwrap();
+            let mut resumed = AnySystem::resume(build(), &ckpt).unwrap();
+            let mut reference = stepped(steps);
+            resumed.run_until_cycles(60, MAX_TIME).unwrap();
+            reference.run_until_cycles(60, MAX_TIME).unwrap();
+            assert!(
+                observe(&resumed) == observe(&reference),
+                "{jitter} ns jitter, resumed after {steps} steps"
+            );
+        }
+    }
 }

@@ -6,12 +6,13 @@
 //! allocate per row. A whole E1 verdict run (the unit of the paper's
 //! 16,200-configuration campaign) must also stay within a small fixed
 //! allocation budget: lowering pre-sizes the pending-event queue, the
-//! edge-time log and the FIFO move queues. A counting global allocator
-//! checks both on the compiled engine.
+//! edge-time log and the FIFO move queues. Those reservations must not
+//! scale with the trace limit, which callers may set far past the
+//! cycles that run. A counting global allocator checks all three on the
+//! compiled engine.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use st_sim::prelude::*;
 use synchro_tokens::scenarios::{build_e1_backend, build_pingpong_backend, e1_spec};
@@ -20,31 +21,33 @@ use synchro_tokens::{Backend, RunOutcome, SbId};
 /// Counts allocations made by threads that opted in.
 struct Counting;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// `(allocations, bytes)` while this thread counts; the tests run
+    /// on parallel threads, so each counts only its own.
+    static COUNT: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
 }
 
-fn count() {
-    if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-    }
+fn count(bytes: usize) {
+    let _ = COUNT.try_with(|c| {
+        if let Some((n, b)) = c.get() {
+            c.set(Some((n + 1, b + bytes as u64)));
+        }
+    });
 }
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -56,13 +59,16 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Allocations and bytes requested by this thread while running `f`.
+fn measure(f: impl FnOnce()) -> (u64, u64) {
+    COUNT.with(|c| c.set(Some((0, 0))));
+    f();
+    COUNT.with(|c| c.take()).expect("counting")
+}
+
 /// Allocations made by this thread while running `f`.
 fn allocations_in(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    COUNTING.with(|c| c.set(true));
-    f();
-    COUNTING.with(|c| c.set(false));
-    ALLOCS.load(Ordering::Relaxed) - before
+    measure(f).0
 }
 
 #[test]
@@ -102,4 +108,28 @@ fn compiled_e1_verdict_run_allocates_a_fixed_handful() {
         allocs <= 16,
         "{allocs} allocations in one {CYCLES}-cycle E1 verdict run"
     );
+}
+
+#[test]
+fn lowering_reserves_nothing_for_a_huge_trace_limit() {
+    // st-serve accepts any u32 `trace_cycles`; lowering must not reserve
+    // trace memory for cycles that never run (at 8 bytes per edge time,
+    // this limit would ask for ~34 GB per SB).
+    let spec = e1_spec();
+    let mut sys = None;
+    let (_, bytes) = measure(|| {
+        sys = Some(build_e1_backend(
+            spec,
+            0,
+            u32::MAX as usize,
+            Backend::Compiled,
+        ));
+    });
+    assert!(bytes < 1 << 20, "lowering requested {bytes} bytes");
+    let mut sys = sys.unwrap();
+    let out = sys
+        .run_until_cycles(20, SimDuration::us(3000))
+        .expect("runs");
+    assert_eq!(out, RunOutcome::Reached);
+    assert!(sys.io_trace(SbId(0)).len() >= 20);
 }
