@@ -643,21 +643,67 @@ fn blob_hash(ckpt: &Checkpoint) -> u64 {
     fnv1a64(&ckpt.to_canonical_bytes())
 }
 
-/// E1 compiled checkpoints at cycles 20 and 60 (100-cycle trace, the
-/// campaign's nominal configuration).
+/// E1 checkpoints at cycles 20 and 60 (100-cycle trace, the campaign's
+/// nominal configuration), on each backend.
 #[test]
 fn e1_compiled_checkpoint_bytes_are_pinned() {
-    let mut sys = build_e1_backend(e1_spec(), 0, 100, Backend::Compiled);
-    assert_eq!(sys.backend_kind(), BackendKind::Compiled);
-    sys.run_until_cycles(20, MAX_TIME).unwrap();
-    let at20 = blob_hash(&sys.checkpoint().unwrap());
-    sys.run_until_cycles(60, MAX_TIME).unwrap();
-    let at60 = blob_hash(&sys.checkpoint().unwrap());
-    assert_eq!(
-        (at20, at60),
-        (0x1e75_7c6a_957d_c737, 0xba60_77ae_ceb9_7082),
-        "E1 checkpoint bytes moved: {at20:#018x} {at60:#018x}"
-    );
+    let pins = [
+        (
+            Backend::Compiled,
+            BackendKind::Compiled,
+            (0x1e75_7c6a_957d_c737, 0xba60_77ae_ceb9_7082),
+        ),
+        (
+            Backend::Event,
+            BackendKind::Event,
+            (0xc4ab_5fe7_dd74_3080, 0xd6a5_1be8_585b_d072),
+        ),
+    ];
+    for (backend, kind, want) in pins {
+        let mut sys = build_e1_backend(e1_spec(), 0, 100, backend);
+        assert_eq!(sys.backend_kind(), kind);
+        sys.run_until_cycles(20, MAX_TIME).unwrap();
+        let at20 = blob_hash(&sys.checkpoint().unwrap());
+        sys.run_until_cycles(60, MAX_TIME).unwrap();
+        let at60 = blob_hash(&sys.checkpoint().unwrap());
+        assert_eq!(
+            (at20, at60),
+            want,
+            "{kind:?} E1 checkpoint bytes moved: {at20:#018x} {at60:#018x}"
+        );
+    }
+}
+
+/// A protocol-fault ping-pong checkpointed at cycles 10, 30 and 50 on
+/// each backend, all blobs hashed together: the only pin whose blobs
+/// carry the fault injector's occurrence counters.
+#[test]
+fn protocol_pingpong_checkpoint_bytes_are_pinned() {
+    let spec = pingpong_spec();
+    let plan = FaultPlan::generate(FaultClass::Protocol, &spec, 5);
+    assert!(!plan.protocol.is_empty(), "the plan must inject");
+    let pins = [
+        (
+            Backend::Compiled,
+            BackendKind::Compiled,
+            0x6aab_dd23_ef75_d68a,
+        ),
+        (Backend::Event, BackendKind::Event, 0x4243_12ff_b491_fe4e),
+    ];
+    for (backend, kind, want) in pins {
+        let mut sys = make_builder(&spec, 64, Some(&plan)).build_backend(backend);
+        assert_eq!(sys.backend_kind(), kind);
+        let mut blobs = Vec::new();
+        for cycle in [10, 30, 50] {
+            sys.run_until_cycles(cycle, MAX_TIME).unwrap();
+            blobs.extend(sys.checkpoint().unwrap().to_canonical_bytes());
+        }
+        let got = fnv1a64(&blobs);
+        assert_eq!(
+            got, want,
+            "{kind:?} protocol checkpoint bytes moved: {got:#018x}"
+        );
+    }
 }
 
 /// Every lane of a batch checkpointed after an SEU flip split its group.
