@@ -38,6 +38,14 @@
 //! ladders, fault-injection occurrence counters, and each SB's logic
 //! state via [`SyncLogic::save_state`](crate::logic::SyncLogic::save_state).
 //!
+//! Each payload record's layout is its `canon_record!` field list below,
+//! in wire order, read and written through the one shared codec
+//! (`canon.rs`: fixed-width little-endian integers, `u32`-length
+//! vectors, `0`/`1`-tagged options, traces as length-prefixed STIO
+//! bytes). Only the node parameters, node phase, kernel event and
+//! compiled event, which carry tags or decode-time clamps, are written
+//! out by hand.
+//!
 //! # Content hashing
 //!
 //! [`Checkpoint::content_hash`] uses the same double-FNV/mix64
@@ -54,9 +62,10 @@
 //! metastable sample) and observed builds refuse with
 //! [`CheckpointError::Unsupported`].
 
+use crate::canon::{self, canon_record, Canon, Dec, Enc};
 use crate::faults::{AnalogFault, Fault, FaultPlan, SeuTarget};
 use crate::iotrace::{CanonError, SbIoTrace};
-use crate::node::NodeFsmSnapshot;
+use crate::node::{NodeFsmSnapshot, NodePhase};
 use crate::spec::{NodeParams, SystemSpec};
 use crate::wrapper::WrapperSnapshot;
 use st_channel::FifoSnapshot;
@@ -74,224 +83,6 @@ const VERSION: u8 = 1;
 /// The content key and hex form shared with `st-serve`'s result store,
 /// so checkpoints and traces share one cache key scheme.
 pub use st_sim::hash::{content_key16, key_hex};
-
-// --- encoder / decoder ---------------------------------------------------
-
-/// Byte-writer for the canonical encoding (all integers little-endian).
-#[derive(Debug, Default)]
-pub(crate) struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    pub fn new() -> Self {
-        Enc { buf: Vec::new() }
-    }
-
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub fn bool(&mut self, v: bool) {
-        self.buf.push(u8::from(v));
-    }
-
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn bytes(&mut self, b: &[u8]) {
-        self.u32(b.len() as u32);
-        self.buf.extend_from_slice(b);
-    }
-
-    pub fn time(&mut self, t: SimTime) {
-        self.u64(t.as_fs());
-    }
-
-    pub fn dur(&mut self, d: SimDuration) {
-        self.u64(d.as_fs());
-    }
-
-    pub fn opt_time(&mut self, t: Option<SimTime>) {
-        match t {
-            None => self.u8(0),
-            Some(t) => {
-                self.u8(1);
-                self.time(t);
-            }
-        }
-    }
-
-    pub fn bit(&mut self, b: Bit) {
-        self.u8(match b {
-            Bit::Zero => 0,
-            Bit::One => 1,
-            Bit::X => 2,
-        });
-    }
-
-    pub fn value(&mut self, v: &Value) {
-        match v {
-            Value::Bit(b) => self.bit(*b),
-            Value::Word(w) => {
-                self.u8(3);
-                self.u64(*w);
-            }
-            Value::WordX => self.u8(4),
-        }
-    }
-
-    pub fn u64s(&mut self, vs: &[u64]) {
-        self.u32(vs.len() as u32);
-        for &v in vs {
-            self.u64(v);
-        }
-    }
-
-    pub fn times(&mut self, ts: &[SimTime]) {
-        self.u32(ts.len() as u32);
-        for &t in ts {
-            self.time(t);
-        }
-    }
-
-    pub fn bools(&mut self, bs: &[bool]) {
-        self.u32(bs.len() as u32);
-        for &b in bs {
-            self.bool(b);
-        }
-    }
-}
-
-/// Byte-reader for the canonical encoding (mirrors `iotrace`'s reader,
-/// reusing its [`CanonError`] vocabulary).
-pub(crate) struct Dec<'a> {
-    bytes: &'a [u8],
-}
-
-impl<'a> Dec<'a> {
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Dec { bytes }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CanonError> {
-        if self.bytes.len() < n {
-            return Err(CanonError::Truncated);
-        }
-        let (head, rest) = self.bytes.split_at(n);
-        self.bytes = rest;
-        Ok(head)
-    }
-
-    pub fn finish(self) -> Result<(), CanonError> {
-        if self.bytes.is_empty() {
-            Ok(())
-        } else {
-            Err(CanonError::TrailingBytes(self.bytes.len()))
-        }
-    }
-
-    pub fn u8(&mut self) -> Result<u8, CanonError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub fn bool(&mut self) -> Result<bool, CanonError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            t => Err(CanonError::BadTag(t)),
-        }
-    }
-
-    pub fn u32(&mut self) -> Result<u32, CanonError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub fn u64(&mut self) -> Result<u64, CanonError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub fn u128(&mut self) -> Result<u128, CanonError> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
-    }
-
-    pub fn bytes(&mut self) -> Result<&'a [u8], CanonError> {
-        let n = self.u32()? as usize;
-        self.take(n)
-    }
-
-    pub fn time(&mut self) -> Result<SimTime, CanonError> {
-        Ok(SimTime::from_fs(self.u64()?))
-    }
-
-    pub fn opt_time(&mut self) -> Result<Option<SimTime>, CanonError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.time()?)),
-            t => Err(CanonError::BadTag(t)),
-        }
-    }
-
-    pub fn bit(&mut self) -> Result<Bit, CanonError> {
-        match self.u8()? {
-            0 => Ok(Bit::Zero),
-            1 => Ok(Bit::One),
-            2 => Ok(Bit::X),
-            t => Err(CanonError::BadTag(t)),
-        }
-    }
-
-    pub fn value(&mut self) -> Result<Value, CanonError> {
-        match self.u8()? {
-            0 => Ok(Value::Bit(Bit::Zero)),
-            1 => Ok(Value::Bit(Bit::One)),
-            2 => Ok(Value::Bit(Bit::X)),
-            3 => Ok(Value::Word(self.u64()?)),
-            4 => Ok(Value::WordX),
-            t => Err(CanonError::BadTag(t)),
-        }
-    }
-
-    pub fn u64s(&mut self) -> Result<Vec<u64>, CanonError> {
-        let n = self.u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            out.push(self.u64()?);
-        }
-        Ok(out)
-    }
-
-    pub fn times(&mut self) -> Result<Vec<SimTime>, CanonError> {
-        let n = self.u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            out.push(self.time()?);
-        }
-        Ok(out)
-    }
-
-    pub fn bools(&mut self) -> Result<Vec<bool>, CanonError> {
-        let n = self.u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            out.push(self.bool()?);
-        }
-        Ok(out)
-    }
-}
 
 // --- public types --------------------------------------------------------
 
@@ -430,15 +221,15 @@ impl Checkpoint {
     /// The canonical serialized form. Byte-stable: serializing,
     /// deserializing and serializing again yields identical bytes.
     pub fn to_canonical_bytes(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.buf.extend_from_slice(&MAGIC);
+        let mut e = Enc::default();
+        e.raw(&MAGIC);
         e.u8(VERSION);
         e.u8(self.backend.tag());
-        e.buf.extend_from_slice(&self.spec_hash);
+        e.raw(&self.spec_hash);
         e.u64(self.cycle);
-        e.time(self.now);
+        self.now.put(&mut e);
         e.u64(self.payload.len() as u64);
-        e.buf.extend_from_slice(&self.payload);
+        e.raw(&self.payload);
         e.into_bytes()
     }
 
@@ -452,15 +243,15 @@ impl Checkpoint {
         if d.take(4)? != MAGIC {
             return Err(CanonError::BadMagic);
         }
-        let version = d.u8()?;
+        let version = u8::get(&mut d)?;
         if version != VERSION {
             return Err(CanonError::BadVersion(version));
         }
-        let backend = CheckpointBackend::from_tag(d.u8()?)?;
+        let backend = CheckpointBackend::from_tag(u8::get(&mut d)?)?;
         let spec_hash: [u8; 16] = d.take(16)?.try_into().unwrap();
-        let cycle = d.u64()?;
-        let now = d.time()?;
-        let payload_len = d.u64()? as usize;
+        let cycle = u64::get(&mut d)?;
+        let now = SimTime::get(&mut d)?;
+        let payload_len = usize::get(&mut d)?;
         let payload = d.take(payload_len)?.to_vec();
         d.finish()?;
         Ok(Checkpoint {
@@ -500,14 +291,12 @@ impl Checkpoint {
     pub fn decode(&self) -> Result<DecodedCheckpoint, CheckpointError> {
         let state = match self.backend {
             CheckpointBackend::Event => {
-                let mut dump = decode_event_payload(&self.payload)?;
+                let mut dump: EventStateDump = canon::decode(&self.payload)?;
                 // The kernel snapshot carries its `now` in the header.
                 dump.kernel.now = self.now;
                 DecodedState::Event(dump)
             }
-            CheckpointBackend::Compiled => {
-                DecodedState::Compiled(decode_compiled_payload(&self.payload)?)
-            }
+            CheckpointBackend::Compiled => DecodedState::Compiled(canon::decode(&self.payload)?),
         };
         Ok(DecodedCheckpoint {
             backend: self.backend,
@@ -567,11 +356,6 @@ impl fmt::Debug for DecodedCheckpoint {
 }
 
 // --- configuration hashing -----------------------------------------------
-
-fn encode_node_params(e: &mut Enc, p: NodeParams) {
-    e.u32(p.hold);
-    e.u32(p.recycle);
-}
 
 fn encode_fault_plan(e: &mut Enc, plan: &FaultPlan) {
     e.u64(plan.seed);
@@ -674,7 +458,7 @@ pub fn encode_config(
     trace_limit: usize,
     faults: Option<&FaultPlan>,
 ) -> Vec<u8> {
-    let mut e = Enc::new();
+    let mut e = Enc::default();
     e.u32(spec.sbs.len() as u32);
     for sb in &spec.sbs {
         e.bytes(sb.name.as_bytes());
@@ -685,17 +469,11 @@ pub fn encode_config(
     for r in &spec.rings {
         e.u32(r.holder.0 as u32);
         e.u32(r.peer.0 as u32);
-        encode_node_params(&mut e, r.holder_node);
-        encode_node_params(&mut e, r.peer_node);
+        r.holder_node.put(&mut e);
+        r.peer_node.put(&mut e);
         e.dur(r.delay_fwd);
         e.dur(r.delay_back);
-        match r.peer_initial_recycle {
-            None => e.u8(0),
-            Some(v) => {
-                e.u8(1);
-                e.u32(v);
-            }
-        }
+        r.peer_initial_recycle.put(&mut e);
     }
     e.u32(spec.channels.len() as u32);
     for c in &spec.channels {
@@ -728,15 +506,133 @@ pub fn config_hash(
     content_key16(&encode_config(spec, seed, trace_limit, faults))
 }
 
-// --- event-backend payload -----------------------------------------------
+// --- payload records (see "Format" above) --------------------------------
+
+impl Canon for NodeParams {
+    fn put(&self, e: &mut Enc) {
+        e.u32(self.hold);
+        e.u32(self.recycle);
+    }
+
+    fn get(d: &mut Dec<'_>) -> Result<Self, CanonError> {
+        // A zero register would panic `NodeParams::new`; clamp instead,
+        // and let the restore-time shape checks refuse the blob.
+        Ok(NodeParams::new(u32::get(d)?.max(1), u32::get(d)?.max(1)))
+    }
+}
+
+impl Canon for NodePhase {
+    fn put(&self, e: &mut Enc) {
+        e.u8(match self {
+            NodePhase::Holding => 0,
+            NodePhase::Recycling => 1,
+            NodePhase::Stopped => 2,
+        });
+    }
+
+    fn get(d: &mut Dec<'_>) -> Result<Self, CanonError> {
+        match u8::get(d)? {
+            0 => Ok(NodePhase::Holding),
+            1 => Ok(NodePhase::Recycling),
+            2 => Ok(NodePhase::Stopped),
+            t => Err(CanonError::BadTag(t)),
+        }
+    }
+}
+
+canon_record!(NodeFsmSnapshot {
+    params,
+    phase,
+    hold_ctr,
+    recycle_ctr,
+    has_token,
+    hold_indefinitely,
+    passes,
+    stops,
+    early_tokens,
+});
+
+/// `time | seq | tag | operands`, tag `0` Drive (`sig: u32`, value) or
+/// `1` Timer (`comp: u32`, `tag: u64`).
+impl Canon for KernelEvent {
+    fn put(&self, e: &mut Enc) {
+        self.time.put(e);
+        e.u64(self.seq);
+        match self.kind {
+            KernelEventKind::Drive { sig, value } => {
+                e.u8(0);
+                e.u32(sig.as_raw());
+                value.put(e);
+            }
+            KernelEventKind::Timer { comp, tag } => {
+                e.u8(1);
+                e.u32(comp.as_raw());
+                e.u64(tag);
+            }
+        }
+    }
+
+    fn get(d: &mut Dec<'_>) -> Result<Self, CanonError> {
+        let time = SimTime::get(d)?;
+        let seq = u64::get(d)?;
+        let kind = match u8::get(d)? {
+            0 => KernelEventKind::Drive {
+                sig: SignalId::from_raw(u32::get(d)?),
+                value: Value::get(d)?,
+            },
+            1 => KernelEventKind::Timer {
+                comp: ComponentId::from_raw(u32::get(d)?),
+                tag: u64::get(d)?,
+            },
+            t => return Err(CanonError::BadTag(t)),
+        };
+        Ok(KernelEvent { time, seq, kind })
+    }
+}
+
+// `now` travels in the checkpoint header, not the payload.
+canon_record!(KernelSnapshot {
+    started,
+    next_seq,
+    scheduled_total,
+    events_fired,
+    wakes,
+    signals,
+    events,
+    delay_model;
+    now: SimTime::ZERO
+});
+
+canon_record!(WrapperSnapshot {
+    prev_clk,
+    cycle,
+    dropped_words,
+    metastable_samples,
+    timing_violations,
+    last_edge,
+    edge_times,
+    trace,
+    nodes,
+    input_ack_parity,
+    output_req_parity,
+    logic,
+});
+
+canon_record!(FifoSnapshot {
+    stages,
+    pushes,
+    pops,
+    max_occupancy,
+    overruns,
+    underruns,
+});
 
 /// Protocol fault-injector occurrence counters `(token, push, ack)`,
 /// when an injector is installed.
 pub(crate) type InjectorDump = Option<(Vec<u64>, Vec<u64>, Vec<u64>)>;
 
 /// Everything the event backend needs to freeze: kernel, wrappers,
-/// clocks, FIFOs, injector. Gathered by `System::checkpoint`, encoded
-/// here.
+/// clocks, FIFOs, injector. Gathered by `System::checkpoint`.
 pub(crate) struct EventStateDump {
     pub kernel: KernelSnapshot,
     pub wrappers: Vec<WrapperSnapshot>,
@@ -747,274 +643,13 @@ pub(crate) struct EventStateDump {
     pub injector: InjectorDump,
 }
 
-fn encode_node_fsm(e: &mut Enc, n: &NodeFsmSnapshot) {
-    encode_node_params(e, n.params);
-    e.u8(match n.phase {
-        crate::node::NodePhase::Holding => 0,
-        crate::node::NodePhase::Recycling => 1,
-        crate::node::NodePhase::Stopped => 2,
-    });
-    e.u32(n.hold_ctr);
-    e.u32(n.recycle_ctr);
-    e.bool(n.has_token);
-    e.bool(n.hold_indefinitely);
-    e.u64(n.passes);
-    e.u64(n.stops);
-    e.u64(n.early_tokens);
-}
-
-fn decode_node_fsm(d: &mut Dec<'_>) -> Result<NodeFsmSnapshot, CanonError> {
-    let params = NodeParams::new(d.u32()?.max(1), d.u32()?.max(1));
-    let phase = match d.u8()? {
-        0 => crate::node::NodePhase::Holding,
-        1 => crate::node::NodePhase::Recycling,
-        2 => crate::node::NodePhase::Stopped,
-        t => return Err(CanonError::BadTag(t)),
-    };
-    Ok(NodeFsmSnapshot {
-        params,
-        phase,
-        hold_ctr: d.u32()?,
-        recycle_ctr: d.u32()?,
-        has_token: d.bool()?,
-        hold_indefinitely: d.bool()?,
-        passes: d.u64()?,
-        stops: d.u64()?,
-        early_tokens: d.u64()?,
-    })
-}
-
-fn encode_trace(e: &mut Enc, t: &SbIoTrace) {
-    e.bytes(&t.to_canonical_bytes());
-}
-
-fn decode_trace(d: &mut Dec<'_>) -> Result<SbIoTrace, CanonError> {
-    SbIoTrace::from_canonical_bytes(d.bytes()?)
-}
-
-fn encode_injector(e: &mut Enc, injector: &InjectorDump) {
-    match injector {
-        None => e.u8(0),
-        Some((tok, push, ack)) => {
-            e.u8(1);
-            e.u64s(tok);
-            e.u64s(push);
-            e.u64s(ack);
-        }
-    }
-}
-
-fn decode_injector(d: &mut Dec<'_>) -> Result<InjectorDump, CanonError> {
-    match d.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some((d.u64s()?, d.u64s()?, d.u64s()?))),
-        t => Err(CanonError::BadTag(t)),
-    }
-}
-
-pub(crate) fn encode_event_payload(dump: &EventStateDump) -> Vec<u8> {
-    let mut e = Enc::new();
-    // Kernel.
-    e.bool(dump.kernel.started);
-    e.u64(dump.kernel.next_seq);
-    e.u64(dump.kernel.scheduled_total);
-    e.u64(dump.kernel.events_fired);
-    e.u64(dump.kernel.wakes);
-    e.u32(dump.kernel.signals.len() as u32);
-    for v in &dump.kernel.signals {
-        e.value(v);
-    }
-    e.u32(dump.kernel.events.len() as u32);
-    for ev in &dump.kernel.events {
-        e.time(ev.time);
-        e.u64(ev.seq);
-        match ev.kind {
-            KernelEventKind::Drive { sig, value } => {
-                e.u8(0);
-                e.u32(sig.as_raw());
-                e.value(&value);
-            }
-            KernelEventKind::Timer { comp, tag } => {
-                e.u8(1);
-                e.u32(comp.as_raw());
-                e.u64(tag);
-            }
-        }
-    }
-    e.bytes(&dump.kernel.delay_model);
-    // Wrappers.
-    e.u32(dump.wrappers.len() as u32);
-    for w in &dump.wrappers {
-        e.bit(w.prev_clk);
-        e.u64(w.cycle);
-        e.u64(w.dropped_words);
-        e.u64(w.metastable_samples);
-        e.u64(w.timing_violations);
-        e.opt_time(w.last_edge);
-        e.times(&w.edge_times);
-        encode_trace(&mut e, &w.trace);
-        e.u32(w.nodes.len() as u32);
-        for (fsm, prev_tok, parity) in &w.nodes {
-            encode_node_fsm(&mut e, fsm);
-            e.bit(*prev_tok);
-            e.bool(*parity);
-        }
-        e.bools(&w.input_ack_parity);
-        e.bools(&w.output_req_parity);
-        e.bytes(&w.logic);
-    }
-    // Clocks.
-    e.u32(dump.clocks.len() as u32);
-    for &(parked, edges, stops) in &dump.clocks {
-        e.bool(parked);
-        e.u64(edges);
-        e.u64(stops);
-    }
-    // FIFOs.
-    e.u32(dump.fifos.len() as u32);
-    for f in &dump.fifos {
-        e.u32(f.stages.len() as u32);
-        for s in &f.stages {
-            match s {
-                None => e.u8(0),
-                Some(w) => {
-                    e.u8(1);
-                    e.u64(*w);
-                }
-            }
-        }
-        e.u64(f.pushes);
-        e.u64(f.pops);
-        e.u64(f.max_occupancy as u64);
-        e.u64(f.overruns);
-        e.u64(f.underruns);
-    }
-    encode_injector(&mut e, &dump.injector);
-    e.into_bytes()
-}
-
-pub(crate) fn decode_event_payload(bytes: &[u8]) -> Result<EventStateDump, CanonError> {
-    let mut d = Dec::new(bytes);
-    let started = d.bool()?;
-    let next_seq = d.u64()?;
-    let scheduled_total = d.u64()?;
-    let events_fired = d.u64()?;
-    let wakes = d.u64()?;
-    let n_sigs = d.u32()? as usize;
-    let mut signals = Vec::with_capacity(n_sigs.min(1 << 16));
-    for _ in 0..n_sigs {
-        signals.push(d.value()?);
-    }
-    let n_evs = d.u32()? as usize;
-    let mut events = Vec::with_capacity(n_evs.min(1 << 16));
-    for _ in 0..n_evs {
-        let time = d.time()?;
-        let seq = d.u64()?;
-        let kind = match d.u8()? {
-            0 => KernelEventKind::Drive {
-                sig: SignalId::from_raw(d.u32()?),
-                value: d.value()?,
-            },
-            1 => KernelEventKind::Timer {
-                comp: ComponentId::from_raw(d.u32()?),
-                tag: d.u64()?,
-            },
-            t => return Err(CanonError::BadTag(t)),
-        };
-        events.push(KernelEvent { time, seq, kind });
-    }
-    let delay_model = d.bytes()?.to_vec();
-    let kernel = KernelSnapshot {
-        now: SimTime::ZERO, // overwritten below from the header by the caller
-        started,
-        next_seq,
-        scheduled_total,
-        events_fired,
-        wakes,
-        signals,
-        events,
-        delay_model,
-    };
-    let n_wrappers = d.u32()? as usize;
-    let mut wrappers = Vec::with_capacity(n_wrappers.min(1 << 12));
-    for _ in 0..n_wrappers {
-        let prev_clk = d.bit()?;
-        let cycle = d.u64()?;
-        let dropped_words = d.u64()?;
-        let metastable_samples = d.u64()?;
-        let timing_violations = d.u64()?;
-        let last_edge = d.opt_time()?;
-        let edge_times = d.times()?;
-        let trace = decode_trace(&mut d)?;
-        let n_nodes = d.u32()? as usize;
-        let mut nodes = Vec::with_capacity(n_nodes.min(1 << 8));
-        for _ in 0..n_nodes {
-            let fsm = decode_node_fsm(&mut d)?;
-            let prev_tok = d.bit()?;
-            let parity = d.bool()?;
-            nodes.push((fsm, prev_tok, parity));
-        }
-        let input_ack_parity = d.bools()?;
-        let output_req_parity = d.bools()?;
-        let logic = d.bytes()?.to_vec();
-        wrappers.push(WrapperSnapshot {
-            prev_clk,
-            cycle,
-            trace,
-            dropped_words,
-            metastable_samples,
-            last_edge,
-            timing_violations,
-            edge_times,
-            nodes,
-            input_ack_parity,
-            output_req_parity,
-            logic,
-        });
-    }
-    let n_clocks = d.u32()? as usize;
-    let mut clocks = Vec::with_capacity(n_clocks.min(1 << 12));
-    for _ in 0..n_clocks {
-        clocks.push((d.bool()?, d.u64()?, d.u64()?));
-    }
-    let n_fifos = d.u32()? as usize;
-    let mut fifos = Vec::with_capacity(n_fifos.min(1 << 12));
-    for _ in 0..n_fifos {
-        let n_stages = d.u32()? as usize;
-        let mut stages = Vec::with_capacity(n_stages.min(1 << 8));
-        for _ in 0..n_stages {
-            stages.push(match d.u8()? {
-                0 => None,
-                1 => Some(d.u64()?),
-                t => return Err(CanonError::BadTag(t)),
-            });
-        }
-        let pushes = d.u64()?;
-        let pops = d.u64()?;
-        let max_occupancy = d.u64()? as usize;
-        let overruns = d.u64()?;
-        let underruns = d.u64()?;
-        fifos.push(FifoSnapshot {
-            stages,
-            pushes,
-            pops,
-            max_occupancy,
-            overruns,
-            underruns,
-        });
-    }
-    let injector = decode_injector(&mut d)?;
-    d.finish()?;
-    Ok(EventStateDump {
-        kernel,
-        wrappers,
-        clocks,
-        fifos,
-        injector,
-    })
-}
-
-// --- compiled-backend payload --------------------------------------------
+canon_record!(EventStateDump {
+    kernel,
+    wrappers,
+    clocks,
+    fifos,
+    injector,
+});
 
 /// One pending compiled-engine event other than a clock phase or rising
 /// edge (those are per-SB slots), flattened for serialization.
@@ -1027,6 +662,32 @@ pub(crate) struct CompiledEvDump {
     pub a: u32,
     /// Second operand (word / stage / node / ena).
     pub b: u64,
+}
+
+impl Canon for CompiledEvDump {
+    fn put(&self, e: &mut Enc) {
+        self.time.put(e);
+        e.u64(self.seq);
+        e.u8(self.kind);
+        e.u32(self.a);
+        e.u64(self.b);
+    }
+
+    fn get(d: &mut Dec<'_>) -> Result<Self, CanonError> {
+        let time = SimTime::get(d)?;
+        let seq = u64::get(d)?;
+        let kind = u8::get(d)?;
+        if kind > 4 {
+            return Err(CanonError::BadTag(kind));
+        }
+        Ok(CompiledEvDump {
+            time,
+            seq,
+            kind,
+            a: u32::get(d)?,
+            b: u64::get(d)?,
+        })
+    }
 }
 
 /// Per-SB dynamic state of the compiled engine.
@@ -1046,6 +707,22 @@ pub(crate) struct CompiledSbDump {
     pub logic: Vec<u8>,
 }
 
+canon_record!(CompiledSbDump {
+    clk_high,
+    parked,
+    clken,
+    edges,
+    clock_stops,
+    cycle,
+    dropped_words,
+    timing_violations,
+    last_edge,
+    edge_times,
+    trace,
+    nodes,
+    logic,
+});
+
 /// Per-FIFO dynamic state of the compiled engine.
 pub(crate) struct CompiledFifoDump {
     pub occ: u64,
@@ -1056,6 +733,16 @@ pub(crate) struct CompiledFifoDump {
     pub overruns: u64,
     pub underruns: u64,
 }
+
+canon_record!(CompiledFifoDump {
+    occ,
+    words,
+    pending,
+    pushes,
+    pops,
+    overruns,
+    underruns,
+});
 
 /// The compiled engine's complete dynamic state.
 pub(crate) struct CompiledStateDump {
@@ -1076,178 +763,17 @@ pub(crate) struct CompiledStateDump {
     pub injector: InjectorDump,
 }
 
-pub(crate) fn encode_compiled_payload(dump: &CompiledStateDump) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.time(dump.now);
-    e.u64(dump.seq);
-    e.u64(dump.events);
-    e.u32(dump.clk.len() as u32);
-    for &(phase, posedge) in &dump.clk {
-        e.u128(phase);
-        e.u128(posedge);
-    }
-    e.u32(dump.heap.len() as u32);
-    for ev in &dump.heap {
-        e.time(ev.time);
-        e.u64(ev.seq);
-        e.u8(ev.kind);
-        e.u32(ev.a);
-        e.u64(ev.b);
-    }
-    e.u32(dump.sbs.len() as u32);
-    for sb in &dump.sbs {
-        e.bool(sb.clk_high);
-        e.bool(sb.parked);
-        e.bool(sb.clken);
-        e.u64(sb.edges);
-        e.u64(sb.clock_stops);
-        e.u64(sb.cycle);
-        e.u64(sb.dropped_words);
-        e.u64(sb.timing_violations);
-        e.opt_time(sb.last_edge);
-        e.times(&sb.edge_times);
-        encode_trace(&mut e, &sb.trace);
-        e.u32(sb.nodes.len() as u32);
-        for n in &sb.nodes {
-            encode_node_fsm(&mut e, n);
-        }
-        e.bytes(&sb.logic);
-    }
-    e.u32(dump.fifos.len() as u32);
-    for f in &dump.fifos {
-        e.u64(f.occ);
-        e.u64s(&f.words);
-        e.u32(f.pending.len() as u32);
-        for &(t, stage) in &f.pending {
-            e.time(t);
-            e.u32(stage);
-        }
-        e.u64(f.pushes);
-        e.u64(f.pops);
-        e.u64(f.overruns);
-        e.u64(f.underruns);
-    }
-    match &dump.jitter {
-        None => e.u8(0),
-        Some(b) => {
-            e.u8(1);
-            e.bytes(b);
-        }
-    }
-    encode_injector(&mut e, &dump.injector);
-    e.into_bytes()
-}
-
-pub(crate) fn decode_compiled_payload(bytes: &[u8]) -> Result<CompiledStateDump, CanonError> {
-    let mut d = Dec::new(bytes);
-    let now = d.time()?;
-    let seq = d.u64()?;
-    let events = d.u64()?;
-    let n_clk = d.u32()? as usize;
-    let mut clk = Vec::with_capacity(n_clk.min(1 << 12));
-    for _ in 0..n_clk {
-        clk.push((d.u128()?, d.u128()?));
-    }
-    let n_heap = d.u32()? as usize;
-    let mut heap = Vec::with_capacity(n_heap.min(1 << 16));
-    for _ in 0..n_heap {
-        let time = d.time()?;
-        let seq = d.u64()?;
-        let kind = d.u8()?;
-        if kind > 4 {
-            return Err(CanonError::BadTag(kind));
-        }
-        let a = d.u32()?;
-        let b = d.u64()?;
-        heap.push(CompiledEvDump {
-            time,
-            seq,
-            kind,
-            a,
-            b,
-        });
-    }
-    let n_sbs = d.u32()? as usize;
-    let mut sbs = Vec::with_capacity(n_sbs.min(1 << 12));
-    for _ in 0..n_sbs {
-        let clk_high = d.bool()?;
-        let parked = d.bool()?;
-        let clken = d.bool()?;
-        let edges = d.u64()?;
-        let clock_stops = d.u64()?;
-        let cycle = d.u64()?;
-        let dropped_words = d.u64()?;
-        let timing_violations = d.u64()?;
-        let last_edge = d.opt_time()?;
-        let edge_times = d.times()?;
-        let trace = decode_trace(&mut d)?;
-        let n_nodes = d.u32()? as usize;
-        let mut nodes = Vec::with_capacity(n_nodes.min(1 << 8));
-        for _ in 0..n_nodes {
-            nodes.push(decode_node_fsm(&mut d)?);
-        }
-        let logic = d.bytes()?.to_vec();
-        sbs.push(CompiledSbDump {
-            clk_high,
-            parked,
-            clken,
-            edges,
-            clock_stops,
-            cycle,
-            dropped_words,
-            timing_violations,
-            last_edge,
-            edge_times,
-            trace,
-            nodes,
-            logic,
-        });
-    }
-    let n_fifos = d.u32()? as usize;
-    let mut fifos = Vec::with_capacity(n_fifos.min(1 << 12));
-    for _ in 0..n_fifos {
-        let occ = d.u64()?;
-        let words = d.u64s()?;
-        let n_pending = d.u32()? as usize;
-        let mut pending = Vec::with_capacity(n_pending.min(1 << 12));
-        for _ in 0..n_pending {
-            let t = d.time()?;
-            let stage = d.u32()?;
-            pending.push((t, stage));
-        }
-        let pushes = d.u64()?;
-        let pops = d.u64()?;
-        let overruns = d.u64()?;
-        let underruns = d.u64()?;
-        fifos.push(CompiledFifoDump {
-            occ,
-            words,
-            pending,
-            pushes,
-            pops,
-            overruns,
-            underruns,
-        });
-    }
-    let jitter = match d.u8()? {
-        0 => None,
-        1 => Some(d.bytes()?.to_vec()),
-        t => return Err(CanonError::BadTag(t)),
-    };
-    let injector = decode_injector(&mut d)?;
-    d.finish()?;
-    Ok(CompiledStateDump {
-        now,
-        seq,
-        events,
-        clk,
-        heap,
-        sbs,
-        fifos,
-        jitter,
-        injector,
-    })
-}
+canon_record!(CompiledStateDump {
+    now,
+    seq,
+    events,
+    clk,
+    heap,
+    sbs,
+    fifos,
+    jitter,
+    injector,
+});
 
 #[cfg(test)]
 mod tests {

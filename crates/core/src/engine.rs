@@ -76,10 +76,10 @@
 //! backend — callers never observe a behavioural difference, only a
 //! speed difference.
 
+use crate::canon;
 use crate::checkpoint::{
-    config_hash, encode_compiled_payload, Checkpoint, CheckpointBackend, CheckpointError,
-    CompiledEvDump, CompiledFifoDump, CompiledSbDump, CompiledStateDump, DecodedCheckpoint,
-    DecodedState,
+    config_hash, Checkpoint, CheckpointBackend, CheckpointError, CompiledEvDump, CompiledFifoDump,
+    CompiledSbDump, CompiledStateDump, DecodedCheckpoint, DecodedState,
 };
 use crate::compiled_system::ChaosState;
 use crate::drive::{drive, ChunkRule, Drive};
@@ -1285,7 +1285,7 @@ impl<P: Plane> Group<P> {
             self.hashes[slot],
             self.min_cycles(),
             self.now,
-            encode_compiled_payload(&dump),
+            canon::encode(&dump),
         ))
     }
 }

@@ -8,6 +8,7 @@
 //! transmitted. Two runs are *deterministically equivalent* when the
 //! traces of every SB match exactly.
 
+use crate::canon::{Canon, Dec};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -377,66 +378,40 @@ impl SbIoTrace {
     /// tags, and trailing bytes. Decoding is exact: re-encoding the
     /// returned trace reproduces the input byte-for-byte.
     pub fn from_canonical_bytes(bytes: &[u8]) -> Result<SbIoTrace, CanonError> {
-        struct Reader<'a>(&'a [u8]);
-        impl Reader<'_> {
-            fn take<const N: usize>(&mut self) -> Result<[u8; N], CanonError> {
-                if self.0.len() < N {
-                    return Err(CanonError::Truncated);
-                }
-                let (head, rest) = self.0.split_at(N);
-                self.0 = rest;
-                Ok(head.try_into().expect("split_at guarantees length"))
-            }
-            fn u8(&mut self) -> Result<u8, CanonError> {
-                Ok(self.take::<1>()?[0])
-            }
-            fn u32(&mut self) -> Result<u32, CanonError> {
-                Ok(u32::from_le_bytes(self.take()?))
-            }
-            fn u64(&mut self) -> Result<u64, CanonError> {
-                Ok(u64::from_le_bytes(self.take()?))
-            }
-            /// Appends one length-prefixed word list to `cells`.
-            fn words(&mut self, cells: &mut Vec<Option<u64>>) -> Result<(), CanonError> {
-                let n = self.u32()? as usize;
-                // Cap pre-allocation by what the input could actually
-                // hold (1 byte per element minimum): corrupt lengths
-                // must not balloon memory before Truncated is hit.
-                cells.reserve(n.min(self.0.len()));
-                for _ in 0..n {
-                    cells.push(match self.u8()? {
-                        0 => None,
-                        1 => Some(self.u64()?),
-                        tag => return Err(CanonError::BadTag(tag)),
-                    });
-                }
-                Ok(())
-            }
-        }
-        let mut r = Reader(bytes);
-        if r.take::<4>()? != *CANON_MAGIC {
+        let mut d = Dec::new(bytes);
+        if d.take(4)? != CANON_MAGIC {
             return Err(CanonError::BadMagic);
         }
-        match r.u8()? {
+        match u8::get(&mut d)? {
             CANON_VERSION => {}
             v => return Err(CanonError::BadVersion(v)),
         }
-        let mut t = SbIoTrace::with_limit(r.u64()? as usize);
-        let row_count = r.u64()?;
-        let rows = row_count.min(r.0.len() as u64) as usize;
+        let mut t = SbIoTrace::with_limit(usize::get(&mut d)?);
+        let row_count = u64::get(&mut d)?;
+        let rows = row_count.min(d.remaining() as u64) as usize;
         t.cycles.reserve(rows);
         t.ends.reserve(rows);
+        // Appends one length-prefixed word list to `cells`.
+        let words = |d: &mut Dec<'_>, cells: &mut Vec<Option<u64>>| {
+            let n = u32::get(d)? as usize;
+            // Cap pre-allocation by what the input could actually hold
+            // (1 byte per element minimum): corrupt lengths must not
+            // balloon memory before Truncated is hit.
+            cells.reserve(n.min(d.remaining()));
+            for _ in 0..n {
+                cells.push(Option::<u64>::get(d)?);
+            }
+            Ok::<_, CanonError>(())
+        };
         for _ in 0..row_count {
-            let cycle = r.u64()?;
+            let cycle = u64::get(&mut d)?;
             let start = t.cells.len();
-            r.words(&mut t.cells)?;
+            words(&mut d, &mut t.cells)?;
             let mid = t.cells.len();
-            r.words(&mut t.cells)?;
+            words(&mut d, &mut t.cells)?;
             t.push_row(cycle, start, mid);
         }
-        if !r.0.is_empty() {
-            return Err(CanonError::TrailingBytes(r.0.len()));
-        }
+        d.finish()?;
         Ok(t)
     }
 

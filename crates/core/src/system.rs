@@ -7,9 +7,9 @@
 //! experiments need (I/O traces, cycle counts, node phases, FIFO and
 //! clock statistics).
 
+use crate::canon;
 use crate::checkpoint::{
-    config_hash, encode_event_payload, Checkpoint, CheckpointBackend, CheckpointError,
-    DecodedCheckpoint, EventStateDump,
+    config_hash, Checkpoint, CheckpointBackend, CheckpointError, DecodedCheckpoint, EventStateDump,
 };
 use crate::drive::{drive, ChunkRule, Drive};
 use crate::faults::{AnalogDelayModel, FaultInjector, FaultPlan};
@@ -666,7 +666,7 @@ impl System {
             self.spec_hash,
             self.min_cycles(),
             self.sim.now(),
-            encode_event_payload(&dump),
+            canon::encode(&dump),
         ))
     }
 

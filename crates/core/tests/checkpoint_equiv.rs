@@ -20,8 +20,8 @@ use synchro_tokens::prelude::*;
 use synchro_tokens::scenarios::{
     build_e1_backend, chain_spec, e1_spec, pingpong_spec, producer_consumer_spec, MixerLogic,
 };
-use synchro_tokens::Checkpoint;
 use synchro_tokens::FaultClass;
+use synchro_tokens::{CanonError, Checkpoint};
 
 const MAX_TIME: SimDuration = SimDuration::us(3000);
 
@@ -277,6 +277,41 @@ fn corrupt_blob_is_rejected_not_resumed() {
     // mismatch), never panic.
     if let Ok(ckpt) = Checkpoint::from_canonical_bytes(&bytes) {
         let _ = AnySystem::resume(make_builder(&spec, 64, None), &ckpt);
+    }
+}
+
+/// Every strict prefix of a real payload, behind a header whose
+/// `payload_len` says so, must decode to `Truncated` on both backends:
+/// never a panic, never a value. The protocol plan puts injector
+/// counters at the payload's tail, so the cut also lands inside them.
+#[test]
+fn truncated_payloads_are_rejected() {
+    const HEADER: usize = 46;
+    let spec = pingpong_spec();
+    let plan = FaultPlan::generate(FaultClass::Protocol, &spec, 5);
+    for backend in [Backend::Event, Backend::Compiled] {
+        let mut sys = make_builder(&spec, 64, Some(&plan)).build_backend(backend);
+        sys.run_until_cycles(30, MAX_TIME).unwrap();
+        let blob = sys.checkpoint().unwrap().to_canonical_bytes();
+        let (header, payload) = blob.split_at(HEADER);
+        assert_eq!(header[38..46], (payload.len() as u64).to_le_bytes());
+        let ckpt = Checkpoint::from_canonical_bytes(&blob).unwrap();
+        assert!(
+            ckpt.decode().is_ok(),
+            "{backend:?}: the whole payload decodes"
+        );
+        for len in 0..payload.len() {
+            let mut cut = header.to_vec();
+            cut[38..46].copy_from_slice(&(len as u64).to_le_bytes());
+            cut.extend_from_slice(&payload[..len]);
+            let ckpt = Checkpoint::from_canonical_bytes(&cut).expect("header intact");
+            assert_eq!(
+                ckpt.decode().err(),
+                Some(CheckpointError::Corrupt(CanonError::Truncated)),
+                "{backend:?}: {len} of {} payload bytes",
+                payload.len()
+            );
+        }
     }
 }
 

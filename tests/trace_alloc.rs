@@ -9,14 +9,15 @@
 //! edge-time log and the FIFO move queues. Those reservations must not
 //! scale with the trace limit, which callers may set far past the
 //! cycles that run. A counting global allocator checks all three on the
-//! compiled engine.
+//! compiled engine, and checks that decoding a checkpoint with a corrupt
+//! element count reserves no more memory than the blob could fill.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use st_sim::prelude::*;
 use synchro_tokens::scenarios::{build_e1_backend, build_pingpong_backend, e1_spec};
-use synchro_tokens::{Backend, RunOutcome, SbId};
+use synchro_tokens::{Backend, Checkpoint, RunOutcome, SbId};
 
 /// Counts allocations made by threads that opted in.
 struct Counting;
@@ -132,4 +133,34 @@ fn lowering_reserves_nothing_for_a_huge_trace_limit() {
         .expect("runs");
     assert_eq!(out, RunOutcome::Reached);
     assert!(sys.io_trace(SbId(0)).len() >= 20);
+}
+
+#[test]
+fn corrupt_checkpoint_count_reserves_no_more_than_the_blob() {
+    // The payload starts after the 46-byte header. Its first count is
+    // the kernel's signal count on the event backend (after a bool and
+    // four u64s) and the clock-slot count on the compiled one (after
+    // three u64s).
+    for (backend, first_count) in [(Backend::Event, 46 + 33), (Backend::Compiled, 46 + 24)] {
+        let mut sys = build_e1_backend(e1_spec(), 0, 100, backend);
+        sys.run_until_cycles(20, SimDuration::us(3000))
+            .expect("runs");
+        let mut blob = sys
+            .checkpoint()
+            .expect("checkpointable")
+            .to_canonical_bytes();
+        blob[first_count..first_count + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let ckpt = Checkpoint::from_canonical_bytes(&blob).expect("header intact");
+        let mut decoded = None;
+        let (_, bytes) = measure(|| decoded = Some(ckpt.decode()));
+        assert!(
+            decoded.unwrap().is_err(),
+            "{backend:?}: corrupt count decoded"
+        );
+        assert!(
+            bytes <= blob.len() as u64,
+            "{backend:?}: decoding a {} B blob requested {bytes} B",
+            blob.len()
+        );
+    }
 }
