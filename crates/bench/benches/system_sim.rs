@@ -41,7 +41,7 @@ fn bench_system_sim(c: &mut Criterion) {
     });
     g.bench_function("pingpong_2sb_compiled", |b| {
         let sys = build_pingpong_backend(100, Backend::Compiled);
-        assert_eq!(sys.backend(), Backend::Compiled);
+        assert_eq!(sys.backend_kind(), BackendKind::Compiled);
         b.iter(|| run(build_pingpong_backend(100, Backend::Compiled)))
     });
 
@@ -50,7 +50,7 @@ fn bench_system_sim(c: &mut Criterion) {
     });
     g.bench_function("pair_1way_compiled", |b| {
         let sys = build_pair(Backend::Compiled);
-        assert_eq!(sys.backend(), Backend::Compiled);
+        assert_eq!(sys.backend_kind(), BackendKind::Compiled);
         b.iter(|| run(build_pair(Backend::Compiled)))
     });
 
@@ -59,7 +59,7 @@ fn bench_system_sim(c: &mut Criterion) {
     });
     g.bench_function("e1_3sb_compiled", |b| {
         let sys = build_e1_backend(e1_spec(), 0, 100, Backend::Compiled);
-        assert_eq!(sys.backend(), Backend::Compiled);
+        assert_eq!(sys.backend_kind(), BackendKind::Compiled);
         b.iter(|| run(build_e1_backend(e1_spec(), 0, 100, Backend::Compiled)))
     });
 

@@ -218,17 +218,6 @@ macro_rules! delegate {
 }
 
 impl AnySystem {
-    /// Which backend is executing this system. A fallback out of the
-    /// compiled envelope reports [`Backend::Event`] (it *is* the event
-    /// engine); use [`backend_kind`](Self::backend_kind) to tell the
-    /// two apart.
-    pub fn backend(&self) -> Backend {
-        match self {
-            AnySystem::Event(_) | AnySystem::EventFallback(_) => Backend::Event,
-            AnySystem::Compiled(_) => Backend::Compiled,
-        }
-    }
-
     /// Which engine actually runs, distinguishing a requested event
     /// build from a silent fallback. Differential suites assert
     /// [`BackendKind::Compiled`] so they never end up comparing the
@@ -509,8 +498,14 @@ mod tests {
 
     #[test]
     fn compiled_backend_is_selected_for_supported_specs() {
-        assert_eq!(build_pair(Backend::Compiled).backend(), Backend::Compiled);
-        assert_eq!(build_pair(Backend::Event).backend(), Backend::Event);
+        assert_eq!(
+            build_pair(Backend::Compiled).backend_kind(),
+            BackendKind::Compiled
+        );
+        assert_eq!(
+            build_pair(Backend::Event).backend_kind(),
+            BackendKind::Event
+        );
     }
 
     #[test]
@@ -519,7 +514,7 @@ mod tests {
             .unwrap()
             .bypass(SimDuration::ps(200))
             .build_backend(Backend::Compiled);
-        assert_eq!(sys.backend(), Backend::Event);
+        assert_eq!(sys.backend_kind(), BackendKind::EventFallback);
     }
 
     #[test]
@@ -537,8 +532,6 @@ mod tests {
             .bypass(SimDuration::ps(200))
             .build_backend(Backend::Compiled);
         assert_eq!(fallback.backend_kind(), BackendKind::EventFallback);
-        // `backend()` keeps reporting the engine that actually runs.
-        assert_eq!(fallback.backend(), Backend::Event);
     }
 
     #[test]
@@ -549,7 +542,7 @@ mod tests {
         let sys = SystemBuilder::new(spec)
             .unwrap()
             .build_backend(Backend::Compiled);
-        assert_eq!(sys.backend(), Backend::Event);
+        assert_eq!(sys.backend_kind(), BackendKind::EventFallback);
     }
 
     #[test]

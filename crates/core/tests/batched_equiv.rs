@@ -183,7 +183,11 @@ fn assert_batch_matches_scalar(
     for (lane, (bc, be)) in compiled.into_iter().zip(event).enumerate() {
         let mut cc = bc.build_backend(Backend::Compiled);
         let mut ev = be.build_backend(Backend::Event);
-        assert_eq!(cc.backend(), Backend::Compiled, "lane {lane} must compile");
+        assert_eq!(
+            cc.backend_kind(),
+            BackendKind::Compiled,
+            "lane {lane} must compile"
+        );
         let oc = cc.run_until_cycles(cycles, MAX_TIME).expect("compiled run");
         let oe = ev.run_until_cycles(cycles, MAX_TIME).expect("event run");
         assert_eq!(outcomes[lane], oc, "outcome of lane {lane} vs compiled");

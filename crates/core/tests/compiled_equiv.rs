@@ -36,8 +36,8 @@ fn assert_equivalent(spec: &SystemSpec, trace_limit: usize, cycles: u64) {
     let mut ev = build(spec, trace_limit, Backend::Event);
     let mut cc = build(spec, trace_limit, Backend::Compiled);
     assert_eq!(
-        cc.backend(),
-        Backend::Compiled,
+        cc.backend_kind(),
+        BackendKind::Compiled,
         "spec unexpectedly outside the compiled support envelope"
     );
     let max_time = SimDuration::us(3000);
@@ -126,7 +126,11 @@ fn pingpong_is_equivalent() {
 fn pingpong_bench_workload_is_equivalent() {
     let mut ev = build_pingpong_backend(100, Backend::Event);
     let mut cc = build_pingpong_backend(100, Backend::Compiled);
-    assert_eq!(cc.backend(), Backend::Compiled, "ping-pong must compile");
+    assert_eq!(
+        cc.backend_kind(),
+        BackendKind::Compiled,
+        "ping-pong must compile"
+    );
     let max_time = SimDuration::us(3000);
     let a = ev.run_until_cycles(300, max_time).expect("event run");
     let b = cc.run_until_cycles(300, max_time).expect("compiled run");

@@ -81,7 +81,7 @@ fn stopped_clocks_report_deadlock_rather_than_hang() {
                     100,
                     Backend::Compiled,
                 );
-                assert_eq!(sys.backend(), Backend::Compiled);
+                assert_eq!(sys.backend_kind(), BackendKind::Compiled);
                 sys
             }
         };
