@@ -36,10 +36,6 @@ impl Enc {
         self.buf.push(v);
     }
 
-    pub fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-
     pub fn u32(&mut self, v: u32) {
         self.raw(&v.to_le_bytes());
     }
@@ -174,7 +170,7 @@ impl Canon for usize {
 
 impl Canon for bool {
     fn put(&self, e: &mut Enc) {
-        e.bool(*self);
+        e.u8(u8::from(*self));
     }
 
     fn get(d: &mut Dec<'_>) -> Result<Self, CanonError> {

@@ -39,10 +39,8 @@
 //! state via [`SyncLogic::save_state`](crate::logic::SyncLogic::save_state).
 //!
 //! Each payload record's layout is its `canon_record!` field list below,
-//! in wire order, read and written through the one shared codec
-//! (`canon.rs`: fixed-width little-endian integers, `u32`-length
-//! vectors, `0`/`1`-tagged options, traces as length-prefixed STIO
-//! bytes). Only the node parameters, node phase, kernel event and
+//! in wire order, over the building blocks of the shared codec in
+//! `canon.rs`. Only the node parameters, node phase, kernel event and
 //! compiled event, which carry tags or decode-time clamps, are written
 //! out by hand.
 //!
@@ -381,7 +379,7 @@ fn encode_fault_plan(e: &mut Enc, plan: &FaultPlan) {
             } => {
                 e.u8(0);
                 e.u32(ring.0 as u32);
-                e.bool(to_holder);
+                to_holder.put(e);
                 e.u64(nth);
             }
             Fault::TokenDup {
@@ -392,7 +390,7 @@ fn encode_fault_plan(e: &mut Enc, plan: &FaultPlan) {
             } => {
                 e.u8(1);
                 e.u32(ring.0 as u32);
-                e.bool(to_holder);
+                to_holder.put(e);
                 e.u64(nth);
                 e.dur(extra);
             }
@@ -404,7 +402,7 @@ fn encode_fault_plan(e: &mut Enc, plan: &FaultPlan) {
             } => {
                 e.u8(2);
                 e.u32(ring.0 as u32);
-                e.bool(to_holder);
+                to_holder.put(e);
                 e.u64(nth);
                 e.dur(extra);
             }
@@ -515,8 +513,8 @@ impl Canon for NodeParams {
     }
 
     fn get(d: &mut Dec<'_>) -> Result<Self, CanonError> {
-        // A zero register would panic `NodeParams::new`; clamp instead,
-        // and let the restore-time shape checks refuse the blob.
+        // A corrupt zero register is clamped: `NodeParams::new` panics
+        // on zero, and decoding must not.
         Ok(NodeParams::new(u32::get(d)?.max(1), u32::get(d)?.max(1)))
     }
 }

@@ -518,23 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_kind_distinguishes_fallback_from_explicit_event() {
-        assert_eq!(
-            build_pair(Backend::Compiled).backend_kind(),
-            BackendKind::Compiled
-        );
-        assert_eq!(
-            build_pair(Backend::Event).backend_kind(),
-            BackendKind::Event
-        );
-        let fallback = SystemBuilder::new(pair_spec())
-            .unwrap()
-            .bypass(SimDuration::ps(200))
-            .build_backend(Backend::Compiled);
-        assert_eq!(fallback.backend_kind(), BackendKind::EventFallback);
-    }
-
-    #[test]
     fn sub_bundle_periods_fall_back_to_the_event_backend() {
         let mut spec = pair_spec();
         // Half period below the 1 ps bundled-data delay.

@@ -49,6 +49,24 @@ if [[ $(grep -c . <<<"$queues") -gt 1 ]]; then
     exit 1
 fi
 
+echo "== one canonical codec =="
+# canon.rs holds the core crate's only byte writer and reader (Enc, Dec)
+# and the Canon trait; each checkpoint record's wire layout is its
+# canon_record! field list. No hand-mirrored payload encoder/decoder
+# pair and no second private byte reader may come back.
+mirrored=$(grep -rnE '\bfn (encode|decode)_\w*payload' crates/core/src || true)
+if [[ -n "$mirrored" ]]; then
+    echo "hand-written payload codec (list the record's fields with canon_record! instead):" >&2
+    echo "$mirrored" >&2
+    exit 1
+fi
+codecs=$(grep -rnE '\b(struct (Reader|Enc|Dec)|trait Canon)\b' crates/core/src || true)
+if [[ -n "$(grep -v '^crates/core/src/canon\.rs:' <<<"$codecs")" || $(grep -c 'struct Dec\b' <<<"$codecs") -ne 1 ]]; then
+    echo "byte codec defined outside canon.rs, or defined twice (read and write through canon::{Enc, Dec}):" >&2
+    echo "$codecs" >&2
+    exit 1
+fi
+
 echo "== clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
