@@ -8,9 +8,12 @@
 //! the same instants. [`BatchedSystem`] runs them on the compiled
 //! engine's lanes instantiation (see `engine.rs`): one lockstep group
 //! per spec shares the event loop, clock machinery, FIFO occupancy and
-//! token-ring FSMs, and keeps only the logics, traces and FIFO words
-//! per lane. [`CompiledSystem`] is the same engine at exactly one
-//! inline lane.
+//! token-ring FSMs, and keeps only the logics, trace words and FIFO
+//! words per lane. A group records each trace row's shape once and
+//! folds every lane's trace digest as the row lands, so
+//! [`BatchedSystem::trace_digest`] is O(1) and
+//! [`BatchedSystem::io_trace`] builds a lane's trace only when asked.
+//! [`CompiledSystem`] is the same engine at exactly one inline lane.
 //!
 //! # Group formation and divergence
 //!
@@ -57,6 +60,7 @@ use crate::node::NodeFsm;
 use crate::spec::{ChannelId, RingId, SbId, SystemSpec};
 use crate::system::{RunOutcome, SystemBuilder};
 use st_sim::prelude::*;
+use std::borrow::Cow;
 
 /// N configurations lowered into shared-control lockstep groups.
 ///
@@ -262,21 +266,25 @@ impl BatchedSystem {
         self.at(lane).0.cycles(sb)
     }
 
-    /// The I/O trace of `sb` in lane `lane`.
-    pub fn io_trace(&self, lane: usize, sb: SbId) -> &SbIoTrace {
+    /// The I/O trace of `sb` in lane `lane`. A group stores its lanes'
+    /// traces together, so this builds the lane's trace on each call;
+    /// compare lanes by [`trace_digest`](Self::trace_digest) instead.
+    pub fn io_trace(&self, lane: usize, sb: SbId) -> Cow<'_, SbIoTrace> {
         let (g, slot) = self.at(lane);
         g.lane_trace(slot, sb)
     }
 
-    /// `io_trace(lane, sb).digest()`: O(1), the digest is kept as rows
-    /// land.
+    /// `io_trace(lane, sb).digest()` without building the trace: O(1),
+    /// each lane's digest is folded as its rows land.
     pub fn trace_digest(&self, lane: usize, sb: SbId) -> u64 {
-        self.io_trace(lane, sb).digest()
+        let (g, slot) = self.at(lane);
+        g.lane_digest(slot, sb)
     }
 
     /// The configuration hash of the builder lane `lane` was lowered
     /// from — identical to what the scalar engines compute for the
-    /// same builder.
+    /// same builder. Computed on the lane's first read (lowering does
+    /// not hash), then kept.
     pub fn spec_hash(&self, lane: usize) -> [u8; 16] {
         let (g, slot) = self.at(lane);
         g.lane_hash(slot)
@@ -442,8 +450,8 @@ mod tests {
                 let sb = SbId(i);
                 assert_eq!(batch.cycles(lane, sb), scalar.cycles(sb), "lane {lane}");
                 assert_eq!(
-                    batch.io_trace(lane, sb),
-                    scalar.io_trace(sb),
+                    *batch.io_trace(lane, sb),
+                    *scalar.io_trace(sb),
                     "lane {lane} sb {i}"
                 );
                 assert_eq!(batch.edge_times(lane, sb), scalar.edge_times(sb));

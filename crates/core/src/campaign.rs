@@ -31,6 +31,7 @@ use crate::spec::SbId;
 use crate::system::{RunOutcome, SystemBuilder};
 use st_sim::time::SimDuration;
 use st_sim::SimError;
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -430,11 +431,12 @@ enum Engine<'a> {
 }
 
 impl<'a> ConfigRun<'a> {
-    /// The I/O trace of `sb`.
-    pub fn io_trace(&self, sb: SbId) -> &'a SbIoTrace {
+    /// The I/O trace of `sb`: borrowed from a scalar system, built for
+    /// a batched lane (see [`BatchedSystem::io_trace`]).
+    pub fn io_trace(&self, sb: SbId) -> Cow<'a, SbIoTrace> {
         match self.engine {
             Engine::Lane(batch, lane) => batch.io_trace(lane, sb),
-            Engine::Scalar(sys) => sys.io_trace(sb),
+            Engine::Scalar(sys) => Cow::Borrowed(sys.io_trace(sb)),
         }
     }
 

@@ -69,7 +69,7 @@ impl ChaosState {
     /// nothing the run loop has to act on (SEU-only plans are applied
     /// from outside via `node_mut`).
     pub(crate) fn from_plan(
-        p: crate::faults::FaultPlan,
+        p: &crate::faults::FaultPlan,
         rings: usize,
         channels: usize,
     ) -> Option<Box<ChaosState>> {
@@ -77,8 +77,8 @@ impl ChaosState {
             .analog
             .is_active()
             .then(|| JitterCounters::new(p.analog, p.seed));
-        let injector =
-            (!p.protocol.is_empty()).then(|| FaultInjector::new(p.protocol, rings, channels));
+        let injector = (!p.protocol.is_empty())
+            .then(|| FaultInjector::new(p.protocol.clone(), rings, channels));
         (jitter.is_some() || injector.is_some()).then(|| Box::new(ChaosState { jitter, injector }))
     }
 

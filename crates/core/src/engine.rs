@@ -34,20 +34,28 @@
 //! control-flow decisions at exactly the same instants, so a group
 //! holds one copy of the control state — the pending queue, FIFO
 //! occupancy and move cascades, node FSMs and every counter — and
-//! keeps only the data per lane: the `SyncLogic` instances, the
-//! `SbIoTrace`s, the FIFO words and each in-flight push's words. The
-//! [`Plane`] type parameter picks how those per-lane columns are stored:
+//! keeps only the data per lane: the `SyncLogic` instances, the words
+//! of the determinism traces, the FIFO words and each in-flight push's
+//! words. Even a trace row is mostly control: its cycle and which
+//! inputs popped and which outputs sent are shared, so only its words
+//! are per lane. Each lane's configuration hash is computed on first
+//! read, never at lowering. The [`Plane`] type parameter picks how the
+//! per-lane data is stored:
 //!
 //! * [`Scalar`] — exactly one lane, stored inline: one logic and one
-//!   trace per SB, FIFO words indexed by stage, a `u64` push payload.
-//!   This is [`CompiledSystem`](crate::CompiledSystem).
+//!   whole [`SbIoTrace`] per SB, FIFO words indexed by stage, a `u64`
+//!   push payload. This is [`CompiledSystem`](crate::CompiledSystem).
 //! * [`Lanes`] — boxed columns of any width, the lockstep groups of
-//!   [`BatchedSystem`](crate::BatchedSystem). The only way lane data
-//!   can steer control flow is a logic's send decision on a rising
-//!   edge, so a lanes group partitions its lanes by send pattern there
-//!   and, on a disagreement, **splits**: control state is cloned per
-//!   partition and the columns are dealt out. A split lane's control
-//!   state *is* its scalar state, so it stays byte-identical.
+//!   [`BatchedSystem`](crate::BatchedSystem), and one `LaneTraces` per
+//!   SB: each row's shape once, every lane's words in one column, and
+//!   every lane's digest folded as the row lands; a lane's
+//!   `SbIoTrace` is built only when read. The only way lane data can
+//!   steer control flow is a logic's send decision on a rising edge,
+//!   so a lanes group partitions its lanes by send pattern there and,
+//!   on a disagreement, **splits**: control state is cloned per
+//!   partition, the columns are dealt out and the trace columns
+//!   selected. A split lane's control state *is* its scalar state, so
+//!   it stays byte-identical.
 //!
 //! Both instantiations run the same lowering, dispatch loop, event
 //! handlers, FIFO cascade and checkpoint dump; the plane only supplies
@@ -83,8 +91,8 @@ use crate::checkpoint::{
 };
 use crate::compiled_system::ChaosState;
 use crate::drive::{drive, ChunkRule, Drive};
-use crate::faults::{DataAction, TokenPassAction};
-use crate::iotrace::SbIoTrace;
+use crate::faults::{DataAction, FaultPlan, TokenPassAction};
+use crate::iotrace::{LaneTraces, SbIoTrace};
 use crate::logic::{IdleLogic, InputView, OutputSlot, SbIo, SyncLogic};
 use crate::node::{NodeFsm, NodePhase, TokenAction};
 use crate::spec::{ChannelId, RingId, SbId, SystemSpec};
@@ -92,8 +100,10 @@ use crate::system::{RunOutcome, SystemBuilder};
 use crate::wrapper::{WrapperMode, BUNDLE_DELAY};
 use st_sim::prelude::*;
 use std::any::Any;
+use std::borrow::Cow;
 use std::mem;
 use std::ops::{Deref, DerefMut};
+use std::sync::OnceLock;
 
 /// One value per lane of a group, indexed by lane slot.
 pub trait Column<T>: DerefMut<Target = [T]> {
@@ -133,14 +143,55 @@ impl<T> Column<T> for Box<[T]> {
     }
 }
 
+/// Every lane's determinism trace of one SB.
+pub trait TraceStore {
+    /// Empty traces of `lanes` lanes on an SB with `reads` inputs and
+    /// `writes` outputs, recording at most `limit` rows (0 = unlimited).
+    fn new(limit: usize, lanes: usize, reads: usize, writes: usize) -> Self;
+    /// Lane `slot`'s trace.
+    fn lane(&self, slot: usize) -> Cow<'_, SbIoTrace>;
+    /// Lane `slot`'s trace digest, without building the trace.
+    fn digest(&self, slot: usize) -> u64;
+}
+
+impl TraceStore for SbIoTrace {
+    fn new(limit: usize, _lanes: usize, _reads: usize, _writes: usize) -> Self {
+        SbIoTrace::with_limit(limit)
+    }
+
+    fn lane(&self, _slot: usize) -> Cow<'_, SbIoTrace> {
+        Cow::Borrowed(self)
+    }
+
+    fn digest(&self, _slot: usize) -> u64 {
+        SbIoTrace::digest(self)
+    }
+}
+
+impl TraceStore for LaneTraces {
+    fn new(limit: usize, lanes: usize, reads: usize, writes: usize) -> Self {
+        LaneTraces::new(limit, lanes, reads, writes)
+    }
+
+    fn lane(&self, slot: usize) -> Cow<'_, SbIoTrace> {
+        Cow::Owned(LaneTraces::lane(self, slot))
+    }
+
+    fn digest(&self, slot: usize) -> u64 {
+        LaneTraces::digest(self, slot)
+    }
+}
+
 /// How a group stores its per-lane data, and how a rising edge ticks
 /// it (step 4 of the wrapper's posedge).
 pub trait Plane: Sized {
     /// Per-lane storage.
     type Col<T>: Column<T>;
+    /// Per-SB storage of every lane's trace.
+    type Traces: TraceStore;
     /// Per-edge scratch of the lane tick, reused across edges.
     type Scratch: Default;
-    /// Ticks every lane's logic on SB `sbi`, records the trace rows,
+    /// Ticks every lane's logic on SB `sbi`, records the trace row,
     /// and finishes the edge through [`Group::finish_posedge`] — once
     /// per group when the lanes disagree and `g` splits (the split-off
     /// groups go to `splits`).
@@ -153,7 +204,7 @@ pub struct Scalar;
 
 /// The any-width data plane of [`BatchedSystem`](crate::BatchedSystem).
 #[derive(Debug)]
-pub struct Lanes;
+pub(crate) struct Lanes;
 
 /// A typed event. `u32` indices keep the queue entry small beside the
 /// timestamp. Each SB has at most one `Phase` and one `Edge` pending at
@@ -239,18 +290,6 @@ fn handshake_at(
         DataAction::Delay(extra) => Some(now + BUNDLE_DELAY + extra + jitter()),
         DataAction::Deliver => Some(now + BUNDLE_DELAY + jitter()),
     }
-}
-
-/// Ticks one lane's logic against `sb`'s prepared views and slots, then
-/// records the lane's determinism trace row.
-#[inline]
-fn tick_lane(sb: &mut SbState, logic: &mut dyn SyncLogic, trace: &mut SbIoTrace, violated: bool) {
-    logic.tick(sb.cycle, &mut SbIo::new(&sb.views, &mut sb.slots));
-    trace.record_with(
-        sb.cycle,
-        sb.views.iter().map(|v| v.data),
-        sb.slots.iter().map(|s| s.transmitted(violated)),
-    );
 }
 
 /// A word as transmitted on an edge that did (or did not) violate the
@@ -455,14 +494,17 @@ pub struct Group<P: Plane> {
     trace_limit: usize,
     /// Global lane ids, in lane-slot order.
     ids: P::Col<usize>,
-    /// The configuration hash of the builder each lane was lowered from
-    /// (captured before lowering consumes the fault plan).
-    hashes: P::Col<[u8; 16]>,
+    /// Per lane: the seed of the builder it was lowered from, and its
+    /// configuration hash once [`lane_hash`](Self::lane_hash) read it.
+    keys: P::Col<LaneKey>,
+    /// The fault plan of a faulted (hence singleton) group, which the
+    /// configuration hash covers.
+    plan: Option<Box<FaultPlan>>,
     sbs: Vec<SbState>,
     /// Per SB: each lane's synchronous logic.
     logics: Vec<P::Col<Box<dyn SyncLogic>>>,
-    /// Per SB: each lane's determinism trace.
-    traces: Vec<P::Col<SbIoTrace>>,
+    /// Per SB: every lane's determinism trace.
+    traces: Vec<P::Traces>,
     fifos: Vec<FifoState<P>>,
     queue: Queue<P>,
     now: SimTime,
@@ -473,6 +515,15 @@ pub struct Group<P: Plane> {
     /// state: their jitter perturbs event timing immediately).
     chaos: Option<Box<ChaosState>>,
     scratch: P::Scratch,
+}
+
+/// A lane's part of its configuration hash (the spec and trace limit
+/// are the group's), and the hash itself once computed. Lowering does
+/// not hash: campaigns that never checkpoint never read it.
+#[derive(Debug)]
+struct LaneKey {
+    seed: u64,
+    hash: OnceLock<[u8; 16]>,
 }
 
 impl<P: Plane> std::fmt::Debug for Group<P> {
@@ -523,16 +574,12 @@ impl<P: Plane> Group<P> {
         debug_assert_eq!(nl, ids.len());
         let spec = builders[0].spec.clone();
         let trace_limit = builders[0].trace_limit;
-        // Before `faults` is taken below: the hash covers the plan.
-        let hashes = Column::from_fn(nl, |s| {
-            let b = &builders[s];
-            config_hash(&b.spec, b.seed, b.trace_limit, b.faults.as_ref())
+        let keys = Column::from_fn(nl, |s| LaneKey {
+            seed: builders[s].seed,
+            hash: OnceLock::new(),
         });
-        let chaos = match builders {
-            [b] => b
-                .faults
-                .take()
-                .and_then(|p| ChaosState::from_plan(p, spec.rings.len(), spec.channels.len())),
+        let plan = match builders {
+            [b] => b.faults.take().map(Box::new),
             _ => {
                 debug_assert!(
                     builders.iter().all(|b| b.faults.is_none()),
@@ -541,6 +588,9 @@ impl<P: Plane> Group<P> {
                 None
             }
         };
+        let chaos = plan
+            .as_deref()
+            .and_then(|p| ChaosState::from_plan(p, spec.rings.len(), spec.channels.len()));
 
         let fifos: Vec<FifoState<P>> = spec
             .channels
@@ -625,8 +675,8 @@ impl<P: Plane> Group<P> {
                     .remove(&i)
                     .unwrap_or_else(|| Box::new(IdleLogic) as Box<dyn SyncLogic>)
             }));
-            traces.push(Column::from_fn(nl, |_| SbIoTrace::with_limit(trace_limit)));
             let (n_inputs, n_outputs) = (inputs.len(), outputs.len());
+            traces.push(P::Traces::new(trace_limit, nl, n_inputs, n_outputs));
             sbs.push(SbState {
                 half,
                 restart_delay: half / 10,
@@ -667,7 +717,8 @@ impl<P: Plane> Group<P> {
             spec,
             trace_limit,
             ids,
-            hashes,
+            keys,
+            plan,
             sbs,
             logics,
             traces,
@@ -1181,8 +1232,14 @@ impl<P: Plane> Group<P> {
     }
 
     /// Lane `slot`'s I/O trace of `sb`.
-    pub(crate) fn lane_trace(&self, slot: usize, sb: SbId) -> &SbIoTrace {
-        &self.traces[sb.0][slot]
+    pub(crate) fn lane_trace(&self, slot: usize, sb: SbId) -> Cow<'_, SbIoTrace> {
+        self.traces[sb.0].lane(slot)
+    }
+
+    /// The digest of lane `slot`'s I/O trace of `sb`, without building
+    /// the trace.
+    pub(crate) fn lane_digest(&self, slot: usize, sb: SbId) -> u64 {
+        self.traces[sb.0].digest(slot)
     }
 
     /// Lane `slot`'s logic on `sb`, downcast to its concrete type.
@@ -1191,9 +1248,12 @@ impl<P: Plane> Group<P> {
         logic.downcast_ref::<T>().expect("logic type mismatch")
     }
 
-    /// Lane `slot`'s configuration hash.
+    /// Lane `slot`'s configuration hash, computed on first read.
     pub(crate) fn lane_hash(&self, slot: usize) -> [u8; 16] {
-        self.hashes[slot]
+        let key = &self.keys[slot];
+        *key.hash.get_or_init(|| {
+            config_hash(&self.spec, key.seed, self.trace_limit, self.plan.as_deref())
+        })
     }
 
     /// Freezes lane `slot`'s complete state into a canonical
@@ -1220,7 +1280,7 @@ impl<P: Plane> Group<P> {
                 timing_violations: sb.timing_violations,
                 last_edge: sb.last_edge,
                 edge_times: sb.edge_times.clone(),
-                trace: self.traces[i][slot].clone(),
+                trace: self.traces[i].lane(slot).into_owned(),
                 nodes: sb.nodes.iter().map(|n| n.fsm.snapshot()).collect(),
                 logic,
             });
@@ -1282,7 +1342,7 @@ impl<P: Plane> Group<P> {
         };
         Ok(Checkpoint::new(
             CheckpointBackend::Compiled,
-            self.hashes[slot],
+            self.lane_hash(slot),
             self.min_cycles(),
             self.now,
             canon::encode(&dump),
@@ -1292,15 +1352,20 @@ impl<P: Plane> Group<P> {
 
 impl Plane for Scalar {
     type Col<T> = One<T>;
+    // A whole trace per SB: callers compare scalar traces row by row.
+    type Traces = SbIoTrace;
     type Scratch = ();
 
     #[inline]
     fn tick(g: &mut Group<Scalar>, sbi: usize, violated: bool, _splits: &mut Vec<Group<Scalar>>) {
-        tick_lane(
-            &mut g.sbs[sbi],
-            g.logics[sbi][0].as_mut(),
-            &mut g.traces[sbi][0],
-            violated,
+        let sb = &mut g.sbs[sbi];
+        g.logics[sbi]
+            .0
+            .tick(sb.cycle, &mut SbIo::new(&sb.views, &mut sb.slots));
+        g.traces[sbi].record_with(
+            sb.cycle,
+            sb.views.iter().map(|v| v.data),
+            sb.slots.iter().map(|s| s.transmitted(violated)),
         );
         g.finish_posedge(sbi, violated, |_, w| One(w));
     }
@@ -1321,6 +1386,7 @@ pub struct LaneScratch {
 
 impl Plane for Lanes {
     type Col<T> = Box<[T]>;
+    type Traces = LaneTraces;
     type Scratch = LaneScratch;
 
     /// Ticks every lane against its own data columns (views and slots
@@ -1328,10 +1394,9 @@ impl Plane for Lanes {
     /// and the output words change), then compares the lanes' send
     /// patterns — 2 bits per output: bit `2k` = word written, `2k+1` =
     /// can_send. Identical patterns keep the lockstep; otherwise the
-    /// group splits by pattern and each partition finishes the edge
-    /// under its own (now uniform) pattern. Each lane logs its own
-    /// `(sent, can_send)` outcome, exactly what its scalar run would
-    /// log, so recording before a split is byte-identical.
+    /// group splits by pattern first. Either way each group then
+    /// records the edge's trace row under its own (uniform) pattern
+    /// and finishes the edge.
     fn tick(g: &mut Group<Lanes>, sbi: usize, violated: bool, splits: &mut Vec<Group<Lanes>>) {
         let nl = g.ids.len();
         let mut s = mem::take(&mut g.scratch);
@@ -1349,7 +1414,7 @@ impl Plane for Lanes {
                 s.heads.push((i, ch, (g.fifos[ch].depth - 1) as usize));
             }
         }
-        let (sb, logics, traces) = (&mut g.sbs[sbi], &mut g.logics[sbi], &mut g.traces[sbi]);
+        let (sb, logics) = (&mut g.sbs[sbi], &mut g.logics[sbi]);
         for slot in 0..nl {
             for &(i, ch, head) in &s.heads {
                 sb.views[i].data = Some(g.fifos[ch].words[head][slot]);
@@ -1360,7 +1425,7 @@ impl Plane for Lanes {
                     word: None,
                 };
             }
-            tick_lane(sb, logics[slot].as_mut(), &mut traces[slot], violated);
+            logics[slot].tick(sb.cycle, &mut SbIo::new(&sb.views, &mut sb.slots));
             let mut pat = 0u64;
             for (k, o) in sb.slots.iter().enumerate() {
                 pat |= u64::from(o.word.is_some()) << (2 * k);
@@ -1384,6 +1449,7 @@ impl Plane for Lanes {
         if s.patterns.windows(2).all(|w| w[0] == w[1]) {
             // The slots still hold the last lane's, i.e. every lane's,
             // pattern.
+            g.record_row(sbi, violated, &s.out, 0..nl);
             g.finish_posedge(sbi, violated, |k, _| {
                 column(&s.out, n_out, 0..nl, k, violated)
             });
@@ -1409,6 +1475,7 @@ impl Plane for Lanes {
                     o.can_send = pat >> (2 * k + 1) & 1 != 0;
                 }
                 let part = part.iter().copied();
+                group.record_row(sbi, violated, &s.out, part.clone());
                 group.finish_posedge(sbi, violated, |k, _| {
                     column(&s.out, n_out, part.clone(), k, violated)
                 });
@@ -1425,13 +1492,43 @@ impl Group<Lanes> {
         &self.ids
     }
 
+    /// Records SB `sbi`'s trace row of this edge under the send pattern
+    /// the group's slots hold: popped inputs present the head words of
+    /// their FIFOs, and output `k`'s transmitted words come from the
+    /// lane-major edge outputs `out` of the original lane slots `part`.
+    fn record_row(
+        &mut self,
+        sbi: usize,
+        violated: bool,
+        out: &[Option<u64>],
+        part: impl Iterator<Item = usize> + Clone,
+    ) {
+        let (sb, fifos) = (&self.sbs[sbi], &self.fifos);
+        let n_out = sb.outputs.len();
+        let reads = sb.inputs.iter().zip(&sb.pops).map(|(&(ch, _), &popped)| {
+            popped.then(|| {
+                let f = &fifos[ch as usize];
+                f.words[(f.depth - 1) as usize].iter().copied()
+            })
+        });
+        let writes = sb.slots.iter().enumerate().map(|(k, o)| {
+            let part = part.clone();
+            (o.can_send && o.word.is_some()).then(move || {
+                part.map(move |slot| {
+                    corrupt(out[slot * n_out + k].expect("pattern bit set"), violated)
+                })
+            })
+        });
+        self.traces[sbi].record(sb.cycle, reads, writes);
+    }
+
     /// Splits this group's lanes along `parts` (disjoint slot sets in
     /// lane order, covering every slot). The group keeps `parts[0]`;
     /// the rest come back as fully independent groups with cloned
     /// control state and their lanes' columns.
     pub(crate) fn partition_into(&mut self, parts: &[Vec<usize>]) -> Vec<Group<Lanes>> {
         debug_assert!(
-            self.chaos.is_none(),
+            self.plan.is_none(),
             "faulted groups are singletons and never split"
         );
         /// Moves a column's lanes out, one column per part.
@@ -1448,12 +1545,8 @@ impl Group<Lanes> {
             dealt.into_iter()
         }
         let mut ids = deal(mem::take(&mut self.ids), parts);
-        let mut hashes = deal(mem::take(&mut self.hashes), parts);
+        let mut keys = deal(mem::take(&mut self.keys), parts);
         let mut logics: Vec<_> = mem::take(&mut self.logics)
-            .into_iter()
-            .map(|c| deal(c, parts))
-            .collect();
-        let mut traces: Vec<_> = mem::take(&mut self.traces)
             .into_iter()
             .map(|c| deal(c, parts))
             .collect();
@@ -1467,16 +1560,14 @@ impl Group<Lanes> {
                     spec: self.spec.clone(),
                     trace_limit: self.trace_limit,
                     ids: ids.next().expect("one column per part"),
-                    hashes: hashes.next().expect("one column per part"),
+                    keys: keys.next().expect("one column per part"),
+                    plan: None,
                     sbs: self.sbs.clone(),
                     logics: logics
                         .iter_mut()
                         .map(|c| c.next().expect("one column per part"))
                         .collect(),
-                    traces: traces
-                        .iter_mut()
-                        .map(|c| c.next().expect("one column per part"))
-                        .collect(),
+                    traces: self.traces.iter().map(|t| t.select(part)).collect(),
                     fifos: self
                         .fifos
                         .iter()
@@ -1607,7 +1698,7 @@ impl Group<Scalar> {
 
     /// The I/O trace of `sb`.
     pub fn io_trace(&self, sb: SbId) -> &SbIoTrace {
-        self.lane_trace(0, sb)
+        &self.traces[sb.0]
     }
 
     /// The final state of `sb`'s logic, downcast to its concrete type.
@@ -1693,6 +1784,9 @@ impl Group<Scalar> {
         let mut sys = Self::lower_scalar(builder).map_err(|_| {
             CheckpointError::Unsupported("system is outside the compiled support envelope")
         })?;
+        // The builder's hash is the lowered engine's: restoring must
+        // not compute it again.
+        sys.keys.0.hash = OnceLock::from(hash);
         sys.restore_decoded(checkpoint)?;
         Ok(sys)
     }
@@ -1728,7 +1822,7 @@ impl Group<Scalar> {
         let DecodedState::Compiled(dump) = &checkpoint.state else {
             return Err(CheckpointError::BackendMismatch);
         };
-        if self.hashes.0 != checkpoint.spec_hash()
+        if self.lane_hash(0) != checkpoint.spec_hash()
             || dump.sbs.len() != self.sbs.len()
             || dump.fifos.len() != self.fifos.len()
             || dump.clk.len() != self.sbs.len()
@@ -1749,7 +1843,7 @@ impl Group<Scalar> {
             sb.timing_violations = d.timing_violations;
             sb.last_edge = d.last_edge;
             sb.edge_times.clone_from(&d.edge_times);
-            self.traces[i].0.clone_from(&d.trace);
+            self.traces[i].clone_from(&d.trace);
             for (n, snap) in sb.nodes.iter_mut().zip(&d.nodes) {
                 n.fsm.restore(snap);
             }

@@ -164,7 +164,8 @@ impl JitterCounters {
             return false;
         }
         let n = u64::from_le_bytes(bytes[..8].try_into().unwrap()) as usize;
-        if bytes.len() != 8 + 13 * n {
+        // A corrupt count must not overflow into a matching length.
+        if n.checked_mul(13).and_then(|b| b.checked_add(8)) != Some(bytes.len()) {
             return false;
         }
         self.occ.clear();
@@ -874,6 +875,16 @@ mod tests {
         let b1 = c2.next(CLASS_CLK, 0);
         assert_eq!(a0, b0);
         assert_eq!(a1, b1);
+    }
+
+    #[test]
+    fn overflowing_occurrence_counts_are_rejected() {
+        let mut c = JitterCounters::new(AnalogFault::default(), 0);
+        let mut bytes = (1u64 << 61).to_le_bytes().to_vec();
+        assert!(!c.restore_occ(&bytes));
+        // 13 * 2^61 wraps to 5 * 2^61: no real length matches it.
+        bytes.extend_from_slice(&[0; 13]);
+        assert!(!c.restore_occ(&bytes));
     }
 
     #[test]

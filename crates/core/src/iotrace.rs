@@ -487,6 +487,213 @@ fn cell_offset(n: usize) -> u32 {
     u32::try_from(n).expect("trace exceeds 2^32 cells")
 }
 
+/// Rows a lane-trace store reserves up front: a limit can be any
+/// caller-supplied value, far past the cycles that run.
+const LANE_RESERVE_ROWS_MAX: usize = 1024;
+
+/// The determinism traces of every lane of one lockstep group on one
+/// SB. Lanes of a group make the same control decisions at the same
+/// instants, so a row's shape — its cycle, and which inputs presented
+/// and which outputs transmitted a word — is shared; only the words
+/// differ. Each row stores its cycle and presence bits once, then one
+/// lanes-wide column of words per present cell, all in one flat
+/// buffer. Every lane's digest is folded as the row lands, as the
+/// exact stream [`TraceRowRef`]'s `Hash` emits, so
+/// [`digest`](Self::digest) equals the digest of the lane's
+/// [`SbIoTrace`], which [`lane`](Self::lane) builds on demand.
+#[derive(Debug)]
+pub(crate) struct LaneTraces {
+    limit: usize,
+    reads: usize,
+    writes: usize,
+    /// Presence-bit words per row: bit `i` is input `i`, bit
+    /// `reads + k` is output `k`.
+    mask_words: usize,
+    cycles: Vec<u64>,
+    masks: Vec<u64>,
+    /// Per present cell, in row then cell order: one word per lane.
+    words: Vec<u64>,
+    /// Per lane: the digest folded so far.
+    hashers: Vec<DigestHasher>,
+}
+
+impl LaneTraces {
+    /// Empty traces of `lanes` lanes on an SB with `reads` inputs and
+    /// `writes` outputs, recording at most `limit` rows (0 = unlimited).
+    pub(crate) fn new(limit: usize, lanes: usize, reads: usize, writes: usize) -> Self {
+        debug_assert!(lanes > 0, "a group has at least one lane");
+        LaneTraces {
+            limit,
+            reads,
+            writes,
+            mask_words: (reads + writes).div_ceil(64),
+            cycles: Vec::new(),
+            masks: Vec::new(),
+            words: Vec::new(),
+            hashers: vec![DigestHasher::default(); lanes],
+        }
+    }
+
+    fn lanes(&self) -> usize {
+        self.hashers.len()
+    }
+
+    /// True when the limit is reached and further rows would be dropped.
+    fn is_full(&self) -> bool {
+        self.limit != 0 && self.cycles.len() >= self.limit
+    }
+
+    /// Appends the row of local cycle `cycle` if the limit allows: per
+    /// input, then per output, `None` for nothing or every lane's word
+    /// in lane order.
+    pub(crate) fn record<R, W>(
+        &mut self,
+        cycle: u64,
+        reads: impl IntoIterator<Item = Option<R>>,
+        writes: impl IntoIterator<Item = Option<W>>,
+    ) where
+        R: IntoIterator<Item = u64>,
+        W: IntoIterator<Item = u64>,
+    {
+        if self.is_full() {
+            return;
+        }
+        if self.cycles.is_empty() && self.limit > 0 {
+            // Size for the whole trace on the first row, every cell
+            // present, so a short limited trace never reallocates.
+            let rows = self.limit.min(LANE_RESERVE_ROWS_MAX);
+            self.cycles.reserve_exact(rows);
+            self.masks.reserve_exact(rows * self.mask_words);
+            self.words
+                .reserve_exact(rows * (self.reads + self.writes) * self.lanes());
+        }
+        /// Adds cell `bit` of the row if it is present.
+        fn put(
+            mask: &mut [u64],
+            words: &mut Vec<u64>,
+            bit: usize,
+            cell: Option<impl IntoIterator<Item = u64>>,
+        ) {
+            if let Some(lane_words) = cell {
+                mask[bit / 64] |= 1 << (bit % 64);
+                words.extend(lane_words);
+            }
+        }
+        let (mask_at, words_at) = (self.masks.len(), self.words.len());
+        self.masks.resize(mask_at + self.mask_words, 0);
+        let mask = &mut self.masks[mask_at..];
+        let mut bit = 0;
+        for cell in reads {
+            put(mask, &mut self.words, bit, cell);
+            bit += 1;
+        }
+        debug_assert_eq!(bit, self.reads);
+        for cell in writes {
+            put(mask, &mut self.words, bit, cell);
+            bit += 1;
+        }
+        debug_assert_eq!(bit, self.reads + self.writes);
+        self.cycles.push(cycle);
+        let lanes = self.lanes();
+        let (mask, row) = (&self.masks[mask_at..], &self.words[words_at..]);
+        debug_assert_eq!(row.len() % lanes, 0, "one word per lane per cell");
+        for (slot, h) in self.hashers.iter_mut().enumerate() {
+            let words = row.iter().skip(slot).step_by(lanes).copied();
+            fold_row(h, cycle, self.reads, self.writes, mask, words);
+        }
+    }
+
+    /// Lane `slot`'s trace digest: O(1), equal to
+    /// `self.lane(slot).digest()`.
+    pub(crate) fn digest(&self, slot: usize) -> u64 {
+        self.hashers[slot].finish()
+    }
+
+    /// Builds lane `slot`'s trace. Its digest is the one already
+    /// folded, so no row is hashed again.
+    pub(crate) fn lane(&self, slot: usize) -> SbIoTrace {
+        let (lanes, width, rows) = (self.lanes(), self.reads + self.writes, self.cycles.len());
+        let mut words = self.words.iter().skip(slot).step_by(lanes);
+        let mut cells = Vec::with_capacity(rows * width);
+        let mut ends = Vec::with_capacity(rows);
+        for r in 0..rows {
+            let mask = &self.masks[r * self.mask_words..][..self.mask_words];
+            cells.extend((0..width).map(|i| {
+                present(mask, i).then(|| *words.next().expect("a word per present cell"))
+            }));
+            ends.push([
+                cell_offset(cells.len() - self.writes),
+                cell_offset(cells.len()),
+            ]);
+        }
+        let t = SbIoTrace {
+            limit: self.limit,
+            cycles: self.cycles.clone(),
+            ends,
+            cells,
+            hasher: self.hashers[slot].clone(),
+        };
+        debug_assert_eq!(
+            t.digest(),
+            {
+                let mut h = DigestHasher::default();
+                t.iter().for_each(|row| row.hash(&mut h));
+                h.finish()
+            },
+            "streamed digest"
+        );
+        t
+    }
+
+    /// The traces of the lanes `part` (slots, in their new order).
+    pub(crate) fn select(&self, part: &[usize]) -> LaneTraces {
+        let mut words = Vec::with_capacity(self.words.capacity() / self.lanes() * part.len());
+        for cell in self.words.chunks_exact(self.lanes()) {
+            words.extend(part.iter().map(|&s| cell[s]));
+        }
+        let mut cycles = Vec::with_capacity(self.cycles.capacity());
+        cycles.extend_from_slice(&self.cycles);
+        let mut masks = Vec::with_capacity(self.masks.capacity());
+        masks.extend_from_slice(&self.masks);
+        LaneTraces {
+            cycles,
+            masks,
+            words,
+            hashers: part.iter().map(|&s| self.hashers[s].clone()).collect(),
+            ..*self
+        }
+    }
+}
+
+/// Bit `i` of a row's presence mask.
+#[inline]
+fn present(mask: &[u64], i: usize) -> bool {
+    mask[i / 64] >> (i % 64) & 1 != 0
+}
+
+/// Folds one lane's row into `h` as exactly the stream
+/// `TraceRowRef::hash` emits: the cycle, then each slice's length
+/// prefix and its `Option<u64>` cells.
+#[inline]
+fn fold_row(
+    h: &mut DigestHasher,
+    cycle: u64,
+    reads: usize,
+    writes: usize,
+    mask: &[u64],
+    mut words: impl Iterator<Item = u64>,
+) {
+    cycle.hash(h);
+    for (from, to) in [(0, reads), (reads, reads + writes)] {
+        h.write_usize(to - from);
+        for i in from..to {
+            present(mask, i)
+                .then(|| words.next().expect("a word per present cell"))
+                .hash(h);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -586,6 +793,69 @@ mod tests {
             a.diff_report(&a.clone(), 2),
             "traces match over the compared prefix"
         );
+    }
+
+    /// Records `rows` rows of a `reads` x `writes` SB into a 3-lane
+    /// store and into one reference trace per lane; each cell is
+    /// present on a fixed pseudo-random pattern, lane `l`'s word being
+    /// `l` more than lane 0's.
+    fn lanes_and_references(
+        limit: usize,
+        reads: usize,
+        writes: usize,
+        rows: u64,
+    ) -> (LaneTraces, Vec<SbIoTrace>) {
+        const LANES: usize = 3;
+        let mut store = LaneTraces::new(limit, LANES, reads, writes);
+        let mut refs = vec![SbIoTrace::with_limit(limit); LANES];
+        for cycle in 0..rows {
+            let cell = |i: usize| {
+                let x = st_sim::hash::mix64(cycle * 131 + i as u64);
+                (!x.is_multiple_of(3)).then_some(x)
+            };
+            let lane_cells = |range: std::ops::Range<usize>| {
+                range.map(move |i| cell(i).map(|w| (0..LANES as u64).map(move |l| w + l)))
+            };
+            store.record(
+                cycle + 7,
+                lane_cells(0..reads),
+                lane_cells(reads..reads + writes),
+            );
+            for (l, t) in refs.iter_mut().enumerate() {
+                let word = |i| cell(i).map(|w| w + l as u64);
+                t.record_with(
+                    cycle + 7,
+                    (0..reads).map(word),
+                    (reads..reads + writes).map(word),
+                );
+            }
+        }
+        (store, refs)
+    }
+
+    #[test]
+    fn lane_traces_match_per_lane_traces() {
+        // Empty sides, a multi-word presence mask, and limits that cut
+        // the run short or not at all.
+        for (reads, writes) in [(0, 0), (0, 2), (3, 0), (2, 3), (70, 3)] {
+            for limit in [0, 1, 5, 40] {
+                let (store, refs) = lanes_and_references(limit, reads, writes, 20);
+                for (slot, reference) in refs.iter().enumerate() {
+                    let built = store.lane(slot);
+                    assert_eq!(
+                        built, *reference,
+                        "{reads}x{writes} limit {limit} lane {slot}"
+                    );
+                    assert_eq!(store.digest(slot), reference.digest());
+                }
+                let picked = store.select(&[2, 0]);
+                for (slot, &from) in [2, 0].iter().enumerate() {
+                    assert_eq!(picked.lane(slot), refs[from]);
+                    assert_eq!(picked.digest(slot), refs[from].digest());
+                }
+                assert_eq!(store.is_full(), limit != 0 && limit <= 20);
+            }
+        }
     }
 
     #[test]

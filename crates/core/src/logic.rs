@@ -248,7 +248,8 @@ impl SyncLogic for SinkCollect {
             return false;
         }
         let n = u64::from_le_bytes(bytes[..8].try_into().unwrap()) as usize;
-        if bytes.len() != 8 + 24 * n {
+        // A corrupt count must not overflow into a matching length.
+        if n.checked_mul(24).and_then(|b| b.checked_add(8)) != Some(bytes.len()) {
             return false;
         }
         self.received.clear();
@@ -332,7 +333,8 @@ impl SyncLogic for PipeTransform {
             return false;
         }
         let n = u64::from_le_bytes(bytes[..8].try_into().unwrap()) as usize;
-        if bytes.len() != 24 + 8 * n {
+        // A corrupt count must not overflow into a matching length.
+        if n.checked_mul(8).and_then(|b| b.checked_add(24)) != Some(bytes.len()) {
             return false;
         }
         self.queue.clear();
@@ -501,6 +503,17 @@ mod tests {
 
     fn io_fixture<'a>(inputs: &'a [InputView], outputs: &'a mut [OutputSlot]) -> SbIo<'a> {
         SbIo::new(inputs, outputs)
+    }
+
+    #[test]
+    fn overflowing_state_counts_are_rejected() {
+        // 2^61 records wrap the byte length back to the bare header
+        // (24 * 2^61 and 8 * 2^61 are multiples of 2^64).
+        let count = (1u64 << 61).to_le_bytes();
+        assert!(!SinkCollect::new().restore_state(&count));
+        let mut pipe = count.to_vec();
+        pipe.extend_from_slice(&[0; 16]);
+        assert!(!PipeTransform::new(4, |w| w).restore_state(&pipe));
     }
 
     #[test]

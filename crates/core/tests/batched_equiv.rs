@@ -208,14 +208,19 @@ fn assert_batch_matches_scalar(
                 "cycles of lane {lane} SB {i}"
             );
             assert_eq!(
-                batch.io_trace(lane, sb),
-                cc.io_trace(sb),
+                *batch.io_trace(lane, sb),
+                *cc.io_trace(sb),
                 "trace of lane {lane} SB {i}"
             );
             assert_eq!(
                 batch.io_trace(lane, sb).digest(),
                 cc.io_trace(sb).digest(),
                 "trace digest of lane {lane} SB {i}"
+            );
+            assert_eq!(
+                batch.trace_digest(lane, sb),
+                cc.io_trace(sb).digest(),
+                "streamed trace digest of lane {lane} SB {i}"
             );
             assert_eq!(
                 cc.io_trace(sb).digest(),
@@ -623,6 +628,49 @@ proptest! {
     ) {
         let spec = producer_consumer_spec();
         assert_batch_matches_scalar(&|| gated_builders(&spec, 64, &gates), 100);
+    }
+
+    /// Every lane's streamed trace digest (folded as the group records
+    /// each row) equals the digest of the lane's built trace and of its
+    /// scalar compiled run: on SBs with no inputs or no outputs, at
+    /// trace limits 0 (unlimited), 1 and the run length, and across
+    /// divergence splits on recorded edges.
+    #[test]
+    fn streamed_lane_digests_match_built_and_scalar_traces(
+        shape in 0usize..3,
+        limit_sel in 0usize..3,
+        gates in prop::collection::vec(any::<u64>(), 2..6),
+        recipe in arb_recipe(),
+    ) {
+        const CYCLES: u64 = 80;
+        let limit = [0, 1, CYCLES as usize][limit_sel];
+        let spec = match shape {
+            0 => producer_consumer_spec(),
+            1 => pingpong_spec(),
+            _ => build_spec(&recipe),
+        };
+        let make = || match shape {
+            0 => gated_builders(&spec, limit, &gates),
+            1 => gated_mixer_builders(&spec, limit, &gates),
+            _ => mixer_builders(&spec, limit, &gates),
+        };
+        let mut batch = BatchedSystem::build(make())
+            .unwrap_or_else(|_| panic!("builders unexpectedly outside the batched envelope"));
+        batch.run_until_cycles(CYCLES, MAX_TIME);
+        if shape < 2 && gates.windows(2).any(|w| w[0] != w[1]) {
+            prop_assert!(batch.splits() > 0, "distinct send schedules must split");
+        }
+        for (lane, b) in make().into_iter().enumerate() {
+            let mut cc = b.build_backend(Backend::Compiled);
+            cc.run_until_cycles(CYCLES, MAX_TIME).expect("compiled runs");
+            for i in 0..spec.sbs.len() {
+                let sb = SbId(i);
+                let built = batch.io_trace(lane, sb);
+                prop_assert_eq!(&*built, cc.io_trace(sb), "trace of lane {} SB {}", lane, i);
+                prop_assert_eq!(batch.trace_digest(lane, sb), built.digest());
+                prop_assert_eq!(built.digest(), cc.io_trace(sb).digest());
+            }
+        }
     }
 
     /// Random per-lane send schedules on a *consuming* SB: splits land

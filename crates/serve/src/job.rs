@@ -380,8 +380,15 @@ impl JobRequest {
     ///
     /// Returns a description of the first violated bound.
     pub fn validate(&self) -> Result<(), String> {
-        let (scenario, cycles) = match self {
-            JobRequest::Sim(r) => (r.scenario, r.cycles),
+        let cycles = match self {
+            JobRequest::Sim(r) => {
+                // The trace limit sizes each batched group's word
+                // column; rows past `cycles` would never be recorded.
+                if u64::from(r.trace_cycles) > r.cycles {
+                    return Err("trace_cycles must be 0 (unlimited) or at most cycles".to_owned());
+                }
+                r.cycles
+            }
             JobRequest::Shmoo(r) => {
                 let n_sbs = r.scenario.spec().sbs.len();
                 if (r.sb as usize) >= n_sbs {
@@ -394,11 +401,10 @@ impl JobRequest {
                 if r.periods_fs.contains(&0) {
                     return Err("periods_fs must be positive".to_owned());
                 }
-                (r.scenario, r.cycles)
+                r.cycles
             }
-            JobRequest::Chaos(r) => (r.scenario, r.cycles),
+            JobRequest::Chaos(r) => r.cycles,
         };
-        let _ = scenario;
         if cycles == 0 || cycles > 1_000_000 {
             return Err("cycles must be 1..=1000000".to_owned());
         }
@@ -703,6 +709,26 @@ mod tests {
             ContentKey::of(&a.to_canonical_bytes()),
             ContentKey::of(&b.to_canonical_bytes())
         );
+    }
+
+    #[test]
+    fn trace_cycles_beyond_cycles_are_refused() {
+        let JobRequest::Sim(r) = tiny_sim(Backend::Compiled) else {
+            unreachable!()
+        };
+        for (trace_cycles, ok) in [
+            (0, true),
+            (1, true),
+            (30, true),
+            (31, false),
+            (u32::MAX, false),
+        ] {
+            let req = JobRequest::Sim(SimRequest {
+                trace_cycles,
+                ..r.clone()
+            });
+            assert_eq!(req.validate().is_ok(), ok, "trace_cycles {trace_cycles}");
+        }
     }
 
     #[test]

@@ -210,7 +210,7 @@ pub fn run_chaos_campaign_hooked(
         golden_hooks,
         |_, run| {
             let traces = (0..spec.sbs.len())
-                .map(|i| run.io_trace(SbId(i)).clone())
+                .map(|i| run.io_trace(SbId(i)).into_owned())
                 .collect();
             (run.outcome, traces)
         },

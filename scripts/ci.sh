@@ -67,6 +67,27 @@ if [[ -n "$(grep -v '^crates/core/src/canon\.rs:' <<<"$codecs")" || $(grep -c 's
     exit 1
 fi
 
+echo "== one trace store per lane group =="
+# A lockstep group stores its lanes' traces in one LaneTraces per SB
+# (iotrace.rs): no column of whole per-lane SbIoTraces may come back.
+# Lowering hashes no configuration: in engine.rs only lane_hash (on
+# first read) and resume_decoded (checking the builder) call
+# config_hash.
+percol=$(grep -rnF 'Col<SbIoTrace>' crates/core/src || true)
+if [[ -n "$percol" ]]; then
+    echo "per-lane SbIoTrace column (record into the group's LaneTraces instead):" >&2
+    echo "$percol" >&2
+    exit 1
+fi
+eager=$(awk '/(^|[^A-Za-z0-9_])fn [a-z_0-9]+/ { match($0, /fn [a-z_0-9]+/); f = substr($0, RSTART + 3, RLENGTH - 3) }
+    /config_hash\(/ && f != "lane_hash" && f != "resume_decoded" { print FILENAME ":" FNR ": in " f ": " $0 }' \
+    crates/core/src/engine.rs)
+if [[ -n "$eager" ]]; then
+    echo "config_hash outside lane_hash/resume_decoded (hash lazily through lane_hash):" >&2
+    echo "$eager" >&2
+    exit 1
+fi
+
 echo "== clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -9,15 +9,19 @@
 //! edge-time log and the FIFO move queues. Those reservations must not
 //! scale with the trace limit, which callers may set far past the
 //! cycles that run. A counting global allocator checks all three on the
-//! compiled engine, and checks that decoding a checkpoint with a corrupt
-//! element count reserves no more memory than the blob could fill.
+//! compiled engine and the trace-limit bound on a batched group too,
+//! checks that a warm in-place checkpoint rewind allocates nothing (the
+//! configuration hash is computed at most once per engine), and checks
+//! that decoding a checkpoint with a corrupt element count reserves no
+//! more memory than the blob could fill.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use st_sim::prelude::*;
-use synchro_tokens::scenarios::{build_e1_backend, build_pingpong_backend, e1_spec};
-use synchro_tokens::{Backend, Checkpoint, RunOutcome, SbId};
+use synchro_tokens::checkpoint::config_hash;
+use synchro_tokens::scenarios::{build_e1_backend, build_pingpong_backend, e1_spec, mixer_builder};
+use synchro_tokens::{AnySystem, Backend, BatchedSystem, Checkpoint, RunOutcome, SbId};
 
 /// Counts allocations made by threads that opted in.
 struct Counting;
@@ -133,6 +137,99 @@ fn lowering_reserves_nothing_for_a_huge_trace_limit() {
         .expect("runs");
     assert_eq!(out, RunOutcome::Reached);
     assert!(sys.io_trace(SbId(0)).len() >= 20);
+}
+
+#[test]
+fn batched_lowering_reserves_nothing_for_a_huge_trace_limit() {
+    // A 64-lane group keeps every lane's trace words in one column per
+    // SB; its pre-size is capped at 1024 rows, however large the limit.
+    const LANES: u64 = 64;
+    const CYCLES: u64 = 20;
+    let spec = e1_spec();
+    let builders = (0..LANES)
+        .map(|seed| mixer_builder(&spec, seed, u32::MAX as usize))
+        .collect();
+    let mut batch = None;
+    let (_, lowering) = measure(|| batch = Some(BatchedSystem::build(builders)));
+    assert!(lowering < 1 << 20, "lowering requested {lowering} bytes");
+    let mut batch = batch
+        .unwrap()
+        .unwrap_or_else(|_| panic!("E1 is inside the batched envelope"));
+    let (_, running) = measure(|| {
+        let outs = batch.run_until_cycles(CYCLES, SimDuration::us(3000));
+        assert!(outs.iter().all(|o| *o == RunOutcome::Reached));
+    });
+    // 1024 rows of every lane's words on every SB, with room to spare
+    // for the run's own state.
+    let sbs = spec.sbs.len() as u64;
+    let width: u64 = (0..spec.sbs.len())
+        .map(|i| (spec.inputs_of(SbId(i)).count() + spec.outputs_of(SbId(i)).count()) as u64)
+        .sum();
+    let reserve = 1024 * (8 * sbs + 8 * width * LANES);
+    assert!(
+        running < 2 * reserve,
+        "a {CYCLES}-cycle run requested {running} bytes (row reserve {reserve})"
+    );
+    for lane in 0..LANES as usize {
+        assert!(batch.io_trace(lane, SbId(0)).len() >= CYCLES as usize);
+    }
+}
+
+#[test]
+fn warm_compiled_restore_allocates_nothing() {
+    // A prefix-fork campaign rewinds one engine per variant. The
+    // configuration hash the rewind checks is computed on the engine's
+    // first rewind and kept, so a warm rewind hashes nothing and reuses
+    // every buffer: zero allocations, as before hashing became lazy.
+    let spec = e1_spec();
+    let budget = SimDuration::us(3000);
+    let mut sys = mixer_builder(&spec, 7, 100).build_backend(Backend::Compiled);
+    sys.run_until_cycles(20, budget).expect("runs");
+    let decoded = sys
+        .checkpoint()
+        .expect("checkpointable")
+        .decode()
+        .expect("decodes");
+    sys.run_until_cycles(40, budget).expect("runs");
+    sys.restore_decoded(&decoded).expect("restores");
+    sys.run_until_cycles(40, budget).expect("runs");
+    let allocs = allocations_in(|| sys.restore_decoded(&decoded).expect("restores"));
+    assert_eq!(allocs, 0, "warm restore allocated {allocs} times");
+}
+
+#[test]
+fn resume_hashes_the_configuration_once() {
+    // Resuming checks the builder's hash against the checkpoint, then
+    // lowers and restores; the restore must reuse the checked hash
+    // rather than hash the lowered engine again.
+    let spec = e1_spec();
+    let mut sys = mixer_builder(&spec, 7, 100).build_backend(Backend::Compiled);
+    sys.run_until_cycles(20, SimDuration::us(3000))
+        .expect("runs");
+    let decoded = sys
+        .checkpoint()
+        .expect("checkpointable")
+        .decode()
+        .expect("decodes");
+    let hash = allocations_in(|| {
+        config_hash(&spec, 7, 100, None);
+    });
+    assert!(hash > 0, "hashing encodes the configuration");
+    let builder = mixer_builder(&spec, 7, 100);
+    let mut fresh = None;
+    let lower = allocations_in(|| fresh = Some(builder.build_backend(Backend::Compiled)));
+    let mut fresh = fresh.expect("built");
+    fresh.spec_hash();
+    let restore = allocations_in(|| fresh.restore_decoded(&decoded).expect("restores"));
+    let builder = mixer_builder(&spec, 7, 100);
+    let resume = allocations_in(|| {
+        AnySystem::resume_decoded(builder, &decoded).expect("resumes");
+    });
+    assert_eq!(
+        resume,
+        hash + lower + restore,
+        "resume = one hash ({hash}) + lowering ({lower}) + restore ({restore})"
+    );
 }
 
 #[test]
