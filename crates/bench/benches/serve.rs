@@ -2,10 +2,11 @@
 //!
 //! Two numbers matter for st-serve:
 //!
-//! * `cache_hit_requests` — full HTTP round trips (connect, POST
-//!   /submit, GET /result) against a warm cache, as requests/s. This is
-//!   the steady-state cost of *serving* a memoized campaign: pure
-//!   protocol + store, zero simulation.
+//! * `cache_hit_requests` — two HTTP round trips (POST /submit, GET
+//!   /result) on the bench thread's kept-alive connection against a
+//!   warm cache, as requests/s. This is the steady-state cost of
+//!   *serving* a memoized campaign: pure protocol + store, zero
+//!   simulation.
 //! * `cold_job_e2e` — submit-to-result latency for a job that misses
 //!   the cache, measured by driving the manual-step service (no HTTP,
 //!   no worker wakeup jitter). Each iteration uses a fresh seed so

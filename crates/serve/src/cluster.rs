@@ -5,7 +5,7 @@
 //! this module owns everything with a socket or a thread in it:
 //!
 //! * **Routing** ([`Cluster::try_remote`]) — called from the worker's
-//!   `run_job` path, never the single-threaded acceptor, so forwarding
+//!   `run_job` path, never an HTTP connection thread, so forwarding
 //!   can block on a peer without stalling request intake. A non-owner
 //!   probes the owner's cache (`/peer/get`), falls back to remote
 //!   execution (`/peer/execute` + status polling), then to replica
@@ -436,7 +436,7 @@ impl Cluster {
     /// Attempts to serve `key` remotely. `None` means "execute
     /// locally" — we own the key, the cluster is degenerate, or every
     /// remote path failed (a steal, already counted). Called from the
-    /// worker's `run_job`, so blocking here never stalls the acceptor.
+    /// worker's `run_job`, so blocking here never stalls HTTP intake.
     pub fn try_remote(
         &self,
         request_: &JobRequest,

@@ -3,9 +3,9 @@
 //! Deliberately hand-rolled on [`std::net::TcpListener`]: no tokio, no
 //! hyper, no serde — the workspace depends on no external crate
 //! (DESIGN.md §7) and builds from a clean clone with no network. The
-//! subset implemented is exactly what the service needs: one request
-//! per connection (`Connection: close`), `Content-Length` bodies, and
-//! a handful of fixed routes:
+//! subset implemented is exactly what the service needs: persistent
+//! (keep-alive) connections without pipelining, `Content-Length`
+//! bodies, and a handful of fixed routes:
 //!
 //! | Route                | Method | Body / reply                           |
 //! |----------------------|--------|----------------------------------------|
@@ -24,17 +24,27 @@
 //! | `/peer/execute`      | POST   | job JSON → `{status,id,key}`, no re-forward |
 //! | `/peer/leave`        | POST   | `{id}` → drop the peer from membership |
 //!
-//! Connections are served sequentially by one acceptor thread; request
-//! handling never blocks on job execution (that is the worker pool's
-//! business), so the accept loop stays responsive even while long
+//! The acceptor hands each connection to its own thread, which serves
+//! request after request until the client sends `Connection: close`,
+//! the connection idles past `IO_TIMEOUT`, a request fails to parse or
+//! arrives pipelined behind another, or the server stops. At most
+//! `MAX_CONNECTIONS` such threads live at once; past the cap the
+//! acceptor serves one request itself and replies `Connection: close`.
+//! Request handling never blocks on job execution (that is the worker
+//! pool's business), so intake stays responsive even while long
 //! campaigns run.
+//!
+//! On the client side, [`request`] keeps one idle connection per
+//! thread and reuses it for the next request to the same address.
 
 use crate::json::Json;
 use crate::service::{JobService, Submission, MAX_RESULT_BYTES};
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -47,7 +57,11 @@ const MAX_REPLY_BODY: usize = MAX_RESULT_BYTES + MAX_HEAD;
 /// Bodies up to this size share one buffer (and one write) with their
 /// head; larger ones are written after the head rather than copied.
 const COALESCE_MAX: usize = 4 * 1024;
+/// Bounds every read and write, and how long a kept-alive connection
+/// may sit idle between requests.
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
+/// The most connections served at once, each by its own thread.
+const MAX_CONNECTIONS: usize = 64;
 
 /// Sends one HTTP message. A small body is copied behind the head so
 /// the message leaves in one write; a large one follows the head in a
@@ -65,22 +79,24 @@ fn write_message(stream: &mut TcpStream, head: &str, body: &[u8]) -> io::Result<
     stream.flush()
 }
 
-/// A parsed request: method, path, body.
+/// A parsed request: method, path, body, and whether the connection
+/// may carry another request after this one.
 struct Request {
     method: String,
     path: String,
     body: Vec<u8>,
+    keep_alive: bool,
 }
 
-/// Reads an HTTP head of at most `MAX_HEAD` bytes off `stream`.
-/// Returns everything read so far and the head's length; the bytes
-/// past the head's blank line are the start of the body.
-fn read_head(stream: &mut TcpStream) -> io::Result<(Vec<u8>, usize)> {
-    let mut buf = Vec::new();
+/// Reads an HTTP head of at most `MAX_HEAD` bytes off `stream` into
+/// `buf` and returns the head's length; the bytes past the head's
+/// blank line are the start of the body. On error, `buf` holds what
+/// arrived before it.
+fn read_head(stream: &mut TcpStream, buf: &mut Vec<u8>) -> io::Result<usize> {
     let mut chunk = [0u8; 1024];
     loop {
-        if let Some(pos) = find_head_end(&buf) {
-            return Ok((buf, pos));
+        if let Some(pos) = find_head_end(buf) {
+            return Ok(pos);
         }
         if buf.len() > MAX_HEAD {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "head too large"));
@@ -96,20 +112,28 @@ fn read_head(stream: &mut TcpStream) -> io::Result<(Vec<u8>, usize)> {
     }
 }
 
+/// The value of the head's first `name` header, if it carries one.
+fn header<'h>(head: &'h str, name: &str) -> Option<&'h str> {
+    head.split("\r\n").skip(1).find_map(|line| {
+        let (n, value) = line.split_once(':')?;
+        n.trim().eq_ignore_ascii_case(name).then(|| value.trim())
+    })
+}
+
 /// The head's `Content-Length`, if it carries one.
 fn content_length(head: &str) -> io::Result<Option<usize>> {
-    for line in head.split("\r\n").skip(1) {
-        if let Some((name, value)) = line.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                return value
-                    .trim()
-                    .parse()
-                    .map(Some)
-                    .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad length"));
-            }
-        }
-    }
-    Ok(None)
+    header(head, "content-length")
+        .map(|v| {
+            v.parse()
+                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad length"))
+        })
+        .transpose()
+}
+
+/// Whether the head says the connection closes after this message.
+fn closes(head: &str) -> bool {
+    header(head, "connection")
+        .is_some_and(|v| v.split(',').any(|t| t.trim().eq_ignore_ascii_case("close")))
 }
 
 /// Reads a body of exactly `len` bytes, of which `body` already holds
@@ -130,9 +154,12 @@ fn read_body(stream: &mut TcpStream, mut body: Vec<u8>, len: usize) -> io::Resul
     Ok(body)
 }
 
-/// Reads one HTTP/1.1 request off `stream`.
+/// Reads one HTTP/1.1 request off `stream`. Bytes that arrived past
+/// its body would be a pipelined request, which is not supported: the
+/// request is served, but the connection closes after it.
 fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
-    let (mut buf, head_end) = read_head(stream)?;
+    let mut buf = Vec::new();
+    let head_end = read_head(stream, &mut buf)?;
     let head = std::str::from_utf8(&buf[..head_end])
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 head"))?;
     let request_line = head.split("\r\n").next().unwrap_or_default();
@@ -149,8 +176,16 @@ fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
     if content_length > MAX_BODY {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
     }
-    let body = read_body(stream, buf.split_off(head_end + 4), content_length)?;
-    Ok(Request { method, path, body })
+    let close = closes(head);
+    let rest = buf.split_off(head_end + 4);
+    let keep_alive = !close && rest.len() <= content_length;
+    let body = read_body(stream, rest, content_length)?;
+    Ok(Request {
+        method,
+        path,
+        body,
+        keep_alive,
+    })
 }
 
 fn find_head_end(buf: &[u8]) -> Option<usize> {
@@ -176,7 +211,7 @@ impl Response {
         Self::json(code, &Json::obj([("error", Json::str(msg))]))
     }
 
-    fn write(self, stream: &mut TcpStream) -> io::Result<()> {
+    fn write(self, stream: &mut TcpStream, keep_alive: bool) -> io::Result<()> {
         let reason = match self.code {
             200 => "OK",
             202 => "Accepted",
@@ -188,10 +223,11 @@ impl Response {
             _ => "Unknown",
         };
         let head = format!(
-            "HTTP/1.1 {} {reason}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+            "HTTP/1.1 {} {reason}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
             self.code,
             self.content_type,
-            self.body.len()
+            self.body.len(),
+            if keep_alive { "keep-alive" } else { "close" },
         );
         write_message(stream, &head, &self.body)
     }
@@ -535,11 +571,130 @@ fn handle_result(service: &JobService, id: u64) -> Response {
     }
 }
 
-/// A running server: acceptor thread + shared service.
-pub struct Server {
-    addr: SocketAddr,
+/// What the acceptor shares with the connection threads.
+struct Shared {
     service: Arc<JobService>,
-    stop: Arc<AtomicBool>,
+    stop: AtomicBool,
+    addr: SocketAddr,
+    conns: Mutex<Connections>,
+}
+
+/// The live connections: a cloned handle of each, so a shutdown can
+/// close it under a thread blocked reading it, and the threads serving
+/// them.
+#[derive(Default)]
+struct Connections {
+    next_id: u64,
+    open: HashMap<u64, TcpStream>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl Shared {
+    /// Hands `stream` to a connection thread, or serves one request on
+    /// it here when `MAX_CONNECTIONS` threads are live.
+    fn accept(self: &Arc<Self>, stream: TcpStream) {
+        let mut conns = self.conns.lock().expect("connection registry poisoned");
+        conns.threads.retain(|t| !t.is_finished());
+        if conns.threads.len() < MAX_CONNECTIONS {
+            let shared = Arc::clone(self);
+            // A failed spawn drops the stream, closing the connection.
+            if let Ok(t) = std::thread::Builder::new()
+                .name("st-serve-conn".to_owned())
+                .spawn(move || shared.serve_connection(stream, true))
+            {
+                conns.threads.push(t);
+            }
+            return;
+        }
+        drop(conns);
+        self.serve_connection(stream, false);
+    }
+
+    /// Serves requests on `stream` until the peer closes it or sends
+    /// `Connection: close`, it idles past `IO_TIMEOUT`, a request fails
+    /// to parse or arrives pipelined, or the server stops. Without
+    /// `keep_alive`, it closes after the first reply.
+    fn serve_connection(&self, mut stream: TcpStream, keep_alive: bool) {
+        let Some(id) = self.register(&stream) else {
+            return;
+        };
+        let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+        let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+        let _ = stream.set_nodelay(true);
+        // Between requests, a peer that hangs up or stays silent past
+        // the timeout ends the connection without a reply.
+        while matches!(stream.peek(&mut [0]), Ok(n) if n > 0) {
+            let (response, keep) = match read_request(&mut stream) {
+                Ok(req) => {
+                    let stats = &self.service.stats;
+                    stats.http_requests.fetch_add(1, Ordering::Relaxed);
+                    (handle(&self.service, &req, &self.stop), req.keep_alive)
+                }
+                Err(e) => (Response::error(400, &e.to_string()), false),
+            };
+            let stopping = self.stop.load(Ordering::Acquire);
+            let keep = keep && keep_alive && !stopping;
+            let written = response.write(&mut stream, keep);
+            if stopping {
+                // Wake a blocking accept so the acceptor sees the stop
+                // (this thread may have just served `/shutdown`).
+                let _ = TcpStream::connect(self.addr);
+            }
+            if written.is_err() || !keep {
+                break;
+            }
+        }
+        self.deregister(id);
+    }
+
+    /// Records a clone of `stream` so a shutdown can close it. `None`
+    /// once the server is stopping: a connection that arrives then is
+    /// dropped unserved.
+    fn register(&self, stream: &TcpStream) -> Option<u64> {
+        let handle = stream.try_clone().ok()?;
+        let mut conns = self.conns.lock().expect("connection registry poisoned");
+        if self.stop.load(Ordering::Acquire) {
+            return None;
+        }
+        let id = conns.next_id;
+        conns.next_id += 1;
+        conns.open.insert(id, handle);
+        let stats = &self.service.stats;
+        stats.http_connections.fetch_add(1, Ordering::Relaxed);
+        stats.http_connections_open.fetch_add(1, Ordering::Relaxed);
+        Some(id)
+    }
+
+    fn deregister(&self, id: u64) {
+        self.conns
+            .lock()
+            .expect("connection registry poisoned")
+            .open
+            .remove(&id);
+        let stats = &self.service.stats;
+        stats.http_connections_open.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Closes every live connection, so a thread blocked reading one
+    /// returns at once, then joins the connection threads.
+    fn close_connections(&self) {
+        let threads = {
+            let mut conns = self.conns.lock().expect("connection registry poisoned");
+            for stream in conns.open.values() {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+            std::mem::take(&mut conns.threads)
+        };
+        for t in threads {
+            let _ = t.join();
+        }
+    }
+}
+
+/// A running server: acceptor thread, connection threads and the
+/// shared service.
+pub struct Server {
+    shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
 }
 
@@ -553,71 +708,68 @@ impl Server {
     pub fn bind(addr: &str, service: Arc<JobService>) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
+        let shared = Arc::new(Shared {
+            service,
+            stop: AtomicBool::new(false),
+            addr: local,
+            conns: Mutex::default(),
+        });
         let acceptor = {
-            let service = Arc::clone(&service);
-            let stop = Arc::clone(&stop);
+            let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("st-serve-acceptor".to_owned())
                 .spawn(move || {
                     for stream in listener.incoming() {
-                        if stop.load(Ordering::Acquire) {
+                        if shared.stop.load(Ordering::Acquire) {
                             break;
                         }
-                        let Ok(mut stream) = stream else { continue };
-                        let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-                        let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-                        let _ = stream.set_nodelay(true);
-                        let response = match read_request(&mut stream) {
-                            Ok(req) => handle(&service, &req, &stop),
-                            Err(e) => Response::error(400, &e.to_string()),
-                        };
-                        let _ = response.write(&mut stream);
-                        if stop.load(Ordering::Acquire) {
+                        if let Ok(stream) = stream {
+                            shared.accept(stream);
+                        }
+                        if shared.stop.load(Ordering::Acquire) {
                             break;
                         }
                     }
                 })?
         };
         Ok(Server {
-            addr: local,
-            service,
-            stop,
+            shared,
             acceptor: Some(acceptor),
         })
     }
 
     /// The bound address (resolves ephemeral ports).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.addr
     }
 
     /// The service behind the server.
     pub fn service(&self) -> &Arc<JobService> {
-        &self.service
+        &self.shared.service
     }
 
     /// Blocks until the acceptor exits (i.e. until a client POSTs
-    /// `/shutdown`), then stops the worker pool. The foreground-server
-    /// mode of the CLI.
+    /// `/shutdown`), then closes the live connections and stops the
+    /// worker pool. The foreground-server mode of the CLI.
     pub fn join_acceptor(&mut self) {
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
-        self.stop.store(true, Ordering::Release);
-        self.service.shutdown();
+        self.shared.stop.store(true, Ordering::Release);
+        self.shared.close_connections();
+        self.shared.service.shutdown();
     }
 
-    /// Stops accepting, joins the acceptor, and shuts the worker pool
-    /// down. Idempotent.
+    /// Stops accepting, closes the live connections, joins the acceptor
+    /// and the connection threads, and shuts the worker pool down.
+    /// Idempotent.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        // Unblock a blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        self.service.shutdown();
+        self.shared.stop.store(true, Ordering::Release);
+        // Unblock a blocking accept with a throwaway connection, and an
+        // acceptor serving a request at the cap by closing its stream.
+        let _ = TcpStream::connect(self.shared.addr);
+        self.shared.close_connections();
+        self.join_acceptor();
     }
 }
 
@@ -627,14 +779,28 @@ impl Drop for Server {
     }
 }
 
-/// One-shot blocking HTTP client used by the CLI, the tests and the
-/// smoke script: sends `method path` with `body`, returns
+thread_local! {
+    /// This thread's idle kept-alive connection and its server address.
+    static IDLE: RefCell<Option<(SocketAddr, TcpStream)>> = const { RefCell::new(None) };
+}
+
+/// Blocking HTTP client used by the CLI, the cluster layer, the tests
+/// and the benchmarks: sends `method path` with `body`, returns
 /// `(status code, body bytes)`.
 ///
 /// The reply must carry a `Content-Length` (this server always sends
 /// one) of at most `MAX_REPLY_BODY`, and exactly that many body bytes
 /// are read, so a peer that keeps sending cannot grow the caller's
 /// memory without bound.
+///
+/// Each thread keeps the connection of its last complete reply open
+/// and reuses it for its next request to the same address. If the
+/// server has closed that idle connection, so that it fails before
+/// any reply byte arrives, the request is sent once more on a fresh
+/// connection. The server closes connections only between requests,
+/// `/submit` is content-keyed and the other routes are idempotent, so
+/// the resend never runs anything twice. A fresh connection is never
+/// retried, and neither is a reply that has started.
 ///
 /// # Errors
 ///
@@ -647,24 +813,67 @@ pub fn request(
     path: &str,
     body: &[u8],
 ) -> io::Result<(u16, Vec<u8>)> {
+    let head = format!(
+        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    );
+    let idle = IDLE.with_borrow_mut(|slot| slot.take_if(|(a, _)| *a == addr));
+    if let Some((_, mut stream)) = idle {
+        let mut raw = Vec::new();
+        match exchange(&mut stream, &head, body, &mut raw) {
+            Err(e)
+                if raw.is_empty()
+                    && matches!(
+                        e.kind(),
+                        io::ErrorKind::UnexpectedEof
+                            | io::ErrorKind::ConnectionReset
+                            | io::ErrorKind::BrokenPipe
+                    ) => {}
+            reply => return keep_idle(addr, stream, reply),
+        }
+    }
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     stream.set_nodelay(true)?;
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    write_message(&mut stream, &head, body)?;
-    let (mut raw, head_end) = read_head(&mut stream)?;
-    let head = std::str::from_utf8(&raw[..head_end])
+    let reply = exchange(&mut stream, &head, body, &mut Vec::new());
+    keep_idle(addr, stream, reply)
+}
+
+/// Parks `stream` as this thread's idle connection if `reply` says it
+/// can carry another request.
+fn keep_idle(
+    addr: SocketAddr,
+    stream: TcpStream,
+    reply: io::Result<(u16, Vec<u8>, bool)>,
+) -> io::Result<(u16, Vec<u8>)> {
+    let (code, body, reusable) = reply?;
+    if reusable {
+        IDLE.with_borrow_mut(|slot| *slot = Some((addr, stream)));
+    }
+    Ok((code, body))
+}
+
+/// Sends one request on `stream` and reads its reply: the status, the
+/// body, and whether the connection can be reused (the reply ended at
+/// its length and did not say `Connection: close`). `raw` collects the
+/// reply's bytes as they arrive.
+fn exchange(
+    stream: &mut TcpStream,
+    head: &str,
+    body: &[u8],
+    raw: &mut Vec<u8>,
+) -> io::Result<(u16, Vec<u8>, bool)> {
+    write_message(stream, head, body)?;
+    let head_end = read_head(stream, raw)?;
+    let reply = std::str::from_utf8(&raw[..head_end])
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 response head"))?;
-    let code: u16 = head
+    let code: u16 = reply
         .split(' ')
         .nth(1)
         .and_then(|c| c.parse().ok())
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
-    let len = content_length(head)?
+    let len = content_length(reply)?
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "response without length"))?;
     if len > MAX_REPLY_BODY {
         return Err(io::Error::new(
@@ -672,8 +881,11 @@ pub fn request(
             "response exceeds the size cap",
         ));
     }
-    let body = read_body(&mut stream, raw.split_off(head_end + 4), len)?;
-    Ok((code, body))
+    let close = closes(reply);
+    let rest = raw.split_off(head_end + 4);
+    let reusable = !close && rest.len() <= len;
+    let body = read_body(stream, rest, len)?;
+    Ok((code, body, reusable))
 }
 
 #[cfg(test)]
@@ -731,7 +943,7 @@ mod tests {
         let result: Vec<u8> = (0..MAX_BODY + MAX_BODY / 8)
             .map(|i| (i % 251) as u8)
             .collect();
-        server.service.store.put(key, result.clone());
+        server.service().store.put(key, result.clone());
         let (code, reply) = request(server.addr(), "POST", "/submit", job).unwrap();
         assert_eq!(code, 202);
         let reply = Json::parse(&String::from_utf8_lossy(&reply)).unwrap();
@@ -804,6 +1016,130 @@ mod tests {
             if limit == endless {
                 assert!(sent < limit, "{head:?}: the caller hung up early");
             }
+        }
+    }
+
+    /// A complete reply that leaves the connection open.
+    const KEPT_ALIVE_OK: &str = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok";
+    const HEALTHZ: &str = "GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n";
+
+    #[test]
+    fn a_kept_alive_connection_the_peer_closed_is_replaced() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Answers one request per connection with keep-alive, then
+        // hangs up, as a server does at its idle timeout.
+        let peer = std::thread::spawn(move || {
+            for _ in 0..2 {
+                let (mut stream, _) = listener.accept().unwrap();
+                read_request(&mut stream).unwrap();
+                stream.write_all(KEPT_ALIVE_OK.as_bytes()).unwrap();
+            }
+        });
+        for path in ["/first", "/second"] {
+            let reply = request(addr, "GET", path, b"").unwrap();
+            assert_eq!(reply, (200, b"ok".to_vec()), "{path}");
+        }
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn a_reused_connection_that_dies_mid_reply_is_not_retried() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            read_request(&mut stream).unwrap();
+            stream.write_all(KEPT_ALIVE_OK.as_bytes()).unwrap();
+            read_request(&mut stream).unwrap();
+            stream.write_all(b"HTTP/1.1 200").unwrap();
+            listener
+        });
+        request(addr, "GET", "/first", b"").unwrap();
+        let err = request(addr, "GET", "/second", b"").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        let listener = peer.join().unwrap();
+        listener.set_nonblocking(true).unwrap();
+        assert_eq!(
+            listener.accept().unwrap_err().kind(),
+            io::ErrorKind::WouldBlock,
+            "the request was sent again on a new connection"
+        );
+    }
+
+    fn live_threads(server: &Server) -> usize {
+        let conns = server.shared.conns.lock().unwrap();
+        conns.threads.iter().filter(|t| !t.is_finished()).count()
+    }
+
+    #[test]
+    fn past_the_connection_cap_one_request_is_served_and_closed() {
+        let server = serve_manual();
+        let held: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+            .map(|_| {
+                let mut stream = TcpStream::connect(server.addr()).unwrap();
+                stream.write_all(HEALTHZ.as_bytes()).unwrap();
+                let mut buf = Vec::new();
+                let end = read_head(&mut stream, &mut buf).unwrap();
+                let head = std::str::from_utf8(&buf[..end]).unwrap();
+                assert!(head.contains("Connection: keep-alive"), "{head}");
+                stream
+            })
+            .collect();
+        assert_eq!(live_threads(&server), MAX_CONNECTIONS);
+        let mut extra = TcpStream::connect(server.addr()).unwrap();
+        extra.write_all(HEALTHZ.as_bytes()).unwrap();
+        let mut reply = String::new();
+        extra.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+        assert!(reply.contains("Connection: close"), "{reply}");
+        assert_eq!(
+            request(server.addr(), "GET", "/healthz", b"").unwrap().0,
+            200
+        );
+        assert!(
+            IDLE.with_borrow(Option::is_none),
+            "a `Connection: close` reply left its stream for reuse"
+        );
+        assert!(live_threads(&server) <= MAX_CONNECTIONS);
+        drop(held);
+    }
+
+    #[test]
+    fn pipelined_requests_get_one_reply_then_close() {
+        let server = serve_manual();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .write_all(format!("{HEALTHZ}{HEALTHZ}").as_bytes())
+            .unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        assert_eq!(reply.matches("HTTP/1.1 ").count(), 1, "{reply}");
+        assert!(reply.contains("Connection: close"), "{reply}");
+    }
+
+    #[test]
+    fn shutdown_is_prompt_with_an_idle_kept_alive_connection() {
+        for via_route in [false, true] {
+            let mut server = serve_manual();
+            // Leaves this thread's connection open and idle.
+            request(server.addr(), "GET", "/healthz", b"").unwrap();
+            let open = &server.service().stats.http_connections_open;
+            assert_eq!(open.load(Ordering::Relaxed), 1);
+            let started = std::time::Instant::now();
+            if via_route {
+                let addr = server.addr();
+                let stop = std::thread::spawn(move || request(addr, "POST", "/shutdown", b""));
+                assert_eq!(stop.join().unwrap().unwrap().0, 200);
+                server.join_acceptor();
+            } else {
+                server.shutdown();
+            }
+            assert!(
+                started.elapsed() < Duration::from_secs(1),
+                "via_route {via_route}: took {:?}",
+                started.elapsed()
+            );
         }
     }
 

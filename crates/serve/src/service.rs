@@ -193,6 +193,12 @@ pub struct ServiceStats {
     pub cancelled: AtomicU64,
     /// Jobs that outlived their deadline.
     pub expired: AtomicU64,
+    /// TCP connections the HTTP front end has served.
+    pub http_connections: AtomicU64,
+    /// HTTP requests it has parsed and answered.
+    pub http_requests: AtomicU64,
+    /// HTTP connections open now.
+    pub http_connections_open: AtomicU64,
 }
 
 /// The shared campaign service. Construct once, wrap in [`Arc`], hand
@@ -474,6 +480,10 @@ impl JobService {
                 self.claim()
             };
             if let Some(id) = claimed {
+                // On a shared core, `submit` wakes this worker before
+                // the submitting client has read its 202; yield once so
+                // the reply goes out before the job takes the core.
+                std::thread::yield_now();
                 self.run_job(id);
             }
         }
@@ -492,8 +502,8 @@ impl JobService {
             )
         };
         let started = Instant::now();
-        // Cluster routing happens here, on the worker thread — the
-        // acceptor never blocks on a peer. Peer-submitted jobs are
+        // Cluster routing happens here, on the worker thread — HTTP
+        // request handling never blocks on a peer. Peer-submitted jobs are
         // pinned local; everything else asks the ring who owns the key.
         if !local_only {
             if let Some(cluster) = self.cluster() {
@@ -682,7 +692,10 @@ impl JobService {
              st_serve_batch_lanes_total {lanes}\n\
              st_serve_batch_groups_total {groups}\n\
              st_serve_batch_splits_total {splits}\n\
-             st_serve_batch_occupancy {occupancy:.4}\n",
+             st_serve_batch_occupancy {occupancy:.4}\n\
+             st_serve_http_connections_total {}\n\
+             st_serve_http_requests_total {}\n\
+             st_serve_http_connections_open {}\n",
             self.queue_depth(),
             r(&self.stats.submitted),
             r(&self.stats.cancelled),
@@ -693,6 +706,9 @@ impl JobService {
             r(&self.store.stats.evictions),
             r(&self.store.stats.corrupt_discards),
             done as f64 / elapsed,
+            r(&self.stats.http_connections),
+            r(&self.stats.http_requests),
+            r(&self.stats.http_connections_open),
         );
         // Cluster series appear only on clustered nodes, so the
         // single-node exposition stays byte-stable.

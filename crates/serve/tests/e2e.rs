@@ -386,6 +386,26 @@ fn malformed_requests_fail_clean_over_http() {
     server.shutdown();
 }
 
+/// Keep-alive: one client thread's sequential requests share one TCP
+/// connection, and `/metrics` counts connections and requests apart.
+#[test]
+fn sequential_requests_from_one_thread_share_one_connection() {
+    let service = JobService::start(ServiceConfig {
+        workers: 0,
+        ..ServiceConfig::default()
+    });
+    let mut server = Server::bind("127.0.0.1:0", service).unwrap();
+    for _ in 0..100 {
+        let (code, _) = request(server.addr(), "GET", "/healthz", b"").unwrap();
+        assert_eq!(code, 200);
+    }
+    assert_eq!(metric(server.addr(), "st_serve_http_connections_total"), 1);
+    // The 100 probes plus this `/metrics` request and the one before.
+    assert_eq!(metric(server.addr(), "st_serve_http_requests_total"), 102);
+    assert_eq!(metric(server.addr(), "st_serve_http_connections_open"), 1);
+    server.shutdown();
+}
+
 /// Cancelling a job *while a worker is executing it*: the cooperative
 /// token stops the campaign at a sub-job boundary, the job classifies
 /// as `cancelled`, and its result is gone for good.

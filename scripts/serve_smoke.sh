@@ -66,9 +66,20 @@ grep -q '^st_serve_served_cached_total 1$' <<<"$metrics" || {
 "$bin" submit "$addr" '{"bad json' >/dev/null 2>&1 || true
 "$bin" metrics "$addr" >/dev/null
 
-# Clean shutdown over the API; the foreground process must exit.
+# A client holding an idle kept-alive connection must not stall the
+# shutdown: open one, send a request without `Connection: close`, read
+# the reply's status line and keep the descriptor open.
+exec 4<>"/dev/tcp/${addr%:*}/${addr#*:}"
+printf 'GET /healthz HTTP/1.1\r\nHost: %s\r\nContent-Length: 0\r\n\r\n' "$addr" >&4
+IFS= read -r -t 5 held_status <&4 || { echo "no reply on the kept-alive connection"; exit 1; }
+grep -q '^HTTP/1.1 200' <<<"$held_status" || { echo "kept-alive healthz: $held_status"; exit 1; }
+
+# Clean shutdown over the API; the server closes the held connection
+# and the foreground process must exit.
 printf 'POST /shutdown HTTP/1.1\r\nHost: %s\r\nContent-Length: 0\r\nConnection: close\r\n\r\n' "$addr" \
     | timeout 10 bash -c "exec 3<>/dev/tcp/${addr%:*}/${addr#*:}; cat >&3; head -c 200 <&3" >/dev/null
+timeout 3 cat <&4 >/dev/null || { echo "server kept the idle connection open after /shutdown"; exit 1; }
+exec 4<&-
 for _ in $(seq 1 100); do
     kill -0 "$server_pid" 2>/dev/null || break
     sleep 0.1
