@@ -10,9 +10,9 @@
 //! per spec shares the event loop, clock machinery, FIFO occupancy and
 //! token-ring FSMs, and keeps only the logics, trace words and FIFO
 //! words per lane. A group records each trace row's shape once and
-//! folds every lane's trace digest as the row lands, so
-//! [`BatchedSystem::trace_digest`] is O(1) and
-//! [`BatchedSystem::io_trace`] builds a lane's trace only when asked.
+//! hashes nothing; the first [`BatchedSystem::trace_digest`] folds all
+//! its lanes in one pass, and [`BatchedSystem::io_trace`] builds a
+//! lane's trace only when asked.
 //! [`CompiledSystem`] is the same engine at exactly one inline lane.
 //!
 //! # Group formation and divergence
@@ -274,8 +274,8 @@ impl BatchedSystem {
         g.lane_trace(slot, sb)
     }
 
-    /// `io_trace(lane, sb).digest()` without building the trace: O(1),
-    /// each lane's digest is folded as its rows land.
+    /// `io_trace(lane, sb).digest()` without building the trace: the
+    /// first read folds all the group's lanes at once; later ones reuse it.
     pub fn trace_digest(&self, lane: usize, sb: SbId) -> u64 {
         let (g, slot) = self.at(lane);
         g.lane_digest(slot, sb)

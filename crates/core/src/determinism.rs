@@ -279,12 +279,13 @@ fn run_one(
     let completed = matches!(outcome, Ok(RunOutcome::Reached));
     let mut divergences = Vec::with_capacity(base.sbs.len());
     let mut matched = completed;
+    let cycles = cfg.compare_cycles as usize;
     for (i, reference) in nominal.iter().enumerate() {
         let trace = sys.io_trace(SbId(i));
         let d = reference.first_divergence(trace);
-        if d.is_some() || !trace.matches_for(reference, cfg.compare_cycles as usize) {
-            matched = false;
-        }
+        // With no divergence over the common prefix, the traces agree on
+        // the first `cycles` rows exactly when both hold that many.
+        matched &= d.is_none() && trace.len().min(reference.len()) >= cycles;
         divergences.push(d);
     }
     let cmp = RunComparison {
@@ -395,6 +396,23 @@ mod tests {
     use crate::scenarios::{build_e1, build_e1_bypass, e1_spec, producer_consumer_spec};
     use crate::spec::SbId;
     use crate::system::SystemBuilder;
+
+    #[test]
+    fn short_matching_trace_is_a_mismatch() {
+        // Traces capped at 30 rows match the nominal ones row for row,
+        // but no run shows the 60 compared cycles.
+        let spec = e1_spec();
+        let cfg = CampaignConfig {
+            runs: 8,
+            compare_cycles: 60,
+            ..CampaignConfig::default()
+        };
+        let result = run_campaign(&spec, &cfg, &|s, seed| build_e1(s, seed, 30));
+        assert_eq!((result.matches, result.mismatches.len()), (0, 8));
+        for run in &result.mismatches {
+            assert!(run.completed && run.divergences.iter().all(Option::is_none));
+        }
+    }
 
     #[test]
     fn knob_indexing_covers_every_field() {

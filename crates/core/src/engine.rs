@@ -47,15 +47,15 @@
 //!   push payload. This is [`CompiledSystem`](crate::CompiledSystem).
 //! * [`Lanes`] — boxed columns of any width, the lockstep groups of
 //!   [`BatchedSystem`](crate::BatchedSystem), and one `LaneTraces` per
-//!   SB: each row's shape once, every lane's words in one column, and
-//!   every lane's digest folded as the row lands; a lane's
-//!   `SbIoTrace` is built only when read. The only way lane data can
-//!   steer control flow is a logic's send decision on a rising edge,
-//!   so a lanes group partitions its lanes by send pattern there and,
-//!   on a disagreement, **splits**: control state is cloned per
-//!   partition, the columns are dealt out and the trace columns
-//!   selected. A split lane's control state *is* its scalar state, so
-//!   it stays byte-identical.
+//!   SB: each row's shape once and every lane's words in one column.
+//!   Recording hashes nothing; the first digest read folds every lane
+//!   in one pass, and a lane's `SbIoTrace` is built only when read.
+//!   The only way lane data can steer control flow is a logic's send
+//!   decision on a rising edge, so a lanes group partitions its lanes
+//!   by send pattern there and, on a disagreement, **splits**: control
+//!   state is cloned per partition, the columns are dealt out and the
+//!   trace columns selected. A split lane's control state *is* its
+//!   scalar state, so it stays byte-identical.
 //!
 //! Both instantiations run the same lowering, dispatch loop, event
 //! handlers, FIFO cascade and checkpoint dump; the plane only supplies

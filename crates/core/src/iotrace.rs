@@ -11,14 +11,14 @@
 use crate::canon::{Canon, Dec};
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
 
 /// Fast in-process hasher behind [`SbIoTrace::digest`] (FxHash-style
-/// multiply-rotate with a splitmix64 finish). Campaign verdicts hash
-/// every trace row, and SipHash (`DefaultHasher`) dominated sweep
-/// profiles. Digest values are compared within a process and never
-/// persisted — `st-serve`'s content keys use their own stable FNV
-/// over canonical bytes.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+/// multiply-rotate with a splitmix64 finish). SipHash
+/// (`DefaultHasher`) dominated sweep profiles. Digest values are
+/// compared within a process and never persisted — `st-serve`'s
+/// content keys use their own stable FNV over canonical bytes.
+#[derive(Default, Clone)]
 struct DigestHasher(u64);
 
 impl DigestHasher {
@@ -26,30 +26,9 @@ impl DigestHasher {
 }
 
 impl Hasher for DigestHasher {
-    #[inline]
+    /// Trace rows hash as words only; bytes fold one word each.
     fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.write_u64(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rem.len()].copy_from_slice(rem);
-            // Fold the tail length in so short writes of different
-            // lengths cannot collide trivially.
-            self.write_u64(u64::from_le_bytes(tail) ^ ((rem.len() as u64) << 56));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.write_u64(u64::from(n));
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
     }
 
     #[inline]
@@ -102,8 +81,8 @@ const RESERVE_ROWS_MAX: usize = 1 << 16;
 /// The captured I/O sequence of one synchronous block, stored
 /// columnar so recording a row never allocates once capacity exists:
 /// per row a cycle and two end offsets into one flat cell buffer
-/// holding the row's reads, then its writes. The digest is folded as
-/// each row lands.
+/// holding the row's reads, then its writes. Recording hashes
+/// nothing; [`digest`](Self::digest) folds the rows when it is read.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct SbIoTrace {
     limit: usize,
@@ -111,7 +90,6 @@ pub struct SbIoTrace {
     /// Per row: the end of its reads and the end of its writes in `cells`.
     ends: Vec<[u32; 2]>,
     cells: Vec<Option<u64>>,
-    hasher: DigestHasher,
 }
 
 impl Clone for SbIoTrace {
@@ -121,7 +99,6 @@ impl Clone for SbIoTrace {
             cycles: self.cycles.clone(),
             ends: self.ends.clone(),
             cells: self.cells.clone(),
-            hasher: self.hasher.clone(),
         }
     }
 
@@ -132,7 +109,6 @@ impl Clone for SbIoTrace {
         self.cycles.clone_from(&source.cycles);
         self.ends.clone_from(&source.ends);
         self.cells.clone_from(&source.cells);
-        self.hasher = source.hasher.clone();
     }
 }
 
@@ -212,25 +188,17 @@ impl SbIoTrace {
             self.ends.reserve_exact(rows);
             self.cells.reserve_exact(rows * width);
         }
-        let start = self.cells.len();
         self.cells.extend(reads);
         let mid = self.cells.len();
         self.cells.extend(writes);
-        self.push_row(cycle, start, mid);
+        self.push_row(cycle, mid);
     }
 
-    /// Closes the row whose reads occupy `cells[start..mid]` and whose
-    /// writes run from `mid` to the end, folding it into the digest.
-    fn push_row(&mut self, cycle: u64, start: usize, mid: usize) {
-        let end = self.cells.len();
+    /// Closes the row whose writes run from `cells[mid..]`.
+    fn push_row(&mut self, cycle: u64, mid: usize) {
         self.cycles.push(cycle);
-        self.ends.push([cell_offset(mid), cell_offset(end)]);
-        TraceRowRef {
-            cycle,
-            reads: &self.cells[start..mid],
-            writes: &self.cells[mid..end],
-        }
-        .hash(&mut self.hasher);
+        self.ends
+            .push([cell_offset(mid), cell_offset(self.cells.len())]);
     }
 
     /// True when the limit is reached and further rows would be dropped.
@@ -274,12 +242,14 @@ impl SbIoTrace {
     }
 
     /// A 64-bit digest of the whole sequence (for campaign-scale
-    /// comparison without keeping every trace in memory). Each row is
-    /// folded in as it is recorded, so this is O(1). Digests are
-    /// deterministic within a process run; durable content addressing
-    /// goes through [`to_canonical_bytes`](Self::to_canonical_bytes).
+    /// comparison without keeping every trace in memory). Each call folds
+    /// every row, O(rows) without allocating, so read it once per trace.
+    /// Digests are deterministic within a process run; durable content
+    /// addressing goes through [`to_canonical_bytes`](Self::to_canonical_bytes).
     pub fn digest(&self) -> u64 {
-        self.hasher.finish()
+        let mut h = DigestHasher::default();
+        self.iter().for_each(|row| row.hash(&mut h));
+        h.finish()
     }
 
     /// First cycle index at which the traces differ, comparing the common
@@ -405,11 +375,10 @@ impl SbIoTrace {
         };
         for _ in 0..row_count {
             let cycle = u64::get(&mut d)?;
-            let start = t.cells.len();
             words(&mut d, &mut t.cells)?;
             let mid = t.cells.len();
             words(&mut d, &mut t.cells)?;
-            t.push_row(cycle, start, mid);
+            t.push_row(cycle, mid);
         }
         d.finish()?;
         Ok(t)
@@ -497,13 +466,14 @@ const LANE_RESERVE_ROWS_MAX: usize = 1024;
 /// and which outputs transmitted a word — is shared; only the words
 /// differ. Each row stores its cycle and presence bits once, then one
 /// lanes-wide column of words per present cell, all in one flat
-/// buffer. Every lane's digest is folded as the row lands, as the
-/// exact stream [`TraceRowRef`]'s `Hash` emits, so
-/// [`digest`](Self::digest) equals the digest of the lane's
-/// [`SbIoTrace`], which [`lane`](Self::lane) builds on demand.
+/// buffer. Recording hashes nothing: the first [`digest`](Self::digest)
+/// folds every lane at once over the stored columns and keeps the
+/// results until the next row lands. Each equals the digest of the
+/// lane's [`SbIoTrace`], which [`lane`](Self::lane) builds on demand.
 #[derive(Debug)]
 pub(crate) struct LaneTraces {
     limit: usize,
+    lanes: usize,
     reads: usize,
     writes: usize,
     /// Presence-bit words per row: bit `i` is input `i`, bit
@@ -513,8 +483,8 @@ pub(crate) struct LaneTraces {
     masks: Vec<u64>,
     /// Per present cell, in row then cell order: one word per lane.
     words: Vec<u64>,
-    /// Per lane: the digest folded so far.
-    hashers: Vec<DigestHasher>,
+    /// Per lane: the digest of the rows recorded so far, once read.
+    digests: OnceLock<Box<[u64]>>,
 }
 
 impl LaneTraces {
@@ -524,18 +494,15 @@ impl LaneTraces {
         debug_assert!(lanes > 0, "a group has at least one lane");
         LaneTraces {
             limit,
+            lanes,
             reads,
             writes,
             mask_words: (reads + writes).div_ceil(64),
             cycles: Vec::new(),
             masks: Vec::new(),
             words: Vec::new(),
-            hashers: vec![DigestHasher::default(); lanes],
+            digests: OnceLock::new(),
         }
-    }
-
-    fn lanes(&self) -> usize {
-        self.hashers.len()
     }
 
     /// True when the limit is reached and further rows would be dropped.
@@ -565,55 +532,69 @@ impl LaneTraces {
             self.cycles.reserve_exact(rows);
             self.masks.reserve_exact(rows * self.mask_words);
             self.words
-                .reserve_exact(rows * (self.reads + self.writes) * self.lanes());
+                .reserve_exact(rows * (self.reads + self.writes) * self.lanes);
         }
-        /// Adds cell `bit` of the row if it is present.
-        fn put(
-            mask: &mut [u64],
-            words: &mut Vec<u64>,
-            bit: usize,
-            cell: Option<impl IntoIterator<Item = u64>>,
-        ) {
-            if let Some(lane_words) = cell {
-                mask[bit / 64] |= 1 << (bit % 64);
-                words.extend(lane_words);
-            }
-        }
-        let (mask_at, words_at) = (self.masks.len(), self.words.len());
+        let mask_at = self.masks.len();
         self.masks.resize(mask_at + self.mask_words, 0);
-        let mask = &mut self.masks[mask_at..];
+        let (mask, words) = (&mut self.masks[mask_at..], &mut self.words);
+        // Sets the presence bit of the next cell, inputs then outputs.
         let mut bit = 0;
+        let mut mark = |present: bool| {
+            mask[bit / 64] |= u64::from(present) << (bit % 64);
+            bit += 1;
+        };
         for cell in reads {
-            put(mask, &mut self.words, bit, cell);
-            bit += 1;
+            mark(cell.map(|lane_words| words.extend(lane_words)).is_some());
         }
-        debug_assert_eq!(bit, self.reads);
         for cell in writes {
-            put(mask, &mut self.words, bit, cell);
-            bit += 1;
+            mark(cell.map(|lane_words| words.extend(lane_words)).is_some());
         }
         debug_assert_eq!(bit, self.reads + self.writes);
+        debug_assert_eq!(self.words.len() % self.lanes, 0, "a word per lane");
         self.cycles.push(cycle);
-        let lanes = self.lanes();
-        let (mask, row) = (&self.masks[mask_at..], &self.words[words_at..]);
-        debug_assert_eq!(row.len() % lanes, 0, "one word per lane per cell");
-        for (slot, h) in self.hashers.iter_mut().enumerate() {
-            let words = row.iter().skip(slot).step_by(lanes).copied();
-            fold_row(h, cycle, self.reads, self.writes, mask, words);
-        }
+        self.digests.take();
     }
 
-    /// Lane `slot`'s trace digest: O(1), equal to
-    /// `self.lane(slot).digest()`.
+    /// Lane `slot`'s trace digest, equal to `self.lane(slot).digest()`.
+    /// The first read after a row lands folds every lane's rows.
     pub(crate) fn digest(&self, slot: usize) -> u64 {
-        self.hashers[slot].finish()
+        self.digests.get_or_init(|| self.fold())[slot]
     }
 
-    /// Builds lane `slot`'s trace. Its digest is the one already
-    /// folded, so no row is hashed again.
+    /// Every lane's digest, as one pass over the columns: each step of
+    /// [`TraceRowRef`]'s `Hash` stream — the cycle, each slice's length
+    /// prefix, each cell's `Option` discriminant (0 or 1, hashed as a
+    /// `usize`) and word — is shared by all lanes but the word, which
+    /// is one lanes-wide column.
+    fn fold(&self) -> Box<[u64]> {
+        let mut hs = vec![DigestHasher::default(); self.lanes];
+        let all = |hs: &mut [DigestHasher], n: u64| hs.iter_mut().for_each(|h| h.write_u64(n));
+        let mut columns = self.words.chunks_exact(self.lanes);
+        for (r, &cycle) in self.cycles.iter().enumerate() {
+            let mask = &self.masks[r * self.mask_words..][..self.mask_words];
+            all(&mut hs, cycle);
+            for (from, to) in [(0, self.reads), (self.reads, self.reads + self.writes)] {
+                all(&mut hs, (to - from) as u64);
+                for i in from..to {
+                    if !present(mask, i) {
+                        all(&mut hs, 0);
+                        continue;
+                    }
+                    let column = columns.next().expect("a word column per present cell");
+                    for (h, &w) in hs.iter_mut().zip(column) {
+                        h.write_u64(1);
+                        h.write_u64(w);
+                    }
+                }
+            }
+        }
+        hs.iter().map(Hasher::finish).collect()
+    }
+
+    /// Builds lane `slot`'s trace.
     pub(crate) fn lane(&self, slot: usize) -> SbIoTrace {
-        let (lanes, width, rows) = (self.lanes(), self.reads + self.writes, self.cycles.len());
-        let mut words = self.words.iter().skip(slot).step_by(lanes);
+        let (width, rows) = (self.reads + self.writes, self.cycles.len());
+        let mut words = self.words.iter().skip(slot).step_by(self.lanes);
         let mut cells = Vec::with_capacity(rows * width);
         let mut ends = Vec::with_capacity(rows);
         for r in 0..rows {
@@ -626,29 +607,18 @@ impl LaneTraces {
                 cell_offset(cells.len()),
             ]);
         }
-        let t = SbIoTrace {
+        SbIoTrace {
             limit: self.limit,
             cycles: self.cycles.clone(),
             ends,
             cells,
-            hasher: self.hashers[slot].clone(),
-        };
-        debug_assert_eq!(
-            t.digest(),
-            {
-                let mut h = DigestHasher::default();
-                t.iter().for_each(|row| row.hash(&mut h));
-                h.finish()
-            },
-            "streamed digest"
-        );
-        t
+        }
     }
 
     /// The traces of the lanes `part` (slots, in their new order).
     pub(crate) fn select(&self, part: &[usize]) -> LaneTraces {
-        let mut words = Vec::with_capacity(self.words.capacity() / self.lanes() * part.len());
-        for cell in self.words.chunks_exact(self.lanes()) {
+        let mut words = Vec::with_capacity(self.words.capacity() / self.lanes * part.len());
+        for cell in self.words.chunks_exact(self.lanes) {
             words.extend(part.iter().map(|&s| cell[s]));
         }
         let mut cycles = Vec::with_capacity(self.cycles.capacity());
@@ -656,10 +626,11 @@ impl LaneTraces {
         let mut masks = Vec::with_capacity(self.masks.capacity());
         masks.extend_from_slice(&self.masks);
         LaneTraces {
+            lanes: part.len(),
             cycles,
             masks,
             words,
-            hashers: part.iter().map(|&s| self.hashers[s].clone()).collect(),
+            digests: OnceLock::new(),
             ..*self
         }
     }
@@ -669,29 +640,6 @@ impl LaneTraces {
 #[inline]
 fn present(mask: &[u64], i: usize) -> bool {
     mask[i / 64] >> (i % 64) & 1 != 0
-}
-
-/// Folds one lane's row into `h` as exactly the stream
-/// `TraceRowRef::hash` emits: the cycle, then each slice's length
-/// prefix and its `Option<u64>` cells.
-#[inline]
-fn fold_row(
-    h: &mut DigestHasher,
-    cycle: u64,
-    reads: usize,
-    writes: usize,
-    mask: &[u64],
-    mut words: impl Iterator<Item = u64>,
-) {
-    cycle.hash(h);
-    for (from, to) in [(0, reads), (reads, reads + writes)] {
-        h.write_usize(to - from);
-        for i in from..to {
-            present(mask, i)
-                .then(|| words.next().expect("a word per present cell"))
-                .hash(h);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -795,20 +743,19 @@ mod tests {
         );
     }
 
-    /// Records `rows` rows of a `reads` x `writes` SB into a 3-lane
-    /// store and into one reference trace per lane; each cell is
+    const LANES: usize = 3;
+
+    /// Records the rows of `cycles` of a `reads` x `writes` SB into a
+    /// 3-lane store and into one reference trace per lane; each cell is
     /// present on a fixed pseudo-random pattern, lane `l`'s word being
     /// `l` more than lane 0's.
-    fn lanes_and_references(
-        limit: usize,
-        reads: usize,
-        writes: usize,
-        rows: u64,
-    ) -> (LaneTraces, Vec<SbIoTrace>) {
-        const LANES: usize = 3;
-        let mut store = LaneTraces::new(limit, LANES, reads, writes);
-        let mut refs = vec![SbIoTrace::with_limit(limit); LANES];
-        for cycle in 0..rows {
+    fn record_rows(
+        store: &mut LaneTraces,
+        refs: &mut [SbIoTrace],
+        (reads, writes): (usize, usize),
+        cycles: std::ops::Range<u64>,
+    ) {
+        for cycle in cycles {
             let cell = |i: usize| {
                 let x = st_sim::hash::mix64(cycle * 131 + i as u64);
                 (!x.is_multiple_of(3)).then_some(x)
@@ -830,23 +777,30 @@ mod tests {
                 );
             }
         }
-        (store, refs)
     }
 
     #[test]
     fn lane_traces_match_per_lane_traces() {
-        // Empty sides, a multi-word presence mask, and limits that cut
-        // the run short or not at all.
+        // Empty sides, a two-word presence mask (73 cells), and limits
+        // that cut the run short or not at all.
         for (reads, writes) in [(0, 0), (0, 2), (3, 0), (2, 3), (70, 3)] {
             for limit in [0, 1, 5, 40] {
-                let (store, refs) = lanes_and_references(limit, reads, writes, 20);
+                let mut store = LaneTraces::new(limit, LANES, reads, writes);
+                let mut refs = vec![SbIoTrace::with_limit(limit); LANES];
+                // Digests read after 10 rows must fold again once more
+                // rows land.
+                record_rows(&mut store, &mut refs, (reads, writes), 0..10);
+                for (slot, reference) in refs.iter().enumerate() {
+                    assert_eq!(store.digest(slot), reference.digest());
+                }
+                record_rows(&mut store, &mut refs, (reads, writes), 10..20);
                 for (slot, reference) in refs.iter().enumerate() {
                     let built = store.lane(slot);
                     assert_eq!(
                         built, *reference,
                         "{reads}x{writes} limit {limit} lane {slot}"
                     );
-                    assert_eq!(store.digest(slot), reference.digest());
+                    assert_eq!(store.digest(slot), built.digest());
                 }
                 let picked = store.select(&[2, 0]);
                 for (slot, &from) in [2, 0].iter().enumerate() {

@@ -41,7 +41,7 @@ use crate::json::Json;
 use crate::service::{JobService, Submission, MAX_RESULT_BYTES};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -54,29 +54,26 @@ const MAX_BODY: usize = 8 * 1024 * 1024;
 /// service stores ([`MAX_RESULT_BYTES`]) plus room for the peer-frame
 /// header and witness record `/peer/get` wraps around it.
 const MAX_REPLY_BODY: usize = MAX_RESULT_BYTES + MAX_HEAD;
-/// Bodies up to this size share one buffer (and one write) with their
-/// head; larger ones are written after the head rather than copied.
-const COALESCE_MAX: usize = 4 * 1024;
 /// Bounds every read and write, and how long a kept-alive connection
 /// may sit idle between requests.
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
 /// The most connections served at once, each by its own thread.
 const MAX_CONNECTIONS: usize = 64;
 
-/// Sends one HTTP message. A small body is copied behind the head so
-/// the message leaves in one write; a large one follows the head in a
-/// second write (TCP_NODELAY keeps the head from waiting for it).
-fn write_message(stream: &mut TcpStream, head: &str, body: &[u8]) -> io::Result<()> {
-    if body.len() <= COALESCE_MAX {
-        let mut out = Vec::with_capacity(head.len() + body.len());
-        out.extend_from_slice(head.as_bytes());
-        out.extend_from_slice(body);
-        stream.write_all(&out)?;
-    } else {
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(body)?;
+/// Sends one HTTP message: head and body leave in one vectored write, so
+/// the peer wakes once; a short write is followed by the rest.
+fn write_message<W: Write>(w: &mut W, head: &str, body: &[u8]) -> io::Result<()> {
+    let mut bufs = [IoSlice::new(head.as_bytes()), IoSlice::new(body)];
+    let mut bufs = &mut bufs[..];
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
-    stream.flush()
+    w.flush()
 }
 
 /// A parsed request: method, path, body, and whether the connection
@@ -892,6 +889,35 @@ fn exchange(
 mod tests {
     use super::*;
     use crate::service::ServiceConfig;
+
+    /// Takes at most 7 bytes per write, across slice boundaries.
+    struct Trickle(Vec<u8>);
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let before = self.0.len();
+            self.0.extend(bufs.iter().flat_map(|b| b.iter()).take(7));
+            Ok(self.0.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn short_writes_still_deliver_the_whole_message() {
+        let head = "HTTP/1.1 200 OK\r\nContent-Length: 5000\r\n\r\n";
+        for body in [&[][..], b"ok", &[0xa5; 5000]] {
+            let mut w = Trickle(Vec::new());
+            write_message(&mut w, head, body).expect("writes");
+            assert_eq!(w.0, [head.as_bytes(), body].concat());
+        }
+    }
 
     fn serve_manual() -> Server {
         let svc = JobService::start(ServiceConfig {

@@ -88,6 +88,31 @@ if [[ -n "$eager" ]]; then
     exit 1
 fi
 
+echo "== traces hash on read =="
+# Recording a trace row hashes nothing: SbIoTrace::digest folds the
+# rows when it is read, and LaneTraces folds every lane in one pass on
+# its first digest read. No struct under crates/core/src may hold a
+# DigestHasher or a collection of them, and the per-row lane fold
+# (fn fold_row) may not come back.
+held=$(find crates/core/src -name '*.rs' -exec awk '
+    FNR == 1 { body = 0 }
+    /^[[:space:]]*\/\// { next }
+    /(^|[^A-Za-z0-9_])struct[[:space:]]+[A-Za-z0-9_]+/ {
+        rest = $0
+        sub(/^.*struct[[:space:]]+[A-Za-z0-9_]+/, "", rest)
+        if (rest ~ /DigestHasher/) print FILENAME ":" FNR ": " $0
+        body = (rest ~ /\{[[:space:]]*$/)
+        next
+    }
+    body && /^[[:space:]]*\}/ { body = 0 }
+    body && /DigestHasher/ { print FILENAME ":" FNR ": " $0 }' {} + || true)
+folds=$(grep -rnE '\bfn fold_row\b' crates/core/src || true)
+if [[ -n "$held$folds" ]]; then
+    echo "trace digest state kept on the record path (fold on read in SbIoTrace::digest / LaneTraces::fold):" >&2
+    printf '%s\n' "$held" "$folds" | sed '/^$/d' >&2
+    exit 1
+fi
+
 echo "== clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

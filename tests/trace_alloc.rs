@@ -11,7 +11,9 @@
 //! cycles that run. A counting global allocator checks all three on the
 //! compiled engine and the trace-limit bound on a batched group too,
 //! checks that a warm in-place checkpoint rewind allocates nothing (the
-//! configuration hash is computed at most once per engine), and checks
+//! configuration hash is computed at most once per engine), that
+//! reading a trace's digest, which folds its rows on read, allocates
+//! nothing, and checks
 //! that decoding a checkpoint with a corrupt element count reserves no
 //! more memory than the blob could fill.
 
@@ -97,6 +99,19 @@ fn compiled_recording_does_not_allocate_per_row() {
         allocs < sb_cycles / 4,
         "{allocs} allocations over {sb_cycles} recorded SB-cycles"
     );
+}
+
+#[test]
+fn trace_digest_allocates_nothing() {
+    let mut sys = build_pingpong_backend(0, Backend::Compiled);
+    sys.run_until_cycles(200, SimDuration::us(1000))
+        .expect("runs");
+    let trace = sys.io_trace(SbId(0));
+    assert!(trace.len() >= 200);
+    let mut digest = 0;
+    let allocs = allocations_in(|| digest = trace.digest());
+    assert_eq!(allocs, 0, "digest of {} rows allocated", trace.len());
+    assert_ne!(digest, 0, "an empty trace's digest");
 }
 
 #[test]
