@@ -10,7 +10,10 @@
 //!
 //! Both sides go through `run_seu_sweep` (the `min_fork_cycle` floor
 //! disables forking for the baseline), so the comparison isolates the
-//! prefix sharing itself, not incidental harness differences.
+//! prefix sharing itself, not incidental harness differences. Both
+//! sides also simulate only the grid's 6 distinct faults (the 24
+//! ping-pong variants repeat with period 6): each iteration runs 6
+//! attacked engines for 24 counted variants.
 //! Throughput is `Elements` = variants per iteration, comparable to
 //! `campaign_batch/chaos24_batched` ns/config in BENCH_*.json.
 

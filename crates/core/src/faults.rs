@@ -59,7 +59,7 @@ pub(crate) const CLASS_DATA: u8 = 2;
 /// counters line up): clock unit = SB index; token unit =
 /// `ring * 2 + direction` (1 = toward the holder side); data unit =
 /// `channel * 2` for requests, `channel * 2 + 1` for acknowledges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct AnalogFault {
     /// Per-rising-edge clock jitter bound (uniform in `[0, bound]`).
     pub clock_jitter: SimDuration,
@@ -259,7 +259,7 @@ impl DelayModel for AnalogDelayModel {
 /// One protocol-layer fault. `nth` counts occurrences of the targeted
 /// action from zero (e.g. `nth: 3` hits the fourth token pass on that
 /// ring in that direction).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Fault {
     /// The `nth` token pass on `ring` (toward the holder side iff
     /// `to_holder`) is silently lost on the wire.
@@ -324,7 +324,7 @@ pub enum Fault {
 }
 
 /// State-layer SEU target within a node FSM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SeuTarget {
     /// Flip bit `b` of the hold counter (clamped to stay ≥ 1).
     HoldBit(u32),
@@ -336,7 +336,7 @@ pub enum SeuTarget {
 
 /// A single-event upset: flip one bit of `sb`'s node state on `ring`
 /// once that SB reaches local cycle `at_cycle`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SeuFault {
     /// The SB whose node is struck.
     pub sb: SbId,
@@ -371,7 +371,7 @@ impl fmt::Display for FaultClass {
 }
 
 /// A complete, replayable fault schedule for one run.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct FaultPlan {
     /// Seed for every analog draw in this plan.
     pub seed: u64,

@@ -159,6 +159,10 @@ struct QueueState {
     jobs: HashMap<JobId, JobEntry>,
     /// In-flight (queued or running) jobs by key — the coalescing index.
     inflight: HashMap<ContentKey, JobId>,
+    /// Per key, the latest job whose completion minted a witness record
+    /// on this node. A key executed again after an eviction mints a
+    /// second record; this index points at the newer one.
+    witnessed: HashMap<ContentKey, JobId>,
     next_id: JobId,
     /// Wall-clock microseconds of recently completed jobs, newest last,
     /// bounded to [`LATENCY_WINDOW`]; feeds the p50/p99 gauges.
@@ -377,15 +381,13 @@ impl JobService {
         st.jobs.get(&id).and_then(|e| e.witness.clone())
     }
 
-    /// The witness record of any completed execution of `key` on this
-    /// node, for attaching provenance to `/peer/get` frames. `None`
-    /// when every local registration of the key was a cache hit.
+    /// The witness record of the latest completed execution of `key`
+    /// on this node, for attaching provenance to `/peer/get` frames.
+    /// `None` when every local registration of the key was a cache hit.
     pub fn witness_for_key(&self, key: ContentKey) -> Option<WitnessRecord> {
         let st = self.state.lock().unwrap();
-        st.jobs
-            .values()
-            .find(|e| e.key == key && e.witness.is_some())
-            .and_then(|e| e.witness.clone())
+        let id = st.witnessed.get(&key)?;
+        st.jobs.get(id).and_then(|e| e.witness.clone())
     }
 
     /// Snapshot of the witness log for `/conformance`: the chain head,
@@ -567,6 +569,7 @@ impl JobService {
                     cluster.replicate(key, &bytes, Some(&record));
                 }
                 st = self.state.lock().unwrap();
+                st.witnessed.insert(key, id);
                 if let Some(e) = st.jobs.get_mut(&id) {
                     e.status = JobStatus::Done;
                     e.witness = Some(record);
@@ -612,6 +615,9 @@ impl JobService {
             log.append(&refs, key.0, result_key.0)
         });
         let mut st = self.state.lock().unwrap();
+        if record.is_some() {
+            st.witnessed.insert(key, id);
+        }
         if let Some(e) = st.jobs.get_mut(&id) {
             e.status = JobStatus::Done;
             e.witness = record;
@@ -923,6 +929,31 @@ mod tests {
         let (head, len, counts) = svc.witness_summary();
         assert_eq!((head, len), (rc.chain, 2));
         assert!(counts.contains(&("ST-DET-001".to_owned(), 2)));
+    }
+
+    #[test]
+    fn witness_for_key_answers_the_latest_execution() {
+        let svc = JobService::start(ServiceConfig {
+            workers: 0,
+            cache_entries: 1,
+            ..ServiceConfig::default()
+        });
+        let key = ContentKey::of(&req(31).to_canonical_bytes());
+        let run = |seed| {
+            let Submission::Queued(id) = svc.submit(req(seed), None) else {
+                panic!("seed {seed} must execute")
+            };
+            assert!(svc.step());
+            svc.witness(id).expect("an execution mints a record")
+        };
+        let first = run(31);
+        assert_eq!(svc.witness_for_key(key), Some(first.clone()));
+        run(32); // evicts seed 31 from the one-entry store
+        let again = run(31);
+        assert_ne!(again, first, "the re-execution mints a new record");
+        for _ in 0..8 {
+            assert_eq!(svc.witness_for_key(key), Some(again.clone()));
+        }
     }
 
     #[test]

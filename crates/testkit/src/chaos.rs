@@ -30,6 +30,7 @@
 
 use st_sim::time::{SimDuration, SimTime};
 use st_sim::SimError;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use std::time::Instant;
 use synchro_tokens::prelude::*;
@@ -320,6 +321,12 @@ thread_local! {
 /// variant shares one first-fire cycle, a prefix-fork sweep amortises a
 /// single nominal prefix across the whole grid — the shape a chip-level
 /// SEU susceptibility scan takes (one workload, many strike points).
+///
+/// The grid is not all distinct: the variants repeat with a period set
+/// by the ring count. 24 variants hold 6 distinct faults on ping-pong
+/// (1 ring) and 14 on E1 (3 rings, where ring and target advance
+/// together and a token-latch flip has no bit). [`run_seu_sweep`]
+/// simulates each distinct plan once and links the repeats to it.
 pub fn seu_sweep_plans(spec: &SystemSpec, at_cycle: u64, count: usize) -> Vec<FaultPlan> {
     (0..count)
         .map(|i| {
@@ -364,6 +371,10 @@ pub struct SeuSweepRun {
     pub forked: bool,
     /// Oracle violations — empty on a conforming run.
     pub violations: Vec<String>,
+    /// The index of the earlier, equal variant whose simulation this
+    /// one reuses (`None` when this variant was simulated itself).
+    /// `outcome`, `forked` and `violations` are copied from it.
+    pub same_as: Option<usize>,
 }
 
 /// A completed prefix-fork SEU sweep.
@@ -417,6 +428,11 @@ impl SeuSweepReport {
 /// back to a full straight run — the report is identical either way,
 /// only the cost differs.
 ///
+/// Equal plans collapse: every other input is shared by the whole
+/// sweep, so a variant's verdict depends only on its plan, and each
+/// distinct plan is simulated once. A repeat copies its verdict from
+/// the first equal variant and names it in [`SeuSweepRun::same_as`].
+///
 /// The sweep is deterministic: the report's runs are a pure function of
 /// `(spec, seed, plans, cycles, budget, min_fork_cycle)` at any
 /// `threads` count.
@@ -448,6 +464,23 @@ pub fn run_seu_sweep(
             .filter(|&f| f >= min_fork_cycle && f > 0)
     };
 
+    // Collapse equal plans onto their first occurrence, in one hashed
+    // pass: `distinct` holds the indices of the plans to simulate.
+    let mut firsts: HashMap<&FaultPlan, usize> = HashMap::with_capacity(plans.len());
+    let mut distinct: Vec<usize> = Vec::new();
+    let same_as: Vec<Option<usize>> = plans
+        .iter()
+        .enumerate()
+        .map(|(i, plan)| match firsts.entry(plan) {
+            Entry::Occupied(e) => Some(*e.get()),
+            Entry::Vacant(e) => {
+                e.insert(i);
+                distinct.push(i);
+                None
+            }
+        })
+        .collect();
+
     // One shared nominal prefix checkpoint per distinct eligible
     // first-fire cycle. A prefix that fails to reach its cycle or a
     // configuration outside the checkpoint envelope simply yields no
@@ -473,7 +506,8 @@ pub fn run_seu_sweep(
         })
         .collect();
 
-    let runs = run_jobs(plans, threads, |index, plan| {
+    let simulated = run_jobs(&distinct, threads, |_, &index| {
+        let plan = &plans[index];
         let mut violations = Vec::new();
         if golden_outcome != RunOutcome::Reached {
             violations.push(format!(
@@ -556,13 +590,36 @@ pub fn run_seu_sweep(
             outcome: (kind, outcome),
             forked,
             violations,
+            same_as: None,
         }
     });
 
+    // Expand back to plan order: the simulated runs arrive in the order
+    // of their first occurrences, and every repeat points before itself.
+    let mut simulated = simulated.into_iter();
+    let mut runs: Vec<SeuSweepRun> = Vec::with_capacity(plans.len());
+    for (index, (plan, same_as)) in plans.iter().zip(same_as).enumerate() {
+        let run = match same_as {
+            None => simulated.next().expect("one run per distinct plan"),
+            Some(first) => {
+                let first = &runs[first];
+                SeuSweepRun {
+                    index,
+                    plan: plan.clone(),
+                    outcome: first.outcome.clone(),
+                    forked: first.forked,
+                    violations: first.violations.clone(),
+                    same_as,
+                }
+            }
+        };
+        runs.push(run);
+    }
+
     let stats = CampaignStats {
-        // One attacked engine per variant, plus the golden and one
-        // nominal prefix per shared checkpoint.
-        runs: runs.len() + 1 + prefixes.len(),
+        // One attacked engine per distinct plan, plus the golden and
+        // one nominal prefix per shared checkpoint.
+        runs: distinct.len() + 1 + prefixes.len(),
         threads: effective_threads(threads),
         wall_seconds: started.elapsed().as_secs_f64(),
         events_fired: 0,
@@ -578,7 +635,7 @@ pub fn run_seu_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use synchro_tokens::scenarios::pingpong_spec;
+    use synchro_tokens::scenarios::{e1_spec, pingpong_spec};
 
     #[test]
     fn job_grid_is_canonical() {
@@ -603,6 +660,13 @@ mod tests {
         assert_eq!(run(1), run(4));
     }
 
+    /// `plan` with its first SEU edited by `edit`.
+    fn edited(plan: &FaultPlan, edit: impl FnOnce(&mut SeuFault)) -> FaultPlan {
+        let mut plan = plan.clone();
+        edit(&mut plan.seu[0]);
+        plan
+    }
+
     #[test]
     fn seu_sweep_forks_and_matches_straight_runs() {
         let spec = pingpong_spec();
@@ -611,15 +675,43 @@ mod tests {
         // back to a straight run.
         let mut plans = seu_sweep_plans(&spec, 44, 5);
         plans.extend(seu_sweep_plans(&spec, 52, 5));
-        plans.push(FaultPlan::generate(FaultClass::Protocol, &spec, seed));
+        let protocol = FaultPlan::generate(FaultClass::Protocol, &spec, seed);
+        plans.push(protocol.clone());
+        // Repeats (11..=14) collapse onto their first occurrence...
+        plans.extend([
+            plans[0].clone(),
+            protocol,
+            plans[7].clone(),
+            plans[0].clone(),
+        ]);
+        // ...near-duplicates (15..=17) differ in one field and must not:
+        // the strike cycle (a third fork cohort), the bit, the SB.
+        let ring = &spec.rings[0];
+        plans.extend([
+            edited(&plans[0], |s| s.at_cycle = 48),
+            edited(&plans[0], |s| s.target = SeuTarget::HoldBit(1)),
+            edited(&plans[0], |s| s.sb = ring.peer),
+        ]);
+        assert_eq!(plans[0].seu[0].target, SeuTarget::HoldBit(0));
+        assert_eq!(plans[0].seu[0].sb, ring.holder);
         let report = run_seu_sweep(&spec, seed, &plans, cycles, budget, 2, 8);
 
-        assert_eq!(report.prefixes, 2, "one shared prefix per fire cycle");
-        assert_eq!(report.forked(), 10, "every SEU-only variant must fork");
+        assert_eq!(report.prefixes, 3, "one shared prefix per fire cycle");
+        assert_eq!(report.forked(), 16, "every SEU-only variant must fork");
         assert!(!report.runs[10].forked, "protocol plan must not fork");
+        assert!(!report.runs[12].forked, "its repeat must not fork either");
         assert!(report.violations().is_empty(), "{:?}", report.violations());
+        let links: Vec<Option<usize>> = report.runs.iter().map(|r| r.same_as).collect();
+        let mut want = vec![None; plans.len()];
+        want[11] = Some(0);
+        want[12] = Some(10);
+        want[13] = Some(7);
+        want[14] = Some(0);
+        assert_eq!(links, want, "repeats and only repeats collapse");
+        assert_eq!(report.stats.runs, 14 + 1 + 3, "distinct, golden, prefixes");
 
-        // The forked sweep must classify exactly as naive straight runs.
+        // The collapsed, forked sweep must classify every variant
+        // exactly as its own naive straight run.
         let mut golden_sys =
             mixer_builder(&spec, seed, cycles as usize).build_backend(Backend::Compiled);
         golden_sys.run_until_cycles(cycles, budget).unwrap();
@@ -627,6 +719,7 @@ mod tests {
             .map(|i| golden_sys.io_trace(SbId(i)).clone())
             .collect();
         for (i, plan) in plans.iter().enumerate() {
+            assert_eq!((report.runs[i].index, &report.runs[i].plan), (i, plan));
             let mut sys = mixer_builder(&spec, seed, cycles as usize)
                 .with_fault_plan(plan.clone())
                 .build_backend(Backend::Compiled);
@@ -636,6 +729,48 @@ mod tests {
                 classify(&golden, &sys, &outcome),
                 "variant {i} diverged from its straight run"
             );
+        }
+    }
+
+    #[test]
+    fn seu_sweep_on_e1_simulates_each_distinct_fault_once() {
+        let spec = e1_spec();
+        let plans = seu_sweep_plans(&spec, 40, 24);
+        let report = run_seu_sweep(&spec, 5, &plans, 60, SimDuration::us(2000), 1, 8);
+        assert!(report.violations().is_empty(), "{:?}", report.violations());
+        assert_eq!(report.prefixes, 1);
+        assert_eq!(report.forked(), 24, "repeats report their first's fork");
+        assert_eq!(report.stats.runs, 14 + 1 + 1, "14 distinct faults");
+        // Ring and target advance together on 3 rings, so each ring's
+        // (side, bit) cycle repeats after 6 strikes, and a token-latch
+        // flip (ring 2) has no bit: only its side varies.
+        let mut want = vec![None; 24];
+        for (repeat, first) in [
+            (8, 2),
+            (11, 5),
+            (14, 2),
+            (17, 5),
+            (18, 0),
+            (19, 1),
+            (20, 2),
+            (21, 3),
+            (22, 4),
+            (23, 5),
+        ] {
+            want[repeat] = Some(first);
+        }
+        let links: Vec<Option<usize>> = report.runs.iter().map(|r| r.same_as).collect();
+        assert_eq!(links, want);
+        for r in &report.runs {
+            if let Some(first) = r.same_as {
+                let first = &report.runs[first];
+                assert_eq!(first.same_as, None, "links point at a simulated run");
+                assert_eq!(r.plan, first.plan);
+                assert_eq!(
+                    (&r.outcome, r.forked, &r.violations),
+                    (&first.outcome, first.forked, &first.violations)
+                );
+            }
         }
     }
 
@@ -652,7 +787,9 @@ mod tests {
     #[test]
     fn seu_sweep_is_thread_count_invariant() {
         let spec = pingpong_spec();
-        let plans = seu_sweep_plans(&spec, 48, 6);
+        // 9 variants of a 6-periodic grid: the last three repeat.
+        let mut plans = seu_sweep_plans(&spec, 48, 9);
+        plans.push(plans[4].clone());
         let run = |threads| {
             run_seu_sweep(&spec, 7, &plans, 60, SimDuration::us(2000), threads, 8)
                 .runs
@@ -664,11 +801,14 @@ mod tests {
                         r.outcome.clone(),
                         r.forked,
                         r.violations.clone(),
+                        r.same_as,
                     )
                 })
                 .collect::<Vec<_>>()
         };
-        assert_eq!(run(1), run(4));
+        let one = run(1);
+        assert_eq!(one.iter().filter(|r| r.5.is_some()).count(), 4);
+        assert_eq!(one, run(3));
     }
 
     #[test]

@@ -161,6 +161,19 @@ echo "== repository benchmark compiles =="
 # breaking API change fails here rather than in a benchmark run.
 cargo build --release --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 
+echo "== repository benchmark correctness smoke =="
+# One short run per workload. perfbench gates every operation (seu_scan,
+# for one, checks that forked and collapsed sweeps classify exactly as
+# straight ones); its last line must report correct with 0 failed.
+for w in serve_mix shmoo_grid seu_scan e1_sweep; do
+    last=$(CARGO_TARGET_DIR=target/perfbench python3 perfbench/run.py \
+        --workload "$w" --seed 1 --seconds 1 | tail -n 1)
+    if ! python3 -c 'import json, sys; r = json.loads(sys.argv[1]); sys.exit(not (r["correct"] is True and r["failed"] == 0))' "$last"; then
+        echo "perfbench $w failed its correctness gate: $last" >&2
+        exit 1
+    fi
+done
+
 echo "== E1 determinism smoke (reduced budget) =="
 cargo run --release -p st-bench --bin repro_determinism -- 60 20
 
