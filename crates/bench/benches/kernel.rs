@@ -37,8 +37,8 @@ fn bench_kernel(c: &mut Criterion) {
         })
     });
     // Same-instant burst workload: 50 togglers sharing one period, so
-    // every nanosecond fires a 100-event burst at a single instant —
-    // the case the event queue's FIFO bucket fast path targets.
+    // every nanosecond fires a 100-event burst at a single instant and
+    // queues 50 timers for the next one — a deep pending queue.
     g.bench_function("delta_storm_50_togglers", |b| {
         b.iter(|| {
             let mut sb = SimBuilder::new();

@@ -15,11 +15,11 @@
 //! reused per-edge scratch buffers) and replaces the generic
 //! signal/watcher machinery with typed events: clock phase boundaries,
 //! rising edges, FIFO pushes/pops/stage moves, token passes and clock
-//! enables, all in one pending queue sorted by `(time, seq)`. The queue
-//! is a plain `Vec` with the next event at the back: dispatch pops it,
-//! and scheduling scans back from the end for the insertion point,
-//! which for the few events a GALS system has in flight is cheaper than
-//! a heap. FIFO occupancy is a `u64`
+//! enables, all in one pending queue sorted by `(time, seq)`: the event
+//! kernel's own [`PendingQueue`], a `Vec` with the next event at the
+//! back. Dispatch pops it, and scheduling scans back from the end for
+//! the insertion point, which for the few events a GALS system has in
+//! flight is cheaper than a heap. FIFO occupancy is a `u64`
 //! bitmask per channel (one bit per stage, which gates depth to ≤ 64),
 //! and on channels whose stage delay exceeds the bundled-data setup
 //! delay the internal move cascade never touches the queue at all: moves
@@ -98,6 +98,7 @@ use crate::node::{NodeFsm, NodePhase, TokenAction};
 use crate::spec::{ChannelId, RingId, SbId, SystemSpec};
 use crate::system::{RunOutcome, SystemBuilder};
 use crate::wrapper::{WrapperMode, BUNDLE_DELAY};
+use st_sim::event::{Pending, PendingQueue};
 use st_sim::prelude::*;
 use std::any::Any;
 use std::borrow::Cow;
@@ -231,12 +232,7 @@ enum EvKind<W> {
 
 /// A pending event. `seq` is globally monotone, so `(time, seq)` keys
 /// are unique and order the queue.
-#[derive(Debug, Clone)]
-struct Ev<W> {
-    time: SimTime,
-    seq: u64,
-    kind: EvKind<W>,
-}
+type Ev<W> = Pending<EvKind<W>>;
 
 // The scalar queue entry stays what a scalar-only engine would push:
 // time, seq, and a tag + `u32` channel + inline `u64` word. Lane
@@ -244,25 +240,18 @@ struct Ev<W> {
 // boxed column instead).
 const _: () = assert!(std::mem::size_of::<Ev<One<u64>>>() <= 32);
 
-/// Pending events sorted by `(time, seq)`, latest first: the next event
-/// to dispatch is the last one.
-type Queue<P> = Vec<Ev<<P as Plane>::Col<u64>>>;
+/// Pending events in the kernel's queue type, sorted by `(time, seq)`.
+type Queue<P> = PendingQueue<EvKind<<P as Plane>::Col<u64>>>;
 
 /// Queues `kind` at `time` under the next `seq`. A fresh seq is larger
-/// than every queued one, so the event goes in front of (dispatches
-/// after) everything due at or before `time` — equal-time events keep
-/// allocation order, exactly as a zero-delay kernel drive lands in the
-/// next delta batch. Most events land near the back, so the scan is
-/// short.
+/// than every queued one, so the event dispatches after everything due
+/// at or before `time` — equal-time events keep allocation order,
+/// exactly as a zero-delay kernel drive lands in the next delta batch.
 #[inline]
-fn sched<W>(queue: &mut Vec<Ev<W>>, seq: &mut u64, time: SimTime, kind: EvKind<W>) {
+fn sched<W>(queue: &mut PendingQueue<EvKind<W>>, seq: &mut u64, time: SimTime, kind: EvKind<W>) {
     let s = *seq;
     *seq += 1;
-    let mut pos = queue.len();
-    while pos > 0 && queue[pos - 1].time <= time {
-        pos -= 1;
-    }
-    queue.insert(pos, Ev { time, seq: s, kind });
+    queue.insert(time, s, kind);
 }
 
 /// Queues SB `sb`'s rising edge at `time`. An SB has at most one rising
@@ -270,7 +259,13 @@ fn sched<W>(queue: &mut Vec<Ev<W>>, seq: &mut u64, time: SimTime, kind: EvKind<W
 /// previous one pending, and the new edge replaces it (`jittered` runs
 /// only; without jitter an edge lands before the next phase boundary).
 #[inline]
-fn sched_edge<W>(queue: &mut Vec<Ev<W>>, seq: &mut u64, time: SimTime, sb: u32, jittered: bool) {
+fn sched_edge<W>(
+    queue: &mut PendingQueue<EvKind<W>>,
+    seq: &mut u64,
+    time: SimTime,
+    sb: u32,
+    jittered: bool,
+) {
     if jittered {
         queue.retain(|ev| !matches!(ev.kind, EvKind::Edge { sb: s } if s == sb));
     }
@@ -712,7 +707,7 @@ impl<P: Plane> Group<P> {
         let n_sbs = sbs.len();
         // Room for each SB's two clock events and a token toggle, and a
         // push and a pop per channel.
-        let queue = Vec::with_capacity(3 * n_sbs + 2 * fifos.len());
+        let queue = PendingQueue::with_capacity(3 * n_sbs + 2 * fifos.len());
         let mut g = Group {
             spec,
             trace_limit,
@@ -747,7 +742,7 @@ impl<P: Plane> Group<P> {
     /// first partition and keeps running.
     fn dispatch(&mut self, deadline: SimTime, splits: &mut Vec<Group<P>>) -> bool {
         let mut quiescent = loop {
-            let Some(ev) = self.queue.pop_if(|ev| ev.time <= deadline) else {
+            let Some(ev) = self.queue.pop_due(deadline) else {
                 break self.queue.is_empty();
             };
             self.now = ev.time;
@@ -1289,7 +1284,7 @@ impl<P: Plane> Group<P> {
         // a `(time, seq)`-sorted list: the queue read earliest first.
         let mut clk = vec![(SLOT_EMPTY, SLOT_EMPTY); self.sbs.len()];
         let mut heap = Vec::with_capacity(self.queue.len());
-        for ev in self.queue.iter().rev() {
+        for ev in self.queue.iter() {
             let (kind, a, b) = match &ev.kind {
                 EvKind::Phase { sb } => {
                     clk[*sb as usize].0 = slot_key(ev.time, ev.seq);
@@ -1584,19 +1579,13 @@ impl Group<Lanes> {
                             underruns: f.underruns,
                         })
                         .collect(),
-                    queue: queue
-                        .iter()
-                        .map(|ev| {
-                            let kind = match &ev.kind {
-                                EvKind::Push { ch, words } => EvKind::Push {
-                                    ch: *ch,
-                                    words: gather(words),
-                                },
-                                other => other.clone(),
-                            };
-                            Ev { kind, ..*ev }
-                        })
-                        .collect(),
+                    queue: queue.map(|kind| match kind {
+                        EvKind::Push { ch, words } => EvKind::Push {
+                            ch: *ch,
+                            words: gather(words),
+                        },
+                        other => other.clone(),
+                    }),
                     now: self.now,
                     seq: self.seq,
                     events: self.events,
@@ -1866,18 +1855,24 @@ impl Group<Scalar> {
             f.overruns = d.overruns;
             f.underruns = d.underruns;
         }
-        self.queue.clear();
-        for (sb, &(phase, edge)) in dump.clk.iter().enumerate() {
-            let sb = sb as u32;
-            for (key, kind) in [(phase, EvKind::Phase { sb }), (edge, EvKind::Edge { sb })] {
-                if key != SLOT_EMPTY {
-                    let (time, seq) = (SimTime::from_fs((key >> 64) as u64), key as u64);
-                    self.queue.push(Ev { time, seq, kind });
-                }
-            }
-        }
+        let clk = dump
+            .clk
+            .iter()
+            .enumerate()
+            .flat_map(|(sb, &(phase, edge))| {
+                let sb = sb as u32;
+                [(phase, EvKind::Phase { sb }), (edge, EvKind::Edge { sb })]
+                    .into_iter()
+                    .filter(|&(key, _)| key != SLOT_EMPTY)
+                    .map(|(key, kind)| Ev {
+                        time: SimTime::from_fs((key >> 64) as u64),
+                        seq: key as u64,
+                        kind,
+                    })
+            });
         let (n_sbs, n_fifos) = (self.sbs.len() as u32, self.fifos.len() as u32);
-        for ev in &dump.heap {
+        let mut mismatch = false;
+        let rest = dump.heap.iter().map_while(|ev| {
             let (a, b) = (ev.a, ev.b);
             let kind = match ev.kind {
                 0 if a < n_fifos => EvKind::Push {
@@ -1896,16 +1891,21 @@ impl Group<Scalar> {
                     node: b as u32,
                 },
                 4 if a < n_sbs => EvKind::Clken { sb: a, ena: b != 0 },
-                _ => return Err(CheckpointError::SpecMismatch),
+                _ => {
+                    mismatch = true;
+                    return None;
+                }
             };
-            self.queue.push(Ev {
+            Some(Ev {
                 time: ev.time,
                 seq: ev.seq,
                 kind,
-            });
+            })
+        });
+        self.queue.restore(clk.chain(rest));
+        if mismatch {
+            return Err(CheckpointError::SpecMismatch);
         }
-        self.queue
-            .sort_unstable_by_key(|ev| std::cmp::Reverse((ev.time, ev.seq)));
         let restored = match self.chaos.as_deref_mut() {
             Some(c) => c.restore_counters(&dump.jitter, &dump.injector),
             None => dump.jitter.is_none() && dump.injector.is_none(),

@@ -221,6 +221,10 @@ pub struct SbWrapper {
     /// Protocol-layer fault injector, shared by every wrapper of the
     /// system so occurrence counters are global per unit.
     faults: Option<Rc<RefCell<FaultInjector>>>,
+    // Per-edge scratch, reused so the steady state allocates nothing.
+    views: Vec<InputView>,
+    slots: Vec<OutputSlot>,
+    pops: Vec<bool>,
 }
 
 impl std::fmt::Debug for SbWrapper {
@@ -249,7 +253,7 @@ impl SbWrapper {
         outputs: Vec<OutputBinding>,
         trace_limit: usize,
     ) -> Self {
-        let n_inputs = inputs.len();
+        let (n_inputs, n_outputs) = (inputs.len(), outputs.len());
         SbWrapper {
             sb,
             mode,
@@ -275,6 +279,9 @@ impl SbWrapper {
                 trace_limit
             },
             faults: None,
+            views: Vec::with_capacity(n_inputs),
+            slots: Vec::with_capacity(n_outputs),
+            pops: vec![false; n_inputs],
         }
     }
 
@@ -466,22 +473,23 @@ impl SbWrapper {
             self.edge_times.push(ctx.now());
         }
 
-        // 1. Enable windows for *this* cycle (pre-step FSM state).
-        let enabled: Vec<bool> = self
-            .nodes
-            .iter()
-            .map(|n| n.fsm.interfaces_enabled())
-            .collect();
+        // 1. Enable windows for *this* cycle. The node FSMs only advance
+        // in step 7, so querying them per interface reads the pre-step
+        // state.
         let bypass_window = match self.mode {
             WrapperMode::Bypass { window } => Some(window),
             WrapperMode::SynchroTokens => None,
         };
+        let nodes = &self.nodes;
+        let enabled =
+            |node_idx: usize| bypass_window.is_some() || nodes[node_idx].fsm.interfaces_enabled();
 
         // 2. Input interfaces: what does each channel present this cycle?
-        let mut views = Vec::with_capacity(self.inputs.len());
-        let mut pops = vec![false; self.inputs.len()];
+        let (views, pops) = (&mut self.views, &mut self.pops);
+        views.clear();
         for (i, inp) in self.inputs.iter().enumerate() {
-            let ena = bypass_window.is_some() || enabled[inp.node_idx];
+            let ena = enabled(inp.node_idx);
+            pops[i] = false;
             let raw_valid = ctx.bit(inp.ports.head_valid).is_one();
             let view = if let Some(window) = bypass_window {
                 // Two-flop synchronizer on `valid`, with a metastability
@@ -532,25 +540,22 @@ impl SbWrapper {
         }
 
         // 3. Output availability.
-        let mut slots: Vec<OutputSlot> = self
-            .outputs
-            .iter()
-            .map(|out| OutputSlot {
-                can_send: (bypass_window.is_some() || enabled[out.node_idx])
-                    && ctx.bit(out.ports.full).is_zero(),
-                word: None,
-            })
-            .collect();
+        let slots = &mut self.slots;
+        slots.clear();
+        slots.extend(self.outputs.iter().map(|out| OutputSlot {
+            can_send: enabled(out.node_idx) && ctx.bit(out.ports.full).is_zero(),
+            word: None,
+        }));
 
         // 4. The synchronous logic computes.
         {
-            let mut io = SbIo::new(&views, &mut slots);
+            let mut io = SbIo::new(views, slots);
             self.logic.tick(self.cycle, &mut io);
         }
 
         // 5. Transmit accepted words (bundled data before request).
         let faults = self.faults.as_ref();
-        for (out, slot) in self.outputs.iter_mut().zip(&slots) {
+        for (out, slot) in self.outputs.iter_mut().zip(&*slots) {
             match slot.word.map(|w| if violated { w ^ 0x5A5A } else { w }) {
                 Some(w) if slot.can_send => {
                     let action = faults
@@ -580,7 +585,7 @@ impl SbWrapper {
         }
 
         // 6. Acknowledge consumed words.
-        for (inp, pop) in self.inputs.iter_mut().zip(&pops) {
+        for (inp, pop) in self.inputs.iter_mut().zip(&*pops) {
             if *pop {
                 let action = faults
                     .map(|f| f.borrow_mut().on_ack(inp.channel))
@@ -645,8 +650,8 @@ impl SbWrapper {
         // drops the request toggle).
         self.trace.record_with(
             self.cycle,
-            views.iter().map(|v| v.data),
-            slots.iter().map(|s| s.transmitted(violated)),
+            self.views.iter().map(|v| v.data),
+            self.slots.iter().map(|s| s.transmitted(violated)),
         );
         self.cycle += 1;
     }

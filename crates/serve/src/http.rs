@@ -59,6 +59,9 @@ const MAX_REPLY_BODY: usize = MAX_RESULT_BYTES + MAX_HEAD;
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
 /// The most connections served at once, each by its own thread.
 const MAX_CONNECTIONS: usize = 64;
+/// The most body memory reserved before the bytes arrive; past it the
+/// buffer grows with what is actually read.
+const BODY_RESERVE: usize = 1024 * 1024;
 
 /// Sends one HTTP message: head and body leave in one vectored write, so
 /// the peer wakes once; a short write is followed by the rest.
@@ -134,12 +137,14 @@ fn closes(head: &str) -> bool {
 }
 
 /// Reads a body of exactly `len` bytes, of which `body` already holds
-/// the start. Memory grows only as bytes arrive, never to a length a
-/// peer merely claims.
+/// the start. The read is sized from `len`, but at most `BODY_RESERVE`
+/// is reserved up front: past that, memory grows only as bytes arrive,
+/// never to a length a peer merely claims.
 fn read_body(stream: &mut TcpStream, mut body: Vec<u8>, len: usize) -> io::Result<Vec<u8>> {
     if body.len() < len {
-        let missing = (len - body.len()) as u64;
-        Read::take(stream, missing).read_to_end(&mut body)?;
+        let missing = len - body.len();
+        body.reserve(missing.min(BODY_RESERVE));
+        Read::take(stream, missing as u64).read_to_end(&mut body)?;
         if body.len() < len {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
@@ -151,12 +156,18 @@ fn read_body(stream: &mut TcpStream, mut body: Vec<u8>, len: usize) -> io::Resul
     Ok(body)
 }
 
-/// Reads one HTTP/1.1 request off `stream`. Bytes that arrived past
-/// its body would be a pipelined request, which is not supported: the
-/// request is served, but the connection closes after it.
-fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
+/// Reads one HTTP/1.1 request off `stream`; `None` when the peer
+/// hangs up or stays silent past the read timeout before sending its
+/// first byte. Bytes that arrived past its body would be a pipelined
+/// request, which is not supported: the request is served, but the
+/// connection closes after it.
+fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
     let mut buf = Vec::new();
-    let head_end = read_head(stream, &mut buf)?;
+    let head_end = match read_head(stream, &mut buf) {
+        Ok(end) => end,
+        Err(_) if buf.is_empty() => return Ok(None),
+        Err(e) => return Err(e),
+    };
     let head = std::str::from_utf8(&buf[..head_end])
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 head"))?;
     let request_line = head.split("\r\n").next().unwrap_or_default();
@@ -177,12 +188,12 @@ fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
     let rest = buf.split_off(head_end + 4);
     let keep_alive = !close && rest.len() <= content_length;
     let body = read_body(stream, rest, content_length)?;
-    Ok(Request {
+    Ok(Some(Request {
         method,
         path,
         body,
         keep_alive,
-    })
+    }))
 }
 
 fn find_head_end(buf: &[u8]) -> Option<usize> {
@@ -618,11 +629,12 @@ impl Shared {
         let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
         let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
         let _ = stream.set_nodelay(true);
-        // Between requests, a peer that hangs up or stays silent past
-        // the timeout ends the connection without a reply.
-        while matches!(stream.peek(&mut [0]), Ok(n) if n > 0) {
+        loop {
             let (response, keep) = match read_request(&mut stream) {
-                Ok(req) => {
+                // Between requests, a peer that hangs up or stays silent
+                // past the timeout ends the connection without a reply.
+                Ok(None) => break,
+                Ok(Some(req)) => {
                     let stats = &self.service.stats;
                     stats.http_requests.fetch_add(1, Ordering::Relaxed);
                     (handle(&self.service, &req, &self.stop), req.keep_alive)
@@ -988,7 +1000,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let peer = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            read_request(&mut stream).unwrap();
+            read_request(&mut stream).unwrap().expect("a request");
             let mut sent = stream.write(head.as_bytes()).unwrap_or(0);
             let chunk = vec![b'x'; 64 * 1024];
             while sent < limit {
@@ -1045,6 +1057,17 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_huge_length_then_an_early_close_is_unexpected_eof() {
+        // A length inside the cap, so only the missing bytes give the
+        // lie away.
+        let head = format!("HTTP/1.1 200 OK\r\nContent-Length: {MAX_REPLY_BODY}\r\n\r\n");
+        let (addr, peer) = rogue_peer(head.clone(), head.len() + 10);
+        let err = request(addr, "GET", "/healthz", b"").expect_err("short body");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        peer.join().unwrap();
+    }
+
     /// A complete reply that leaves the connection open.
     const KEPT_ALIVE_OK: &str = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok";
     const HEALTHZ: &str = "GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n";
@@ -1058,7 +1081,7 @@ mod tests {
         let peer = std::thread::spawn(move || {
             for _ in 0..2 {
                 let (mut stream, _) = listener.accept().unwrap();
-                read_request(&mut stream).unwrap();
+                read_request(&mut stream).unwrap().expect("a request");
                 stream.write_all(KEPT_ALIVE_OK.as_bytes()).unwrap();
             }
         });
@@ -1075,9 +1098,9 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let peer = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            read_request(&mut stream).unwrap();
+            read_request(&mut stream).unwrap().expect("a request");
             stream.write_all(KEPT_ALIVE_OK.as_bytes()).unwrap();
-            read_request(&mut stream).unwrap();
+            read_request(&mut stream).unwrap().expect("a request");
             stream.write_all(b"HTTP/1.1 200").unwrap();
             listener
         });

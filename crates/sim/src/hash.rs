@@ -39,10 +39,17 @@ pub fn mix64(mut x: u64) -> u64 {
 /// 128-bit content key over canonical bytes: two FNV-1a passes with
 /// different offset bases, the length folded into each, each finished
 /// with [`mix64`]; little-endian halves.
+///
+/// Both passes run in one loop, so their multiply chains overlap.
 pub fn content_key16(bytes: &[u8]) -> [u8; 16] {
+    let (mut a, mut b) = (FNV_OFFSET, FNV_OFFSET ^ GOLDEN);
+    for &byte in bytes {
+        a = (a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        b = (b ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+    }
     let len = bytes.len() as u64;
-    let a = mix64(fnv1a64_seeded(FNV_OFFSET, bytes) ^ len);
-    let b = mix64(fnv1a64_seeded(FNV_OFFSET ^ GOLDEN, bytes).wrapping_add(len));
+    let a = mix64(a ^ len);
+    let b = mix64(b.wrapping_add(len));
     let mut k = [0u8; 16];
     k[..8].copy_from_slice(&a.to_le_bytes());
     k[8..].copy_from_slice(&b.to_le_bytes());
@@ -71,5 +78,27 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn content_key_equals_two_separate_passes() {
+        let two_pass = |bytes: &[u8]| {
+            let len = bytes.len() as u64;
+            let a = mix64(fnv1a64_seeded(FNV_OFFSET, bytes) ^ len);
+            let b = mix64(fnv1a64_seeded(FNV_OFFSET ^ GOLDEN, bytes).wrapping_add(len));
+            let mut k = [0u8; 16];
+            k[..8].copy_from_slice(&a.to_le_bytes());
+            k[8..].copy_from_slice(&b.to_le_bytes());
+            k
+        };
+        let mut rng = crate::rng::SimRng::seed_from_u64(16);
+        let bytes: Vec<u8> = (0..20_000).map(|_| rng.next_u64() as u8).collect();
+        for n in [0, 1, 7, 4096, 20_000] {
+            assert_eq!(
+                content_key16(&bytes[..n]),
+                two_pass(&bytes[..n]),
+                "{n} bytes"
+            );
+        }
     }
 }

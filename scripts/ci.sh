@@ -30,21 +30,30 @@ if [[ -n "$ladders" ]]; then
     exit 1
 fi
 
-echo "== one compiled engine source =="
+echo "== one compiled engine source, one pending queue =="
 # The compiled engine (engine.rs) is the only typed-event engine in the
 # core crate; CompiledSystem and BatchedSystem are its two
-# instantiations, not two copies. Its pending events live in one
-# time-ordered queue: no BinaryHeap beside it, and one insertion
-# function (`sched`).
-heaps=$(grep -rlF 'BinaryHeap' crates/core/src || true)
+# instantiations, not two copies. Both it and the event kernel keep
+# their pending events in st-sim's one time-ordered queue
+# (`PendingQueue` in crates/sim/src/event.rs): no BinaryHeap beside it,
+# one sorted insertion (`fn insert`, in event.rs only), and one
+# seq-allocating wrapper per engine (`sched` in engine.rs, `schedule`
+# in event.rs).
+heaps=$(grep -rlF 'BinaryHeap' crates/core/src crates/sim/src || true)
 if [[ -n "$heaps" ]]; then
-    echo "BinaryHeap in the core crate (schedule through engine.rs's queue):" >&2
+    echo "BinaryHeap in the core or sim crate (schedule through st_sim::event::PendingQueue):" >&2
     echo "$heaps" >&2
     exit 1
 fi
-queues=$(grep -rlE '\bfn sched\b' crates/core/src || true)
+inserts=$(grep -rlE '\bfn insert\b' crates/core/src crates/sim/src || true)
+if [[ "$inserts" != "crates/sim/src/event.rs" ]]; then
+    echo "pending-queue insertion defined outside crates/sim/src/event.rs, or not at all:" >&2
+    echo "$inserts" >&2
+    exit 1
+fi
+queues=$(grep -rlE '\bfn sched\b' crates/core/src crates/sim/src || true)
 if [[ $(grep -c . <<<"$queues") -gt 1 ]]; then
-    echo "pending-queue insertion defined in more than one file (extend engine.rs instead):" >&2
+    echo "pending-queue scheduling defined in more than one file (extend engine.rs instead):" >&2
     echo "$queues" >&2
     exit 1
 fi

@@ -1,4 +1,4 @@
-//! Allocation guards for the compiled engine's hot path.
+//! Allocation guards for both engines' hot paths.
 //!
 //! Every engine records one trace row per SB per rising edge, on the
 //! innermost loop of every campaign. Rows land in the trace's flat
@@ -9,20 +9,24 @@
 //! edge-time log and the FIFO move queues. Those reservations must not
 //! scale with the trace limit, which callers may set far past the
 //! cycles that run. A counting global allocator checks all three on the
-//! compiled engine and the trace-limit bound on a batched group too,
-//! checks that a warm in-place checkpoint rewind allocates nothing (the
-//! configuration hash is computed at most once per engine), that
-//! reading a trace's digest, which folds its rows on read, allocates
-//! nothing, and checks
-//! that decoding a checkpoint with a corrupt element count reserves no
-//! more memory than the blob could fill.
+//! compiled engine and the trace-limit bound on a batched group too.
+//! It also checks that an E1 bypass verdict run on the event engine
+//! allocates less than once per four SB-cycles once built (its wrappers
+//! reuse their per-edge scratch), that a warm in-place checkpoint rewind
+//! allocates nothing (the configuration hash is computed at most once
+//! per engine), that reading a trace's digest, which folds its rows on
+//! read, allocates nothing, and that decoding a checkpoint with a
+//! corrupt element count reserves no more memory than the blob could
+//! fill.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use st_sim::prelude::*;
 use synchro_tokens::checkpoint::config_hash;
-use synchro_tokens::scenarios::{build_e1_backend, build_pingpong_backend, e1_spec, mixer_builder};
+use synchro_tokens::scenarios::{
+    build_e1_backend, build_e1_bypass, build_pingpong_backend, e1_spec, mixer_builder,
+};
 use synchro_tokens::{AnySystem, Backend, BatchedSystem, Checkpoint, RunOutcome, SbId};
 
 /// Counts allocations made by threads that opted in.
@@ -127,6 +131,26 @@ fn compiled_e1_verdict_run_allocates_a_fixed_handful() {
     assert!(
         allocs <= 16,
         "{allocs} allocations in one {CYCLES}-cycle E1 verdict run"
+    );
+}
+
+#[test]
+fn event_e1_bypass_verdict_run_allocates_under_one_per_four_sb_cycles() {
+    // The E1 bypass slice runs only on the event engine. Its verdict run
+    // starts right after build, as in the campaign.
+    const CYCLES: u64 = 100;
+    let spec = e1_spec();
+    let sb_cycles = spec.sbs.len() as u64 * CYCLES;
+    let mut sys = build_e1_bypass(spec, 3, CYCLES as usize);
+    let allocs = allocations_in(|| {
+        let out = sys
+            .run_to_verdict(CYCLES, SimDuration::us(3000))
+            .expect("verdict run");
+        assert_eq!(out, RunOutcome::Reached);
+    });
+    assert!(
+        allocs < sb_cycles / 4,
+        "{allocs} allocations over {sb_cycles} SB-cycles of an E1 bypass verdict run"
     );
 }
 
