@@ -78,6 +78,16 @@ pub struct FifoSnapshot {
     pub underruns: u64,
 }
 
+// The STCP event-payload layout of one FIFO.
+st_sim::canon_record!(FifoSnapshot {
+    stages,
+    pushes,
+    pops,
+    max_occupancy,
+    overruns,
+    underruns,
+});
+
 /// Event-level model of a self-timed FIFO chain.
 ///
 /// # Examples

@@ -23,6 +23,7 @@
 //!   sources and fails CI on any unwitnessed requirement, unknown ID,
 //!   or count below the registry's pinned `min_witnesses`.
 
+use st_sim::canon::{canon_record, Canon, Enc};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -127,25 +128,20 @@ impl Registry {
     /// "spec version" stamped into bench snapshots and served by
     /// `/conformance`.
     pub fn content_hash(&self) -> [u8; 16] {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(b"STRG");
-        bytes.extend_from_slice(&self.version.to_le_bytes());
-        let put = |bytes: &mut Vec<u8>, s: &str| {
-            bytes.extend_from_slice(&(s.len() as u64).to_le_bytes());
-            bytes.extend_from_slice(s.as_bytes());
-        };
+        let mut e = Enc::default();
+        e.raw(b"STRG");
+        e.u64(self.version);
         for r in &self.requirements {
-            put(&mut bytes, &r.id);
-            put(&mut bytes, r.level.name());
-            put(&mut bytes, &r.title);
-            put(&mut bytes, &r.text);
-            bytes.extend_from_slice(&(r.tags.len() as u64).to_le_bytes());
-            for t in &r.tags {
-                put(&mut bytes, t);
+            for s in [&r.id, r.level.name(), &r.title, &r.text] {
+                e.long_bytes(s.as_bytes());
             }
-            bytes.extend_from_slice(&r.min_witnesses.to_le_bytes());
+            e.u64(r.tags.len() as u64);
+            for t in &r.tags {
+                e.long_bytes(t.as_bytes());
+            }
+            e.u64(r.min_witnesses);
         }
-        content_key16(&bytes)
+        content_key16(&e.into_bytes())
     }
 
     /// Parses the registry's TOML subset: comments, `version = N`, and
@@ -412,17 +408,13 @@ impl WitnessRecord {
     /// The canonical bytes the chain hash covers (everything except
     /// `prev`/`chain`, which are the chain itself).
     pub fn canonical_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(b"STWR");
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&(self.ids.len() as u32).to_le_bytes());
-        for id in &self.ids {
-            out.extend_from_slice(&(id.len() as u32).to_le_bytes());
-            out.extend_from_slice(id.as_bytes());
-        }
-        out.extend_from_slice(&self.config);
-        out.extend_from_slice(&self.result);
-        out
+        let mut e = Enc::default();
+        e.raw(b"STWR");
+        self.seq.put(&mut e);
+        self.ids.put(&mut e);
+        self.config.put(&mut e);
+        self.result.put(&mut e);
+        e.into_bytes()
     }
 
     /// The chain value this record *should* carry given its fields.
@@ -436,6 +428,17 @@ impl WitnessRecord {
         self.chain == self.expected_chain()
     }
 }
+
+// The witness block of an STPF peer frame: the canonical fields, then
+// the chain links.
+canon_record!(WitnessRecord {
+    seq,
+    ids,
+    config,
+    result,
+    prev,
+    chain,
+});
 
 /// An append-only hashed witness log: a running splitmix-chained head
 /// plus per-requirement witness counts. Records are returned to the

@@ -39,10 +39,11 @@
 //! state via [`SyncLogic::save_state`](crate::logic::SyncLogic::save_state).
 //!
 //! Each payload record's layout is its `canon_record!` field list below,
-//! in wire order, over the building blocks of the shared codec in
-//! `canon.rs`. Only the node parameters, node phase, kernel event and
-//! compiled event, which carry tags or decode-time clamps, are written
-//! out by hand.
+//! in wire order, over the building blocks of the workspace codec
+//! [`st_sim::canon`], which also holds the kernel snapshot and kernel
+//! event layouts (`st-channel` holds the FIFO snapshot's). Only the
+//! node parameters, node phase and compiled event, which carry tags or
+//! decode-time clamps, are written out by hand.
 //!
 //! # Content hashing
 //!
@@ -60,15 +61,15 @@
 //! metastable sample) and observed builds refuse with
 //! [`CheckpointError::Unsupported`].
 
-use crate::canon::{self, canon_record, Canon, Dec, Enc};
 use crate::faults::{AnalogFault, Fault, FaultPlan, SeuTarget};
-use crate::iotrace::{CanonError, SbIoTrace};
+use crate::iotrace::SbIoTrace;
 use crate::node::{NodeFsmSnapshot, NodePhase};
 use crate::spec::{NodeParams, SystemSpec};
 use crate::wrapper::WrapperSnapshot;
 use st_channel::FifoSnapshot;
+use st_sim::canon::{self, canon_record, Canon, CanonError, Dec, Enc};
 use st_sim::prelude::*;
-use st_sim::{KernelEvent, KernelEventKind, KernelSnapshot};
+use st_sim::KernelSnapshot;
 use std::fmt;
 
 /// Serialization magic.
@@ -94,16 +95,16 @@ pub enum CheckpointBackend {
     Compiled,
 }
 
-impl CheckpointBackend {
-    fn tag(self) -> u8 {
-        match self {
+impl Canon for CheckpointBackend {
+    fn put(&self, e: &mut Enc) {
+        e.u8(match self {
             CheckpointBackend::Event => 0,
             CheckpointBackend::Compiled => 1,
-        }
+        });
     }
 
-    fn from_tag(t: u8) -> Result<Self, CanonError> {
-        match t {
+    fn get(d: &mut Dec<'_>) -> Result<Self, CanonError> {
+        match u8::get(d)? {
             0 => Ok(CheckpointBackend::Event),
             1 => Ok(CheckpointBackend::Compiled),
             t => Err(CanonError::BadTag(t)),
@@ -219,15 +220,11 @@ impl Checkpoint {
     /// The canonical serialized form. Byte-stable: serializing,
     /// deserializing and serializing again yields identical bytes.
     pub fn to_canonical_bytes(&self) -> Vec<u8> {
-        let mut e = Enc::default();
+        let mut e = Enc::with_capacity(46 + self.payload.len());
         e.raw(&MAGIC);
         e.u8(VERSION);
-        e.u8(self.backend.tag());
-        e.raw(&self.spec_hash);
-        e.u64(self.cycle);
-        self.now.put(&mut e);
-        e.u64(self.payload.len() as u64);
-        e.raw(&self.payload);
+        (self.backend, self.spec_hash, self.cycle, self.now).put(&mut e);
+        e.long_bytes(&self.payload);
         e.into_bytes()
     }
 
@@ -238,19 +235,13 @@ impl Checkpoint {
     /// Returns a [`CanonError`] describing the first malformation.
     pub fn from_canonical_bytes(bytes: &[u8]) -> Result<Checkpoint, CanonError> {
         let mut d = Dec::new(bytes);
-        if d.take(4)? != MAGIC {
-            return Err(CanonError::BadMagic);
-        }
+        d.magic(&MAGIC)?;
         let version = u8::get(&mut d)?;
         if version != VERSION {
             return Err(CanonError::BadVersion(version));
         }
-        let backend = CheckpointBackend::from_tag(u8::get(&mut d)?)?;
-        let spec_hash: [u8; 16] = d.take(16)?.try_into().unwrap();
-        let cycle = u64::get(&mut d)?;
-        let now = SimTime::get(&mut d)?;
-        let payload_len = usize::get(&mut d)?;
-        let payload = d.take(payload_len)?.to_vec();
+        let (backend, spec_hash, cycle, now) = Canon::get(&mut d)?;
+        let payload = d.long_bytes()?.to_vec();
         d.finish()?;
         Ok(Checkpoint {
             backend,
@@ -287,15 +278,25 @@ impl Checkpoint {
     ///
     /// [`CheckpointError::Corrupt`] for malformed payload bytes.
     pub fn decode(&self) -> Result<DecodedCheckpoint, CheckpointError> {
-        let state = match self.backend {
+        // The header's cycle and time echo the payload's state: an
+        // engine checkpoints the minimum SB cycle and its own clock.
+        let (state, cycles, now) = match self.backend {
             CheckpointBackend::Event => {
                 let mut dump: EventStateDump = canon::decode(&self.payload)?;
                 // The kernel snapshot carries its `now` in the header.
                 dump.kernel.now = self.now;
-                DecodedState::Event(dump)
+                let cycles = dump.wrappers.iter().map(|w| w.cycle).min();
+                (DecodedState::Event(dump), cycles, self.now)
             }
-            CheckpointBackend::Compiled => DecodedState::Compiled(canon::decode(&self.payload)?),
+            CheckpointBackend::Compiled => {
+                let dump: CompiledStateDump = canon::decode(&self.payload)?;
+                let (cycles, now) = (dump.sbs.iter().map(|sb| sb.cycle).min(), dump.now);
+                (DecodedState::Compiled(dump), cycles, now)
+            }
         };
+        if cycles.unwrap_or(0) != self.cycle || now != self.now {
+            return Err(CanonError::BadValue.into());
+        }
         Ok(DecodedCheckpoint {
             backend: self.backend,
             spec_hash: self.spec_hash,
@@ -356,7 +357,6 @@ impl fmt::Debug for DecodedCheckpoint {
 // --- configuration hashing -----------------------------------------------
 
 fn encode_fault_plan(e: &mut Enc, plan: &FaultPlan) {
-    e.u64(plan.seed);
     let AnalogFault {
         clock_jitter,
         clock_drift_step,
@@ -364,11 +364,9 @@ fn encode_fault_plan(e: &mut Enc, plan: &FaultPlan) {
         token_jitter,
         data_jitter,
     } = plan.analog;
-    e.dur(clock_jitter);
-    e.dur(clock_drift_step);
-    e.dur(clock_drift_cap);
-    e.dur(token_jitter);
-    e.dur(data_jitter);
+    e.u64(plan.seed);
+    (clock_jitter, clock_drift_step, clock_drift_cap).put(e);
+    (token_jitter, data_jitter).put(e);
     e.u32(plan.protocol.len() as u32);
     for f in &plan.protocol {
         match *f {
@@ -376,72 +374,34 @@ fn encode_fault_plan(e: &mut Enc, plan: &FaultPlan) {
                 ring,
                 to_holder,
                 nth,
-            } => {
-                e.u8(0);
-                e.u32(ring.0 as u32);
-                to_holder.put(e);
-                e.u64(nth);
-            }
+            } => (0u8, ring.0 as u32, to_holder, nth).put(e),
             Fault::TokenDup {
                 ring,
                 to_holder,
                 nth,
                 extra,
-            } => {
-                e.u8(1);
-                e.u32(ring.0 as u32);
-                to_holder.put(e);
-                e.u64(nth);
-                e.dur(extra);
-            }
+            } => (1u8, ring.0 as u32, to_holder, nth, extra).put(e),
             Fault::TokenDelay {
                 ring,
                 to_holder,
                 nth,
                 extra,
-            } => {
-                e.u8(2);
-                e.u32(ring.0 as u32);
-                to_holder.put(e);
-                e.u64(nth);
-                e.dur(extra);
-            }
-            Fault::ReqDrop { channel, nth } => {
-                e.u8(3);
-                e.u32(channel.0 as u32);
-                e.u64(nth);
-            }
-            Fault::AckDrop { channel, nth } => {
-                e.u8(4);
-                e.u32(channel.0 as u32);
-                e.u64(nth);
-            }
+            } => (2u8, ring.0 as u32, to_holder, nth, extra).put(e),
+            Fault::ReqDrop { channel, nth } => (3u8, channel.0 as u32, nth).put(e),
+            Fault::AckDrop { channel, nth } => (4u8, channel.0 as u32, nth).put(e),
             Fault::ChannelStall {
                 channel,
                 nth,
                 extra,
-            } => {
-                e.u8(5);
-                e.u32(channel.0 as u32);
-                e.u64(nth);
-                e.dur(extra);
-            }
+            } => (5u8, channel.0 as u32, nth, extra).put(e),
         }
     }
     e.u32(plan.seu.len() as u32);
     for s in &plan.seu {
-        e.u32(s.sb.0 as u32);
-        e.u32(s.ring.0 as u32);
-        e.u64(s.at_cycle);
+        (s.sb.0 as u32, s.ring.0 as u32, s.at_cycle).put(e);
         match s.target {
-            SeuTarget::HoldBit(b) => {
-                e.u8(0);
-                e.u32(b);
-            }
-            SeuTarget::RecycleBit(b) => {
-                e.u8(1);
-                e.u32(b);
-            }
+            SeuTarget::HoldBit(b) => (0u8, b).put(e),
+            SeuTarget::RecycleBit(b) => (1u8, b).put(e),
             SeuTarget::TokenLatch => e.u8(2),
         }
     }
@@ -460,30 +420,25 @@ pub fn encode_config(
     e.u32(spec.sbs.len() as u32);
     for sb in &spec.sbs {
         e.bytes(sb.name.as_bytes());
-        e.dur(sb.period);
-        e.dur(sb.logic_delay);
+        (sb.period, sb.logic_delay).put(&mut e);
     }
     e.u32(spec.rings.len() as u32);
     for r in &spec.rings {
-        e.u32(r.holder.0 as u32);
-        e.u32(r.peer.0 as u32);
-        r.holder_node.put(&mut e);
-        r.peer_node.put(&mut e);
-        e.dur(r.delay_fwd);
-        e.dur(r.delay_back);
-        r.peer_initial_recycle.put(&mut e);
+        (
+            r.holder.0 as u32,
+            r.peer.0 as u32,
+            r.holder_node,
+            r.peer_node,
+        )
+            .put(&mut e);
+        (r.delay_fwd, r.delay_back, r.peer_initial_recycle).put(&mut e);
     }
     e.u32(spec.channels.len() as u32);
     for c in &spec.channels {
-        e.u32(c.from.0 as u32);
-        e.u32(c.to.0 as u32);
-        e.u32(c.ring.0 as u32);
-        e.u32(c.bits);
-        e.u64(c.fifo_depth as u64);
-        e.dur(c.stage_delay);
+        (c.from.0 as u32, c.to.0 as u32, c.ring.0 as u32, c.bits).put(&mut e);
+        (c.fifo_depth, c.stage_delay).put(&mut e);
     }
-    e.u64(seed);
-    e.u64(trace_limit as u64);
+    (seed, trace_limit).put(&mut e);
     match faults {
         None => e.u8(0),
         Some(p) => {
@@ -513,9 +468,11 @@ impl Canon for NodeParams {
     }
 
     fn get(d: &mut Dec<'_>) -> Result<Self, CanonError> {
-        // A corrupt zero register is clamped: `NodeParams::new` panics
-        // on zero, and decoding must not.
-        Ok(NodeParams::new(u32::get(d)?.max(1), u32::get(d)?.max(1)))
+        // `NodeParams::new` panics on a zero register; decoding fails.
+        match <(u32, u32)>::get(d)? {
+            (0, _) | (_, 0) => Err(CanonError::BadValue),
+            (hold, recycle) => Ok(NodeParams::new(hold, recycle)),
+        }
     }
 }
 
@@ -550,57 +507,6 @@ canon_record!(NodeFsmSnapshot {
     early_tokens,
 });
 
-/// `time | seq | tag | operands`, tag `0` Drive (`sig: u32`, value) or
-/// `1` Timer (`comp: u32`, `tag: u64`).
-impl Canon for KernelEvent {
-    fn put(&self, e: &mut Enc) {
-        self.time.put(e);
-        e.u64(self.seq);
-        match self.kind {
-            KernelEventKind::Drive { sig, value } => {
-                e.u8(0);
-                e.u32(sig.as_raw());
-                value.put(e);
-            }
-            KernelEventKind::Timer { comp, tag } => {
-                e.u8(1);
-                e.u32(comp.as_raw());
-                e.u64(tag);
-            }
-        }
-    }
-
-    fn get(d: &mut Dec<'_>) -> Result<Self, CanonError> {
-        let time = SimTime::get(d)?;
-        let seq = u64::get(d)?;
-        let kind = match u8::get(d)? {
-            0 => KernelEventKind::Drive {
-                sig: SignalId::from_raw(u32::get(d)?),
-                value: Value::get(d)?,
-            },
-            1 => KernelEventKind::Timer {
-                comp: ComponentId::from_raw(u32::get(d)?),
-                tag: u64::get(d)?,
-            },
-            t => return Err(CanonError::BadTag(t)),
-        };
-        Ok(KernelEvent { time, seq, kind })
-    }
-}
-
-// `now` travels in the checkpoint header, not the payload.
-canon_record!(KernelSnapshot {
-    started,
-    next_seq,
-    scheduled_total,
-    events_fired,
-    wakes,
-    signals,
-    events,
-    delay_model;
-    now: SimTime::ZERO
-});
-
 canon_record!(WrapperSnapshot {
     prev_clk,
     cycle,
@@ -614,15 +520,6 @@ canon_record!(WrapperSnapshot {
     input_ack_parity,
     output_req_parity,
     logic,
-});
-
-canon_record!(FifoSnapshot {
-    stages,
-    pushes,
-    pops,
-    max_occupancy,
-    overruns,
-    underruns,
 });
 
 /// Protocol fault-injector occurrence counters `(token, push, ack)`,
@@ -664,27 +561,20 @@ pub(crate) struct CompiledEvDump {
 
 impl Canon for CompiledEvDump {
     fn put(&self, e: &mut Enc) {
-        self.time.put(e);
-        e.u64(self.seq);
-        e.u8(self.kind);
-        e.u32(self.a);
-        e.u64(self.b);
+        (self.time, self.seq, self.kind, self.a, self.b).put(e);
     }
 
     fn get(d: &mut Dec<'_>) -> Result<Self, CanonError> {
-        let time = SimTime::get(d)?;
-        let seq = u64::get(d)?;
-        let kind = u8::get(d)?;
-        if kind > 4 {
-            return Err(CanonError::BadTag(kind));
+        match Canon::get(d)? {
+            (_, _, kind @ 5.., _, _) => Err(CanonError::BadTag(kind)),
+            (time, seq, kind, a, b) => Ok(CompiledEvDump {
+                time,
+                seq,
+                kind,
+                a,
+                b,
+            }),
         }
-        Ok(CompiledEvDump {
-            time,
-            seq,
-            kind,
-            a: u32::get(d)?,
-            b: u64::get(d)?,
-        })
     }
 }
 

@@ -84,7 +84,6 @@
 //! backend — callers never observe a behavioural difference, only a
 //! speed difference.
 
-use crate::canon;
 use crate::checkpoint::{
     config_hash, Checkpoint, CheckpointBackend, CheckpointError, CompiledEvDump, CompiledFifoDump,
     CompiledSbDump, CompiledStateDump, DecodedCheckpoint, DecodedState,
@@ -98,6 +97,7 @@ use crate::node::{NodeFsm, NodePhase, TokenAction};
 use crate::spec::{ChannelId, RingId, SbId, SystemSpec};
 use crate::system::{RunOutcome, SystemBuilder};
 use crate::wrapper::{WrapperMode, BUNDLE_DELAY};
+use st_sim::canon;
 use st_sim::event::{Pending, PendingQueue};
 use st_sim::prelude::*;
 use std::any::Any;
@@ -1890,7 +1890,7 @@ impl Group<Scalar> {
                     sb: a,
                     node: b as u32,
                 },
-                4 if a < n_sbs => EvKind::Clken { sb: a, ena: b != 0 },
+                4 if a < n_sbs && b <= 1 => EvKind::Clken { sb: a, ena: b == 1 },
                 _ => {
                     mismatch = true;
                     return None;

@@ -34,6 +34,7 @@ use crate::compiled_system::AnySystem;
 use crate::iotrace::SbIoTrace;
 use crate::spec::{ChannelId, RingId, SbId, SystemSpec};
 use crate::system::RunOutcome;
+use st_sim::canon::{decode_with, Enc};
 use st_sim::hash::{mix64, GOLDEN};
 use st_sim::prelude::*;
 use std::collections::BTreeMap;
@@ -148,33 +149,22 @@ impl JitterCounters {
     /// state; bounds and seed are construction-time). BTreeMap iteration
     /// order makes the encoding deterministic.
     pub(crate) fn snapshot_occ(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(8 + 13 * self.occ.len());
-        b.extend_from_slice(&(self.occ.len() as u64).to_le_bytes());
-        for (&(class, unit), &n) in &self.occ {
-            b.push(class);
-            b.extend_from_slice(&unit.to_le_bytes());
-            b.extend_from_slice(&n.to_le_bytes());
-        }
-        b
+        let mut e = Enc::with_capacity(8 + 13 * self.occ.len());
+        e.seq(self.occ.iter().map(|(&key, &n)| (key, n)));
+        e.into_bytes()
     }
 
     /// Restores counters dumped by [`snapshot_occ`](Self::snapshot_occ).
+    /// Keys must be strictly ascending, as the dump writes them, so
+    /// every accepted blob is the one dump of the counters it restores.
     pub(crate) fn restore_occ(&mut self, bytes: &[u8]) -> bool {
-        if bytes.len() < 8 {
+        let Ok(occ) = decode_with(bytes, |d| d.seq::<((u8, u32), u64)>()) else {
+            return false;
+        };
+        if !occ.windows(2).all(|w| w[0].0 < w[1].0) {
             return false;
         }
-        let n = u64::from_le_bytes(bytes[..8].try_into().unwrap()) as usize;
-        // A corrupt count must not overflow into a matching length.
-        if n.checked_mul(13).and_then(|b| b.checked_add(8)) != Some(bytes.len()) {
-            return false;
-        }
-        self.occ.clear();
-        for e in bytes[8..].chunks_exact(13) {
-            let class = e[0];
-            let unit = u32::from_le_bytes(e[1..5].try_into().unwrap());
-            let occ = u64::from_le_bytes(e[5..13].try_into().unwrap());
-            self.occ.insert((class, unit), occ);
-        }
+        self.occ = occ.into_iter().collect();
         true
     }
 }
@@ -880,7 +870,7 @@ mod tests {
     #[test]
     fn overflowing_occurrence_counts_are_rejected() {
         let mut c = JitterCounters::new(AnalogFault::default(), 0);
-        let mut bytes = (1u64 << 61).to_le_bytes().to_vec();
+        let mut bytes = st_sim::canon::encode(&(1u64 << 61));
         assert!(!c.restore_occ(&bytes));
         // 13 * 2^61 wraps to 5 * 2^61: no real length matches it.
         bytes.extend_from_slice(&[0; 13]);

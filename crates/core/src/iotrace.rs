@@ -8,7 +8,7 @@
 //! transmitted. Two runs are *deterministically equivalent* when the
 //! traces of every SB match exactly.
 
-use crate::canon::{Canon, Dec};
+use st_sim::canon::{Canon, Dec, Enc};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::OnceLock;
@@ -116,35 +116,13 @@ impl Clone for SbIoTrace {
 pub const CANON_MAGIC: &[u8; 4] = b"STIO";
 /// Version byte of the canonical trace encoding.
 pub const CANON_VERSION: u8 = 1;
+/// Wire bytes of a row with no reads or writes: its cycle and two list
+/// lengths.
+const ROW_MIN_BYTES: usize = 16;
 
-/// Decoding failures for [`SbIoTrace::from_canonical_bytes`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CanonError {
-    /// The input ended before the encoding was complete.
-    Truncated,
-    /// The magic prefix is not `"STIO"`.
-    BadMagic,
-    /// An unknown format version byte.
-    BadVersion(u8),
-    /// An option tag other than 0 or 1.
-    BadTag(u8),
-    /// Well-formed encoding followed by extra bytes (count).
-    TrailingBytes(usize),
-}
-
-impl fmt::Display for CanonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CanonError::Truncated => write!(f, "canonical trace truncated"),
-            CanonError::BadMagic => write!(f, "not a canonical trace (bad magic)"),
-            CanonError::BadVersion(v) => write!(f, "unknown canonical trace version {v}"),
-            CanonError::BadTag(t) => write!(f, "invalid option tag {t:#04x}"),
-            CanonError::TrailingBytes(n) => write!(f, "{n} trailing bytes after trace"),
-        }
-    }
-}
-
-impl std::error::Error for CanonError {}
+/// Decoding failures for [`SbIoTrace::from_canonical_bytes`]: the
+/// workspace codec's error type.
+pub use st_sim::canon::CanonError;
 
 impl SbIoTrace {
     /// A trace that records at most `limit` cycles (0 = unlimited).
@@ -314,29 +292,22 @@ impl SbIoTrace {
             .iter()
             .map(|c| 1 + 8 * usize::from(c.is_some()))
             .sum();
-        let mut out = Vec::with_capacity(21 + self.len() * 16 + cell_bytes);
-        out.extend_from_slice(CANON_MAGIC);
-        out.push(CANON_VERSION);
-        out.extend_from_slice(&(self.limit as u64).to_le_bytes());
-        out.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        let put_words = |out: &mut Vec<u8>, words: &[Option<u64>]| {
-            out.extend_from_slice(&(words.len() as u32).to_le_bytes());
+        let mut e = Enc::with_capacity(21 + self.len() * ROW_MIN_BYTES + cell_bytes);
+        e.raw(CANON_MAGIC);
+        e.u8(CANON_VERSION);
+        (self.limit, self.len()).put(&mut e);
+        let put_words = |e: &mut Enc, words: &[Option<u64>]| {
+            e.u32(words.len() as u32);
             for w in words {
-                match w {
-                    None => out.push(0),
-                    Some(v) => {
-                        out.push(1);
-                        out.extend_from_slice(&v.to_le_bytes());
-                    }
-                }
+                w.put(e);
             }
         };
         for row in self.iter() {
-            out.extend_from_slice(&row.cycle.to_le_bytes());
-            put_words(&mut out, row.reads);
-            put_words(&mut out, row.writes);
+            e.u64(row.cycle);
+            put_words(&mut e, row.reads);
+            put_words(&mut e, row.writes);
         }
-        out
+        e.into_bytes()
     }
 
     /// Decodes a trace from its canonical byte form
@@ -349,25 +320,22 @@ impl SbIoTrace {
     /// returned trace reproduces the input byte-for-byte.
     pub fn from_canonical_bytes(bytes: &[u8]) -> Result<SbIoTrace, CanonError> {
         let mut d = Dec::new(bytes);
-        if d.take(4)? != CANON_MAGIC {
-            return Err(CanonError::BadMagic);
-        }
+        d.magic(CANON_MAGIC)?;
         match u8::get(&mut d)? {
             CANON_VERSION => {}
             v => return Err(CanonError::BadVersion(v)),
         }
         let mut t = SbIoTrace::with_limit(usize::get(&mut d)?);
         let row_count = u64::get(&mut d)?;
-        let rows = row_count.min(d.remaining() as u64) as usize;
-        t.cycles.reserve(rows);
-        t.ends.reserve(rows);
+        // Every row takes at least its cycle and two list lengths on the
+        // wire, so the rest of the input holds at most this many.
+        let rows = row_count.min((d.remaining() / ROW_MIN_BYTES) as u64);
+        d.reserve(&mut t.cycles, rows);
+        d.reserve(&mut t.ends, rows);
         // Appends one length-prefixed word list to `cells`.
         let words = |d: &mut Dec<'_>, cells: &mut Vec<Option<u64>>| {
-            let n = u32::get(d)? as usize;
-            // Cap pre-allocation by what the input could actually hold
-            // (1 byte per element minimum): corrupt lengths must not
-            // balloon memory before Truncated is hit.
-            cells.reserve(n.min(d.remaining()));
+            let n = u32::get(d)?;
+            d.reserve(cells, n.into());
             for _ in 0..n {
                 cells.push(Option::<u64>::get(d)?);
             }
@@ -640,6 +608,18 @@ impl LaneTraces {
 #[inline]
 fn present(mask: &[u64], i: usize) -> bool {
     mask[i / 64] >> (i % 64) & 1 != 0
+}
+
+/// A `u32`-length-prefixed STIO blob, as traces travel inside STCP
+/// checkpoint payloads.
+impl Canon for SbIoTrace {
+    fn put(&self, e: &mut Enc) {
+        e.bytes(&self.to_canonical_bytes());
+    }
+
+    fn get(d: &mut Dec<'_>) -> Result<Self, CanonError> {
+        SbIoTrace::from_canonical_bytes(d.bytes()?)
+    }
 }
 
 #[cfg(test)]

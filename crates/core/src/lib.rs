@@ -77,7 +77,6 @@
 
 pub mod batched_system;
 pub mod campaign;
-mod canon;
 pub mod checkpoint;
 pub mod compiled_system;
 pub mod deadlock;

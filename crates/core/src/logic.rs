@@ -7,6 +7,7 @@
 //! per local clock cycle and must be a pure function of the block's own
 //! state and the presented port values.
 
+use st_sim::canon::{decode, decode_with, Canon, Enc};
 use std::any::Any;
 
 /// What an input channel presents to the SB during one cycle.
@@ -133,23 +134,6 @@ pub trait SyncLogic: Any {
     }
 }
 
-/// Splits `bytes` into `n`-byte little-endian `u64`s; `None` unless the
-/// length is exactly `8 * n`. Shared by the stock logic codecs.
-pub(crate) fn fixed_u64s<const N: usize>(bytes: &[u8]) -> Option<[u64; N]> {
-    if bytes.len() != 8 * N {
-        return None;
-    }
-    let mut out = [0u64; N];
-    for (i, chunk) in bytes.chunks_exact(8).enumerate() {
-        out[i] = u64::from_le_bytes(chunk.try_into().unwrap());
-    }
-    Some(out)
-}
-
-pub(crate) fn push_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Emits an arithmetic sequence on output 0 whenever the channel can
 /// accept a word.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -181,15 +165,13 @@ impl SyncLogic for SequenceSource {
     }
 
     fn save_state(&self) -> Option<Vec<u8>> {
-        let mut b = Vec::with_capacity(24);
-        push_u64(&mut b, self.next);
-        push_u64(&mut b, self.step);
-        push_u64(&mut b, self.sent);
-        Some(b)
+        let mut e = Enc::with_capacity(24);
+        (self.next, self.step, self.sent).put(&mut e);
+        Some(e.into_bytes())
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> bool {
-        let Some([next, step, sent]) = fixed_u64s::<3>(bytes) else {
+        let Ok((next, step, sent)) = decode(bytes) else {
             return false;
         };
         self.next = next;
@@ -233,32 +215,16 @@ impl SyncLogic for SinkCollect {
     }
 
     fn save_state(&self) -> Option<Vec<u8>> {
-        let mut b = Vec::with_capacity(8 + 24 * self.received.len());
-        push_u64(&mut b, self.received.len() as u64);
-        for &(idx, cycle, word) in &self.received {
-            push_u64(&mut b, idx as u64);
-            push_u64(&mut b, cycle);
-            push_u64(&mut b, word);
-        }
-        Some(b)
+        let mut e = Enc::with_capacity(8 + 24 * self.received.len());
+        e.seq(self.received.iter().copied());
+        Some(e.into_bytes())
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> bool {
-        if bytes.len() < 8 {
+        let Ok(received) = decode_with(bytes, |d| d.seq()) else {
             return false;
-        }
-        let n = u64::from_le_bytes(bytes[..8].try_into().unwrap()) as usize;
-        // A corrupt count must not overflow into a matching length.
-        if n.checked_mul(24).and_then(|b| b.checked_add(8)) != Some(bytes.len()) {
-            return false;
-        }
-        self.received.clear();
-        for chunk in bytes[8..].chunks_exact(24) {
-            let idx = u64::from_le_bytes(chunk[..8].try_into().unwrap()) as usize;
-            let cycle = u64::from_le_bytes(chunk[8..16].try_into().unwrap());
-            let word = u64::from_le_bytes(chunk[16..24].try_into().unwrap());
-            self.received.push((idx, cycle, word));
-        }
+        };
+        self.received = received;
         true
     }
 }
@@ -318,33 +284,21 @@ impl SyncLogic for PipeTransform {
     fn save_state(&self) -> Option<Vec<u8>> {
         // `f` and `capacity` are construction-time; only the queue and
         // counters evolve.
-        let mut b = Vec::with_capacity(24 + 8 * self.queue.len());
-        push_u64(&mut b, self.queue.len() as u64);
-        for &w in &self.queue {
-            push_u64(&mut b, w);
-        }
-        push_u64(&mut b, self.forwarded);
-        push_u64(&mut b, self.dropped);
-        Some(b)
+        let mut e = Enc::with_capacity(24 + 8 * self.queue.len());
+        e.seq(self.queue.iter().copied());
+        (self.forwarded, self.dropped).put(&mut e);
+        Some(e.into_bytes())
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> bool {
-        if bytes.len() < 8 {
+        let Ok((queue, (forwarded, dropped))) =
+            decode_with(bytes, |d| Ok((d.seq()?, Canon::get(d)?)))
+        else {
             return false;
-        }
-        let n = u64::from_le_bytes(bytes[..8].try_into().unwrap()) as usize;
-        // A corrupt count must not overflow into a matching length.
-        if n.checked_mul(8).and_then(|b| b.checked_add(24)) != Some(bytes.len()) {
-            return false;
-        }
-        self.queue.clear();
-        for chunk in bytes[8..8 + 8 * n].chunks_exact(8) {
-            self.queue
-                .push_back(u64::from_le_bytes(chunk.try_into().unwrap()));
-        }
-        let rest = &bytes[8 + 8 * n..];
-        self.forwarded = u64::from_le_bytes(rest[..8].try_into().unwrap());
-        self.dropped = u64::from_le_bytes(rest[8..16].try_into().unwrap());
+        };
+        self.queue = queue.into();
+        self.forwarded = forwarded;
+        self.dropped = dropped;
         true
     }
 }
@@ -391,15 +345,13 @@ impl SyncLogic for PackingSource {
     }
 
     fn save_state(&self) -> Option<Vec<u8>> {
-        let mut b = Vec::with_capacity(24);
-        push_u64(&mut b, self.next);
-        push_u64(&mut b, u64::from(self.lanes));
-        push_u64(&mut b, self.base_words_sent);
-        Some(b)
+        let mut e = Enc::with_capacity(24);
+        (self.next, u64::from(self.lanes), self.base_words_sent).put(&mut e);
+        Some(e.into_bytes())
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> bool {
-        let Some([next, lanes, sent]) = fixed_u64s::<3>(bytes) else {
+        let Ok((next, lanes, sent)) = decode::<(u64, u64, u64)>(bytes) else {
             return false;
         };
         if lanes != u64::from(self.lanes) {
@@ -459,16 +411,14 @@ impl SyncLogic for UnpackingSink {
     }
 
     fn save_state(&self) -> Option<Vec<u8>> {
-        let mut b = Vec::with_capacity(32);
-        push_u64(&mut b, u64::from(self.lanes));
-        push_u64(&mut b, self.expected_next);
-        push_u64(&mut b, self.base_words_received);
-        push_u64(&mut b, self.sequence_errors);
-        Some(b)
+        let mut e = Enc::with_capacity(32);
+        (u64::from(self.lanes), self.expected_next).put(&mut e);
+        (self.base_words_received, self.sequence_errors).put(&mut e);
+        Some(e.into_bytes())
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> bool {
-        let Some([lanes, next, recv, errs]) = fixed_u64s::<4>(bytes) else {
+        let Ok((lanes, next, recv, errs)) = decode::<(u64, u64, u64, u64)>(bytes) else {
             return false;
         };
         if lanes != u64::from(self.lanes) {
@@ -507,11 +457,11 @@ mod tests {
 
     #[test]
     fn overflowing_state_counts_are_rejected() {
-        // 2^61 records wrap the byte length back to the bare header
-        // (24 * 2^61 and 8 * 2^61 are multiples of 2^64).
-        let count = (1u64 << 61).to_le_bytes();
+        // 2^61 records would wrap a hand-computed byte length back to
+        // the bare header (24 * 2^61 and 8 * 2^61 are multiples of 2^64).
+        let count = st_sim::canon::encode(&(1u64 << 61));
         assert!(!SinkCollect::new().restore_state(&count));
-        let mut pipe = count.to_vec();
+        let mut pipe = count.clone();
         pipe.extend_from_slice(&[0; 16]);
         assert!(!PipeTransform::new(4, |w| w).restore_state(&pipe));
     }

@@ -8,6 +8,7 @@ use crate::logic::{SbIo, SyncLogic};
 use crate::rules::{check_determinism_rules, ScaleRange};
 use crate::spec::{NodeParams, SbId, SystemSpec};
 use crate::system::{RunOutcome, System, SystemBuilder};
+use st_sim::canon::{decode, Canon, Enc};
 use st_sim::time::SimDuration;
 
 /// A simple producer → consumer pair with generous margins; the smallest
@@ -244,16 +245,13 @@ impl SyncLogic for MixerLogic {
     }
 
     fn save_state(&self) -> Option<Vec<u8>> {
-        let mut buf = Vec::with_capacity(32);
-        crate::logic::push_u64(&mut buf, self.counter);
-        crate::logic::push_u64(&mut buf, self.acc);
-        crate::logic::push_u64(&mut buf, self.sent);
-        crate::logic::push_u64(&mut buf, self.received);
-        Some(buf)
+        let mut e = Enc::with_capacity(32);
+        (self.counter, self.acc, self.sent, self.received).put(&mut e);
+        Some(e.into_bytes())
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> bool {
-        let Some([counter, acc, sent, received]) = crate::logic::fixed_u64s(bytes) else {
+        let Ok((counter, acc, sent, received)) = decode(bytes) else {
             return false;
         };
         self.counter = counter;

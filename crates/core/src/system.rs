@@ -7,7 +7,6 @@
 //! experiments need (I/O traces, cycle counts, node phases, FIFO and
 //! clock statistics).
 
-use crate::canon;
 use crate::checkpoint::{
     config_hash, Checkpoint, CheckpointBackend, CheckpointError, DecodedCheckpoint, EventStateDump,
 };
@@ -22,6 +21,7 @@ use crate::wrapper::{
 };
 use st_channel::{FifoPorts, SelfTimedFifo};
 use st_clocking::{StoppableClock, StoppableClockSpec};
+use st_sim::canon;
 use st_sim::prelude::*;
 use std::cell::RefCell;
 use std::collections::BTreeMap;

@@ -21,11 +21,13 @@
 //!        | [witness block when flags & WITNESS]   | payload bytes
 //! ```
 //!
-//! The witness block is the record's canonical fields plus its chain
-//! links: `seq u64 | n_ids u32 | (len u32, bytes)* | config [16]
+//! The witness block is [`WitnessRecord`]'s `Canon` layout (see
+//! [`st_sim::canon`]): the record's canonical fields plus its chain
+//! links, `seq u64 | n_ids u32 | (len u32, bytes)* | config [16]
 //! | result [16] | prev u64 | chain u64`.
 
 use st_conformance::{fnv1a64, WitnessRecord};
+use st_sim::canon::{Canon, CanonError, Dec, Enc};
 
 /// Frame magic.
 pub const MAGIC: &[u8; 4] = b"STPF";
@@ -36,9 +38,9 @@ const FLAG_WITNESS: u16 = 1;
 /// Decode ceiling on the payload length field, mirroring the HTTP
 /// layer's body cap so a corrupt length cannot ask for a huge buffer.
 pub const MAX_PAYLOAD: u64 = 8 * 1024 * 1024;
-/// Decode ceilings on witness-block fields; real records are tiny.
-const MAX_WITNESS_IDS: u32 = 64;
-const MAX_ID_LEN: u32 = 128;
+/// Ceilings on witness-block fields; real records are tiny.
+const MAX_WITNESS_IDS: usize = 64;
+const MAX_ID_LEN: usize = 128;
 
 /// One peer-transfer frame: a verified payload plus optional witness
 /// provenance.
@@ -81,32 +83,20 @@ impl Frame {
     /// Encodes the frame. The checksum is computed here, so an encoded
     /// frame always decodes against its own key.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(48 + self.payload.len());
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
+        let mut e = Enc::with_capacity(48 + self.payload.len());
         let flags = if self.witness.is_some() {
             FLAG_WITNESS
         } else {
             0
         };
-        out.extend_from_slice(&flags.to_le_bytes());
-        out.extend_from_slice(&self.key);
-        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&self.payload).to_le_bytes());
+        e.raw(MAGIC);
+        (VERSION, flags, self.key).put(&mut e);
+        (self.payload.len() as u64, fnv1a64(&self.payload)).put(&mut e);
         if let Some(w) = &self.witness {
-            out.extend_from_slice(&w.seq.to_le_bytes());
-            out.extend_from_slice(&(w.ids.len() as u32).to_le_bytes());
-            for id in &w.ids {
-                out.extend_from_slice(&(id.len() as u32).to_le_bytes());
-                out.extend_from_slice(id.as_bytes());
-            }
-            out.extend_from_slice(&w.config);
-            out.extend_from_slice(&w.result);
-            out.extend_from_slice(&w.prev.to_le_bytes());
-            out.extend_from_slice(&w.chain.to_le_bytes());
+            w.put(&mut e);
         }
-        out.extend_from_slice(&self.payload);
-        out
+        e.raw(&self.payload);
+        e.into_bytes()
     }
 
     /// Decodes and verifies a frame against the key the receiver asked
@@ -114,58 +104,42 @@ impl Frame {
     /// checksum disagreement, or invalid witness record rejects the
     /// whole frame.
     pub fn decode(bytes: &[u8], expected_key: &[u8; 16]) -> Result<Frame, FrameError> {
-        let mut r = Reader { bytes, at: 0 };
-        if r.take(4)? != MAGIC {
-            return Err(FrameError::Malformed("magic"));
-        }
-        if r.u16()? != VERSION {
+        let mut d = Dec::new(bytes);
+        d.magic(MAGIC).map_err(malformed("magic"))?;
+        if u16::get(&mut d).map_err(malformed("truncated"))? != VERSION {
             return Err(FrameError::Malformed("version"));
         }
-        let flags = r.u16()?;
+        let (flags, key, payload_len, checksum) =
+            <(u16, [u8; 16], u64, u64)>::get(&mut d).map_err(malformed("truncated"))?;
         if flags & !FLAG_WITNESS != 0 {
             return Err(FrameError::Malformed("unknown flags"));
         }
-        let key: [u8; 16] = r.take(16)?.try_into().expect("16 bytes");
-        let payload_len = r.u64()?;
         if payload_len > MAX_PAYLOAD {
             return Err(FrameError::Malformed("payload length over cap"));
         }
-        let checksum = r.u64()?;
         let witness = if flags & FLAG_WITNESS != 0 {
-            let seq = r.u64()?;
-            let n_ids = r.u32()?;
-            if n_ids == 0 || n_ids > MAX_WITNESS_IDS {
+            let w = WitnessRecord::get(&mut d).map_err(|e| match e {
+                CanonError::BadUtf8 => FrameError::Malformed("witness id utf8"),
+                _ => FrameError::Malformed("truncated"),
+            })?;
+            if w.ids.is_empty() || w.ids.len() > MAX_WITNESS_IDS {
                 return Err(FrameError::Malformed("witness id count"));
             }
-            let mut ids = Vec::with_capacity(n_ids as usize);
-            for _ in 0..n_ids {
-                let len = r.u32()?;
-                if len == 0 || len > MAX_ID_LEN {
-                    return Err(FrameError::Malformed("witness id length"));
-                }
-                let id = std::str::from_utf8(r.take(len as usize)?)
-                    .map_err(|_| FrameError::Malformed("witness id utf8"))?;
-                ids.push(id.to_owned());
+            if w.ids
+                .iter()
+                .any(|id| id.is_empty() || id.len() > MAX_ID_LEN)
+            {
+                return Err(FrameError::Malformed("witness id length"));
             }
-            let config: [u8; 16] = r.take(16)?.try_into().expect("16 bytes");
-            let result: [u8; 16] = r.take(16)?.try_into().expect("16 bytes");
-            let prev = r.u64()?;
-            let chain = r.u64()?;
-            Some(WitnessRecord {
-                seq,
-                ids,
-                config,
-                result,
-                prev,
-                chain,
-            })
+            Some(w)
         } else {
             None
         };
-        let payload = r.take(payload_len as usize)?.to_vec();
-        if r.at != bytes.len() {
-            return Err(FrameError::Malformed("trailing bytes"));
-        }
+        let payload = d
+            .take(payload_len as usize)
+            .map_err(malformed("truncated"))?
+            .to_vec();
+        d.finish().map_err(malformed("trailing bytes"))?;
         // Verification order: identity first (did we even get the key
         // we asked for?), then integrity, then provenance.
         if key != *expected_key {
@@ -187,35 +161,9 @@ impl Frame {
     }
 }
 
-/// Bounds-checked cursor over the frame bytes.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or(FrameError::Malformed("truncated"))?;
-        let out = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(out)
-    }
-
-    fn u16(&mut self) -> Result<u16, FrameError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
-    }
-
-    fn u32(&mut self) -> Result<u32, FrameError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, FrameError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
+/// Maps any codec error to one malformed-frame reason.
+fn malformed(what: &'static str) -> impl Fn(CanonError) -> FrameError {
+    move |_| FrameError::Malformed(what)
 }
 
 #[cfg(test)]
@@ -325,7 +273,7 @@ mod tests {
         };
         let mut bytes = frame.encode();
         // Payload length field sits at offset 24; write an absurd value.
-        bytes[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
+        bytes[24..32].fill(0xFF);
         assert!(matches!(
             Frame::decode(&bytes, &frame.key).unwrap_err(),
             FrameError::Malformed("payload length over cap")

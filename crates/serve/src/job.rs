@@ -18,6 +18,7 @@
 //! * **chaos** — a differential fault-injection campaign via
 //!   [`st_testkit::run_chaos_campaign_hooked`].
 
+use st_sim::canon::{Canon, Enc};
 use st_sim::time::SimDuration;
 use st_sim::SimError;
 use std::fmt;
@@ -89,15 +90,12 @@ impl Scenario {
         }
     }
 
-    fn encode(self, out: &mut Vec<u8>) {
+    fn encode(self, e: &mut Enc) {
         match self {
-            Scenario::ProducerConsumer => out.push(0),
-            Scenario::PingPong => out.push(1),
-            Scenario::E1 => out.push(2),
-            Scenario::Chain(n) => {
-                out.push(3);
-                out.extend_from_slice(&n.to_le_bytes());
-            }
+            Scenario::ProducerConsumer => e.u8(0),
+            Scenario::PingPong => e.u8(1),
+            Scenario::E1 => e.u8(2),
+            Scenario::Chain(n) => (3u8, n).put(e),
         }
     }
 }
@@ -190,42 +188,32 @@ impl JobRequest {
     /// [`ContentKey::of`](crate::hash::ContentKey::of) over these bytes
     /// is the cache key.
     pub fn to_canonical_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(REQUEST_MAGIC);
-        out.push(WIRE_VERSION);
+        let mut e = Enc::default();
+        e.raw(REQUEST_MAGIC);
+        e.u8(WIRE_VERSION);
         match self {
             JobRequest::Sim(r) => {
-                out.push(0);
-                r.scenario.encode(&mut out);
-                out.push(backend_tag(r.backend));
-                out.extend_from_slice(&(r.seeds.len() as u64).to_le_bytes());
-                for s in &r.seeds {
-                    out.extend_from_slice(&s.to_le_bytes());
-                }
-                out.extend_from_slice(&r.cycles.to_le_bytes());
-                out.extend_from_slice(&r.trace_cycles.to_le_bytes());
-                out.extend_from_slice(&r.budget_fs.to_le_bytes());
+                e.u8(0);
+                r.scenario.encode(&mut e);
+                e.u8(backend_tag(r.backend));
+                e.seq(r.seeds.iter().copied());
+                (r.cycles, r.trace_cycles, r.budget_fs).put(&mut e);
             }
             JobRequest::Shmoo(r) => {
-                out.push(1);
-                r.scenario.encode(&mut out);
-                out.push(backend_tag(r.backend));
-                out.extend_from_slice(&r.sb.to_le_bytes());
-                out.extend_from_slice(&(r.periods_fs.len() as u64).to_le_bytes());
-                for p in &r.periods_fs {
-                    out.extend_from_slice(&p.to_le_bytes());
-                }
-                out.extend_from_slice(&r.cycles.to_le_bytes());
+                e.u8(1);
+                r.scenario.encode(&mut e);
+                e.u8(backend_tag(r.backend));
+                e.u32(r.sb);
+                e.seq(r.periods_fs.iter().copied());
+                e.u64(r.cycles);
             }
             JobRequest::Chaos(r) => {
-                out.push(2);
-                r.scenario.encode(&mut out);
-                out.extend_from_slice(&r.seeds.to_le_bytes());
-                out.extend_from_slice(&r.cycles.to_le_bytes());
-                out.extend_from_slice(&r.budget_fs.to_le_bytes());
+                e.u8(2);
+                r.scenario.encode(&mut e);
+                (r.seeds, r.cycles, r.budget_fs).put(&mut e);
             }
         }
-        out
+        e.into_bytes()
     }
 
     /// The conformance requirement IDs (see `conformance/requirements.toml`)
@@ -460,64 +448,50 @@ pub enum JobResult {
     Chaos(Vec<ChaosRunResult>),
 }
 
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u64).to_le_bytes());
-    out.extend_from_slice(b);
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
-}
-
 impl JobResult {
     /// The canonical byte form served by `/result/<id>` — a pure
     /// function of the result value, so a served body is byte-identical
     /// to an encoding of the same job computed locally.
     pub fn to_canonical_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(RESULT_MAGIC);
-        out.push(WIRE_VERSION);
+        let mut e = Enc::default();
+        e.raw(RESULT_MAGIC);
+        e.u8(WIRE_VERSION);
         match self {
             JobResult::Sim(runs) => {
-                out.push(0);
-                out.extend_from_slice(&(runs.len() as u64).to_le_bytes());
+                e.u8(0);
+                e.u64(runs.len() as u64);
                 for run in runs {
-                    out.extend_from_slice(&run.seed.to_le_bytes());
-                    put_str(&mut out, &run.outcome);
-                    out.extend_from_slice(&(run.traces.len() as u64).to_le_bytes());
+                    e.u64(run.seed);
+                    e.long_bytes(run.outcome.as_bytes());
+                    e.u64(run.traces.len() as u64);
                     for t in &run.traces {
-                        put_bytes(&mut out, t);
+                        e.long_bytes(t);
                     }
                 }
             }
             JobResult::Shmoo(points) => {
-                out.push(1);
-                out.extend_from_slice(&(points.len() as u64).to_le_bytes());
-                for p in points {
-                    out.extend_from_slice(&p.period_fs.to_le_bytes());
-                    out.push(u8::from(p.pass));
-                    out.extend_from_slice(&p.violations.to_le_bytes());
-                }
+                e.u8(1);
+                e.seq(points.iter().map(|p| (p.period_fs, p.pass, p.violations)));
             }
             JobResult::Chaos(runs) => {
-                out.push(2);
-                out.extend_from_slice(&(runs.len() as u64).to_le_bytes());
+                e.u8(2);
+                e.u64(runs.len() as u64);
                 for run in runs {
-                    out.extend_from_slice(&run.seed.to_le_bytes());
-                    put_str(&mut out, &run.class);
-                    out.extend_from_slice(&(run.outcomes.len() as u64).to_le_bytes());
+                    e.u64(run.seed);
+                    e.long_bytes(run.class.as_bytes());
+                    e.u64(run.outcomes.len() as u64);
                     for (kind, outcome) in &run.outcomes {
-                        put_str(&mut out, kind);
-                        put_str(&mut out, outcome);
+                        e.long_bytes(kind.as_bytes());
+                        e.long_bytes(outcome.as_bytes());
                     }
-                    out.extend_from_slice(&(run.violations.len() as u64).to_le_bytes());
+                    e.u64(run.violations.len() as u64);
                     for v in &run.violations {
-                        put_str(&mut out, v);
+                        e.long_bytes(v.as_bytes());
                     }
                 }
             }
         }
-        out
+        e.into_bytes()
     }
 }
 

@@ -12,6 +12,7 @@
 //! determinism, reproduces the identical bytes and rewrites the entry).
 
 use crate::hash::ContentKey;
+use st_sim::canon::{Canon, Dec, Enc};
 use st_sim::hash::fnv1a64;
 use std::collections::HashMap;
 use std::fs;
@@ -158,11 +159,10 @@ impl ResultStore {
     /// canonical checkpoint bytes, so a cached blob can seed any
     /// prefix-forked run of that configuration forever.
     pub fn checkpoint_key(spec_hash: [u8; 16], cycle: u64) -> ContentKey {
-        let mut bytes = Vec::with_capacity(28);
-        bytes.extend_from_slice(b"STCK");
-        bytes.extend_from_slice(&spec_hash);
-        bytes.extend_from_slice(&cycle.to_le_bytes());
-        ContentKey::of(&bytes)
+        let mut e = Enc::with_capacity(28);
+        e.raw(b"STCK");
+        (spec_hash, cycle).put(&mut e);
+        ContentKey::of(&e.into_bytes())
     }
 
     /// Looks up a cached checkpoint blob for `(spec_hash, cycle)`.
@@ -208,13 +208,12 @@ impl ResultStore {
         if fs::create_dir_all(dir).is_err() {
             return;
         }
-        let mut blob = Vec::with_capacity(37 + bytes.len());
-        blob.extend_from_slice(DISK_MAGIC);
-        blob.push(DISK_VERSION);
-        blob.extend_from_slice(&key.0);
-        blob.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-        blob.extend_from_slice(&fnv1a64(bytes).to_le_bytes());
-        blob.extend_from_slice(bytes);
+        let mut e = Enc::with_capacity(37 + bytes.len());
+        e.raw(DISK_MAGIC);
+        e.u8(DISK_VERSION);
+        (key.0, bytes.len() as u64, fnv1a64(bytes)).put(&mut e);
+        e.raw(bytes);
+        let blob = e.into_bytes();
         // Write-to-temp + rename so a crash mid-write can never leave a
         // plausible-looking half entry under the final name.
         let tmp = path.with_extension("tmp");
@@ -241,19 +240,14 @@ impl ResultStore {
     }
 
     fn decode_entry(key: ContentKey, blob: &[u8]) -> Option<Vec<u8>> {
-        if blob.len() < 37 || &blob[..4] != DISK_MAGIC || blob[4] != DISK_VERSION {
+        let mut d = Dec::new(blob);
+        d.magic(DISK_MAGIC).ok()?;
+        let (version, entry_key, len, checksum) = <(u8, [u8; 16], u64, u64)>::get(&mut d).ok()?;
+        if version != DISK_VERSION || entry_key != key.0 || len != d.remaining() as u64 {
             return None;
         }
-        if blob[5..21] != key.0 {
-            return None;
-        }
-        let len = u64::from_le_bytes(blob[21..29].try_into().unwrap());
-        let checksum = u64::from_le_bytes(blob[29..37].try_into().unwrap());
-        let payload = &blob[37..];
-        if payload.len() as u64 != len || fnv1a64(payload) != checksum {
-            return None;
-        }
-        Some(payload.to_vec())
+        let payload = d.take(d.remaining()).ok()?;
+        (fnv1a64(payload) == checksum).then(|| payload.to_vec())
     }
 }
 

@@ -852,7 +852,13 @@ impl Simulator {
     /// state) if the snapshot's shape does not match this simulator; the
     /// caller is expected to treat that as a hard error.
     pub fn restore_kernel(&mut self, snap: &KernelSnapshot) -> bool {
-        if snap.signals.len() != self.inner.signals.len() {
+        // A snapshot lists its pending events in fire order; any other
+        // order is not one a snapshot could hold.
+        let in_order = snap
+            .events
+            .windows(2)
+            .all(|w| (w[0].time, w[0].seq) < (w[1].time, w[1].seq));
+        if snap.signals.len() != self.inner.signals.len() || !in_order {
             return false;
         }
         for (st, v) in self.inner.signals.iter_mut().zip(&snap.signals) {

@@ -14,8 +14,8 @@
 //! * waveform capture with VCD export and ASCII rendering
 //!   ([`trace::TraceBuffer`]),
 //! * a seeded RNG ([`rng::SimRng`]) as the *only* source of randomness,
-//!   so every run is reproducible, and the workspace's one stable hash
-//!   family ([`hash`]).
+//!   so every run is reproducible, the workspace's one stable hash
+//!   family ([`hash`]) and its one fail-closed byte codec ([`canon`]).
 //!
 //! The kernel itself is strictly deterministic; the GALS nondeterminism the
 //! paper studies is modelled *on top of it* (metastable synchronizers and
@@ -48,6 +48,7 @@
 //! # }
 //! ```
 
+pub mod canon;
 pub mod component;
 pub mod event;
 pub mod hash;

@@ -59,20 +59,31 @@ if [[ $(grep -c . <<<"$queues") -gt 1 ]]; then
 fi
 
 echo "== one canonical codec =="
-# canon.rs holds the core crate's only byte writer and reader (Enc, Dec)
-# and the Canon trait; each checkpoint record's wire layout is its
-# canon_record! field list. No hand-mirrored payload encoder/decoder
-# pair and no second private byte reader may come back.
-mirrored=$(grep -rnE '\bfn (encode|decode)_\w*payload' crates/core/src || true)
+# st_sim::canon (crates/sim/src/canon.rs) holds the workspace's only
+# byte writer and reader (Enc, Dec) and the Canon trait; each record's
+# wire layout is its canon_record! field list or Canon impl. No crate
+# may bring back a hand-mirrored payload encoder/decoder pair, a second
+# private byte reader, or hand-rolled little-endian fields: outside
+# canon.rs only the hash kernels (crates/sim/src/hash.rs) and the ring
+# points (crates/fabric/src/ring.rs) may call from_le_bytes or
+# to_le_bytes, and unit tests build hostile blobs through Enc too.
+mirrored=$(grep -rnE '\bfn (encode|decode)_\w*payload' crates/*/src || true)
 if [[ -n "$mirrored" ]]; then
     echo "hand-written payload codec (list the record's fields with canon_record! instead):" >&2
     echo "$mirrored" >&2
     exit 1
 fi
-codecs=$(grep -rnE '\b(struct (Reader|Enc|Dec)|trait Canon)\b' crates/core/src || true)
-if [[ -n "$(grep -v '^crates/core/src/canon\.rs:' <<<"$codecs")" || $(grep -c 'struct Dec\b' <<<"$codecs") -ne 1 ]]; then
-    echo "byte codec defined outside canon.rs, or defined twice (read and write through canon::{Enc, Dec}):" >&2
+codecs=$(grep -rnE '\b(struct (Reader|Enc|Dec)|trait Canon)\b' crates/*/src || true)
+if [[ -n "$(grep -v '^crates/sim/src/canon\.rs:' <<<"$codecs")" || $(grep -c 'struct Dec\b' <<<"$codecs") -ne 1 ]]; then
+    echo "byte codec defined outside crates/sim/src/canon.rs, or defined twice (read and write through st_sim::canon::{Enc, Dec}):" >&2
     echo "$codecs" >&2
+    exit 1
+fi
+lefields=$(grep -rnE '\b(from|to)_le_bytes\b' crates/*/src \
+    | grep -vE '^crates/(sim/src/(canon|hash)|fabric/src/ring)\.rs:' || true)
+if [[ -n "$lefields" ]]; then
+    echo "hand-rolled little-endian field outside st_sim::canon (write through Enc, read through Dec):" >&2
+    echo "$lefields" >&2
     exit 1
 fi
 
