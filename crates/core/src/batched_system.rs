@@ -41,11 +41,9 @@
 //!
 //! # Support envelope
 //!
-//! The compiled envelope, plus: at most 32 output channels per SB (the
-//! divergence pattern packs two bits per output into a `u64`).
-//! [`BatchedSystem::build`] hands the builders back untouched when any
-//! lane is unsupported, so callers fall back to scalar backends without
-//! rebuilding.
+//! The compiled envelope. [`BatchedSystem::build`] hands the builders
+//! back untouched when any lane is outside it, so callers fall back to
+//! scalar backends without rebuilding.
 //!
 //! [`CompiledSystem`]: crate::CompiledSystem
 //! [`DEFAULT_BATCH_LIMIT`]: crate::campaign::DEFAULT_BATCH_LIMIT
@@ -95,15 +93,11 @@ impl BatchedSystem {
     /// # Errors
     ///
     /// Hands every builder back untouched when the batch is empty or
-    /// any lane is outside the support envelope (the compiled envelope
-    /// plus ≤ 32 outputs per SB), so callers fall back to the scalar
-    /// backends without rebuilding.
+    /// any lane is outside the compiled support envelope, so callers
+    /// fall back to the scalar backends without rebuilding.
     #[allow(clippy::result_large_err)]
     pub fn build(builders: Vec<SystemBuilder>) -> Result<BatchedSystem, Vec<SystemBuilder>> {
-        let in_envelope = |b: &SystemBuilder| {
-            supports(b) && (0..b.spec.sbs.len()).all(|i| b.spec.outputs_of(SbId(i)).count() <= 32)
-        };
-        if builders.is_empty() || !builders.iter().all(in_envelope) {
+        if builders.is_empty() || !builders.iter().all(supports) {
             return Err(builders);
         }
         // Greedy grouping in lane order: a lane joins the first open
@@ -302,7 +296,7 @@ impl BatchedSystem {
     ///
     /// [`CheckpointError::Unsupported`] when a logic attached to the
     /// lane does not implement
-    /// [`SyncLogic::save_state`](crate::logic::SyncLogic::save_state).
+    /// [`SyncLogic::save_state`].
     pub fn checkpoint(&self, lane: usize) -> Result<Checkpoint, CheckpointError> {
         let (g, slot) = self.at(lane);
         g.lane_checkpoint(slot)

@@ -54,7 +54,8 @@
 //!
 //! # Support envelope
 //!
-//! Checkpointing is gated to [`WrapperMode::SynchroTokens`] without node
+//! Checkpointing is gated to
+//! [`WrapperMode::SynchroTokens`](crate::WrapperMode::SynchroTokens) without node
 //! observability — the deterministic envelope where the kernel RNG is
 //! never drawn and the waveform trace buffer stays empty, so neither
 //! needs to be serialized. Bypass mode (which consumes RNG state per

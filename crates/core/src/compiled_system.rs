@@ -11,16 +11,12 @@
 //! observability, a half-period shorter than the bundled-data delay,
 //! or a FIFO deeper than 64 stages) — callers never observe a
 //! behavioural difference, only a speed difference. [`AnySystem`]
-//! puts either engine behind one accessor surface, and `ChaosState`
-//! is the compiled engine's fault-injection mirror.
+//! puts either engine behind one accessor surface. Both engines run the
+//! wrapper's one rising-edge step (`edge.rs`), so a fault plan's
+//! protocol decisions are made at the same site on either.
 
-use crate::checkpoint::{
-    Checkpoint, CheckpointBackend, CheckpointError, DecodedCheckpoint, InjectorDump,
-};
+use crate::checkpoint::{Checkpoint, CheckpointBackend, CheckpointError, DecodedCheckpoint};
 use crate::engine::{Group, Scalar};
-use crate::faults::{
-    DataAction, FaultInjector, JitterCounters, TokenPassAction, CLASS_CLK, CLASS_DATA, CLASS_TOKEN,
-};
 use crate::iotrace::SbIoTrace;
 use crate::logic::SyncLogic;
 use crate::node::NodeFsm;
@@ -52,114 +48,6 @@ pub enum BackendKind {
     /// The event kernel, reached by falling back from a
     /// [`Backend::Compiled`] request outside the support envelope.
     EventFallback,
-}
-
-/// The compiled engine's fault-injection mirror: the same
-/// [`JitterCounters`] draws the event backend's `DelayModel` makes (per
-/// delivered drive, same `(class, unit, occurrence)` keys) and the same
-/// [`FaultInjector`] occurrence matching, applied at the equivalent
-/// scheduling sites.
-pub(crate) struct ChaosState {
-    jitter: Option<JitterCounters>,
-    injector: Option<FaultInjector>,
-}
-
-impl ChaosState {
-    /// Builds the mirror from a plan, or `None` when the plan carries
-    /// nothing the run loop has to act on (SEU-only plans are applied
-    /// from outside via `node_mut`).
-    pub(crate) fn from_plan(
-        p: &crate::faults::FaultPlan,
-        rings: usize,
-        channels: usize,
-    ) -> Option<Box<ChaosState>> {
-        let jitter = p
-            .analog
-            .is_active()
-            .then(|| JitterCounters::new(p.analog, p.seed));
-        let injector = (!p.protocol.is_empty())
-            .then(|| FaultInjector::new(p.protocol.clone(), rings, channels));
-        (jitter.is_some() || injector.is_some()).then(|| Box::new(ChaosState { jitter, injector }))
-    }
-
-    #[inline]
-    pub(crate) fn clk_jitter(&mut self, sb: u32) -> SimDuration {
-        match self.jitter.as_mut() {
-            Some(j) => j.next(CLASS_CLK, sb),
-            None => SimDuration::ZERO,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn token_jitter(&mut self, unit: u32) -> SimDuration {
-        match self.jitter.as_mut() {
-            Some(j) => j.next(CLASS_TOKEN, unit),
-            None => SimDuration::ZERO,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn data_jitter(&mut self, unit: u32) -> SimDuration {
-        match self.jitter.as_mut() {
-            Some(j) => j.next(CLASS_DATA, unit),
-            None => SimDuration::ZERO,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn on_push(&mut self, ch: ChannelId) -> DataAction {
-        match self.injector.as_mut() {
-            Some(i) => i.on_push(ch),
-            None => DataAction::Deliver,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn on_ack(&mut self, ch: ChannelId) -> DataAction {
-        match self.injector.as_mut() {
-            Some(i) => i.on_ack(ch),
-            None => DataAction::Deliver,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn on_token_pass(&mut self, ring: RingId, to_holder: bool) -> TokenPassAction {
-        match self.injector.as_mut() {
-            Some(i) => i.on_token_pass(ring, to_holder),
-            None => TokenPassAction::Deliver,
-        }
-    }
-
-    /// Occurrence-counter snapshots for checkpointing:
-    /// `(jitter occurrence bytes, injector counters)` — each `None`
-    /// when the corresponding layer is not active.
-    pub(crate) fn snapshot_counters(&self) -> (Option<Vec<u8>>, InjectorDump) {
-        (
-            self.jitter.as_ref().map(JitterCounters::snapshot_occ),
-            self.injector.as_ref().map(FaultInjector::snapshot_counters),
-        )
-    }
-
-    /// Restores counters captured by
-    /// [`snapshot_counters`](Self::snapshot_counters); `false` when the
-    /// snapshot's active layers or shapes differ from this mirror's.
-    pub(crate) fn restore_counters(
-        &mut self,
-        jitter: &Option<Vec<u8>>,
-        injector: &InjectorDump,
-    ) -> bool {
-        let jitter_ok = match (jitter, self.jitter.as_mut()) {
-            (None, None) => true,
-            (Some(bytes), Some(j)) => j.restore_occ(bytes),
-            _ => false,
-        };
-        jitter_ok
-            && match (injector, self.injector.as_mut()) {
-                (None, None) => true,
-                (Some((tok, push, ack)), Some(i)) => i.restore_counters(tok, push, ack),
-                _ => false,
-            }
-    }
 }
 
 /// The compiled engine's scalar instantiation: one configuration

@@ -61,6 +61,15 @@
 //! handlers, FIFO cascade and checkpoint dump; the plane only supplies
 //! step 4 of the rising edge (tick the logic, record the trace).
 //!
+//! # The rising edge
+//!
+//! A rising edge runs the wrapper's one edge step, `WrapperCore`
+//! (`edge.rs`), the same code the event kernel's wrapper runs. This
+//! engine is its second port: it reads FIFO occupancy from the columns
+//! (draining virtualized cascades first), draws wire jitter where the
+//! event backend's `DelayModel` draws it, and queues pushes, pops,
+//! token arrivals and clock enables as typed events.
+//!
 //! # Equivalence
 //!
 //! The engine is **observationally byte-identical** to the event-driven
@@ -88,11 +97,14 @@ use crate::checkpoint::{
     config_hash, Checkpoint, CheckpointBackend, CheckpointError, CompiledEvDump, CompiledFifoDump,
     CompiledSbDump, CompiledStateDump, DecodedCheckpoint, DecodedState,
 };
-use crate::compiled_system::ChaosState;
 use crate::drive::{drive, ChunkRule, Drive};
-use crate::faults::{DataAction, FaultPlan, TokenPassAction};
+use crate::edge::{corrupt, EdgePort, WrapperCore};
+use crate::faults::{
+    restore_injector, FaultInjector, FaultPlan, JitterCounters, TokenPassAction, CLASS_CLK,
+    CLASS_DATA, CLASS_TOKEN,
+};
 use crate::iotrace::{LaneTraces, SbIoTrace};
-use crate::logic::{IdleLogic, InputView, OutputSlot, SbIo, SyncLogic};
+use crate::logic::{IdleLogic, SbIo, SyncLogic};
 use crate::node::{NodeFsm, NodePhase, TokenAction};
 use crate::spec::{ChannelId, RingId, SbId, SystemSpec};
 use crate::system::{RunOutcome, SystemBuilder};
@@ -184,7 +196,7 @@ impl TraceStore for LaneTraces {
 }
 
 /// How a group stores its per-lane data, and how a rising edge ticks
-/// it (step 4 of the wrapper's posedge).
+/// it (step 4 of the edge step).
 pub trait Plane: Sized {
     /// Per-lane storage.
     type Col<T>: Column<T>;
@@ -193,8 +205,8 @@ pub trait Plane: Sized {
     /// Per-edge scratch of the lane tick, reused across edges.
     type Scratch: Default;
     /// Ticks every lane's logic on SB `sbi`, records the trace row,
-    /// and finishes the edge through [`Group::finish_posedge`] — once
-    /// per group when the lanes disagree and `g` splits (the split-off
+    /// and finishes the edge through `Group::post_tick` — once per
+    /// group when the lanes disagree and `g` splits (the split-off
     /// groups go to `splits`).
     fn tick(g: &mut Group<Self>, sbi: usize, violated: bool, splits: &mut Vec<Group<Self>>);
 }
@@ -272,81 +284,138 @@ fn sched_edge<W>(
     sched(queue, seq, time, EvKind::Edge { sb });
 }
 
-/// When a data-handshake toggle sent at `now` arrives, `jitter` being
-/// its drive jitter draw; `None` when the fault injector drops it.
-#[inline]
-fn handshake_at(
-    action: DataAction,
-    now: SimTime,
-    jitter: impl FnOnce() -> SimDuration,
-) -> Option<SimTime> {
-    match action {
-        DataAction::Drop => None,
-        DataAction::Delay(extra) => Some(now + BUNDLE_DELAY + extra + jitter()),
-        DataAction::Deliver => Some(now + BUNDLE_DELAY + jitter()),
-    }
-}
-
-/// A word as transmitted on an edge that did (or did not) violate the
-/// setup time.
-#[inline]
-fn corrupt(word: u64, violated: bool) -> u64 {
-    if violated {
-        word ^ 0x5A5A
-    } else {
-        word
-    }
-}
-
-/// One token-ring node, with its pass destination pre-resolved to flat
-/// indices.
+/// Where a node's token pass lands, pre-resolved to flat indices.
 #[derive(Debug, Clone)]
-struct Node {
-    ring: RingId,
-    fsm: NodeFsm,
+struct Link {
     /// SB index the pass toggle lands in.
     dest_sb: u32,
     /// Node index within the destination SB.
     dest_node: u32,
     /// Node output delay + ring wire delay to the peer.
     pass_delay: SimDuration,
-    /// True when outgoing passes travel toward the ring's initial
-    /// holder (i.e. this node sits on the peer side) — the token
-    /// fault-injection direction bit.
-    to_holder: bool,
+    /// Token jitter unit: `ring * 2 + direction`.
+    unit: u32,
 }
 
-/// Flattened per-SB control state: clock, wrapper and scratch in one
-/// place (the per-lane logics and traces live in the group's columns).
+/// Flattened per-SB control state: the clock and the wrapper's edge
+/// core (the per-lane logics and traces live in the group's columns).
 #[derive(Clone)]
 struct SbState {
     half: SimDuration,
     restart_delay: SimDuration,
-    logic_delay: SimDuration,
-    nodes: Vec<Node>,
-    /// Input channels in channel-id order: (channel index, node index).
-    inputs: Vec<(u32, u32)>,
-    /// Output channels in channel-id order: (channel index, node index).
-    outputs: Vec<(u32, u32)>,
     // Clock state (mirrors StoppableClock).
     clk_high: bool,
     parked: bool,
     clken: bool,
     edges: u64,
     clock_stops: u64,
-    // Wrapper state (mirrors SbWrapper).
-    cycle: u64,
-    dropped_words: u64,
-    timing_violations: u64,
-    last_edge: Option<SimTime>,
-    edge_times: Vec<SimTime>,
-    edge_times_cap: usize,
-    // Per-edge scratch, reused so the steady state allocates nothing.
-    // A divergence split clones it mid-edge: every partition must still
-    // acknowledge the words its lanes consumed (`pops`).
-    views: Vec<InputView>,
-    slots: Vec<OutputSlot>,
-    pops: Vec<bool>,
+    /// The edge step's state. A divergence split clones it mid-edge:
+    /// every partition must still acknowledge the words its lanes
+    /// consumed.
+    core: WrapperCore,
+    /// Per node of `core`: where its token passes land.
+    links: Vec<Link>,
+}
+
+/// The compiled engine's side of one SB's edge step: FIFO occupancy
+/// read from the columns (draining virtualized cascades first), wire
+/// jitter drawn, handshakes and token passes queued as typed events.
+struct Port<'a, P: Plane, F> {
+    now: SimTime,
+    sb: u32,
+    links: &'a [Link],
+    fifos: &'a mut [FifoState<P>],
+    events: &'a mut u64,
+    queue: &'a mut Queue<P>,
+    seq: &'a mut u64,
+    jitter: Option<&'a mut JitterCounters>,
+    /// Output `k`'s push words, from its word as transmitted.
+    payload: F,
+}
+
+impl<P: Plane, F> Port<'_, P, F> {
+    /// The next jitter draw of a drive on `(class, unit)`: the same draw
+    /// the event backend's `DelayModel` makes per delivered drive.
+    fn draw(&mut self, class: u8, unit: u32) -> SimDuration {
+        self.jitter
+            .as_deref_mut()
+            .map_or(SimDuration::ZERO, |j| j.next(class, unit))
+    }
+
+    /// Channel `ch`'s FIFO with every move due by now applied.
+    fn fifo(&mut self, ch: ChannelId) -> &FifoState<P> {
+        let f = &mut self.fifos[ch.0];
+        f.drain(self.now, self.events);
+        f
+    }
+}
+
+impl<P: Plane, F: Fn(usize, u64) -> P::Col<u64>> EdgePort for Port<'_, P, F> {
+    /// A popped view carries lane slot 0's word; other lanes' ticks
+    /// patch their own in.
+    fn head(&mut self, _i: usize, ch: ChannelId) -> Option<u64> {
+        let f = self.fifo(ch);
+        let head = (f.depth - 1) as usize;
+        (f.occ >> head & 1 != 0).then(|| f.words[head][0])
+    }
+
+    fn tail_free(&mut self, _k: usize, ch: ChannelId) -> bool {
+        self.fifo(ch).occ & 1 == 0
+    }
+
+    fn push(&mut self, k: usize, ch: ChannelId, word: u64, extra: SimDuration) {
+        let at = self.now + BUNDLE_DELAY + extra + self.draw(CLASS_DATA, ch.0 as u32 * 2);
+        let words = (self.payload)(k, word);
+        let kind = EvKind::Push {
+            ch: ch.0 as u32,
+            words,
+        };
+        sched(self.queue, self.seq, at, kind);
+    }
+
+    fn ack(&mut self, _i: usize, ch: ChannelId, extra: SimDuration) {
+        let at = self.now + BUNDLE_DELAY + extra + self.draw(CLASS_DATA, ch.0 as u32 * 2 + 1);
+        sched(self.queue, self.seq, at, EvKind::Pop { ch: ch.0 as u32 });
+    }
+
+    fn pass_token(&mut self, node: usize, action: TokenPassAction) {
+        let Link {
+            dest_sb,
+            dest_node,
+            pass_delay,
+            unit,
+        } = self.links[node];
+        let dest = || EvKind::Token {
+            sb: dest_sb,
+            node: dest_node,
+        };
+        let at = self.now + pass_delay;
+        match action {
+            // Toggle lost on the ring: no arrival, and (as on the event
+            // backend, where no drive happens) no jitter draw.
+            TokenPassAction::Drop => {}
+            TokenPassAction::Delay(extra) => {
+                let j = self.draw(CLASS_TOKEN, unit);
+                sched(self.queue, self.seq, at + extra + j, dest());
+            }
+            TokenPassAction::Duplicate(extra) => {
+                // Two toggles = two arrivals = two drive draws, exactly
+                // like the event backend's pair of perturbed drives.
+                let (j1, j2) = (self.draw(CLASS_TOKEN, unit), self.draw(CLASS_TOKEN, unit));
+                sched(self.queue, self.seq, at + j1, dest());
+                sched(self.queue, self.seq, at + extra + j2, dest());
+            }
+            TokenPassAction::Deliver => {
+                let j = self.draw(CLASS_TOKEN, unit);
+                sched(self.queue, self.seq, at + j, dest());
+            }
+        }
+    }
+
+    fn set_clken(&mut self, ena: bool) {
+        let kind = EvKind::Clken { sb: self.sb, ena };
+        sched(self.queue, self.seq, self.now, kind);
+    }
 }
 
 /// Flattened self-timed FIFO state (mirrors `SelfTimedFifo`, minus the
@@ -505,10 +574,14 @@ pub struct Group<P: Plane> {
     now: SimTime,
     seq: u64,
     events: u64,
-    /// Fault-injection mirror, present only on a single-lane group
-    /// whose builder carries a plan (faulted lanes never share control
-    /// state: their jitter perturbs event timing immediately).
-    chaos: Option<Box<ChaosState>>,
+    /// Wire jitter draws and the protocol fault injector, present only
+    /// on a single-lane group whose builder's plan has them (faulted
+    /// lanes never share control state: their jitter perturbs event
+    /// timing immediately). The event backend makes the same draws in
+    /// its `DelayModel`, and both engines' edge cores consult the
+    /// injector.
+    jitter: Option<JitterCounters>,
+    injector: Option<FaultInjector>,
     scratch: P::Scratch,
 }
 
@@ -583,9 +656,13 @@ impl<P: Plane> Group<P> {
                 None
             }
         };
-        let chaos = plan
+        let jitter = plan
             .as_deref()
-            .and_then(|p| ChaosState::from_plan(p, spec.rings.len(), spec.channels.len()));
+            .filter(|p| p.analog.is_active())
+            .map(|p| JitterCounters::new(p.analog, p.seed));
+        let injector = plan
+            .as_deref()
+            .and_then(|p| FaultInjector::for_plan(p, &spec));
 
         let fifos: Vec<FifoState<P>> = spec
             .channels
@@ -615,54 +692,34 @@ impl<P: Plane> Group<P> {
             })
             .collect();
 
-        // First pass: per-SB node lists in the same order the event
-        // builder creates them (rings_of order), so node indices match.
-        let node_rings: Vec<Vec<RingId>> = (0..spec.sbs.len())
-            .map(|i| spec.rings_of(SbId(i)).map(|(rid, _)| rid).collect())
-            .collect();
-        let node_index = |sb: usize, ring: RingId| -> u32 {
-            node_rings[sb]
-                .iter()
-                .position(|r| *r == ring)
-                .expect("peer SB must have a node on the shared ring") as u32
-        };
-
         let mut sbs = Vec::with_capacity(spec.sbs.len());
         let mut logics = Vec::with_capacity(spec.sbs.len());
         let mut traces = Vec::with_capacity(spec.sbs.len());
         for (i, sb_spec) in spec.sbs.iter().enumerate() {
             let sb = SbId(i);
             let half = sb_spec.period / 2;
-            let mut nodes = Vec::new();
-            for (ring_id, ring) in spec.rings_of(sb) {
-                let holder_side = ring.holder == sb;
-                let fsm = if holder_side {
-                    NodeFsm::new_holder(ring.holder_node)
-                } else {
-                    let initial = ring.peer_initial_recycle.unwrap_or(ring.peer_node.recycle);
-                    NodeFsm::new_waiter(ring.peer_node, initial)
-                };
-                let (dest, pass_delay) = if holder_side {
-                    (ring.peer, ring.delay_fwd)
-                } else {
-                    (ring.holder, ring.delay_back)
-                };
-                nodes.push(Node {
-                    ring: ring_id,
-                    fsm,
-                    dest_sb: dest.0 as u32,
-                    dest_node: node_index(dest.0, ring_id),
-                    pass_delay,
-                    to_holder: !holder_side,
-                });
-            }
-            let inputs: Vec<(u32, u32)> = spec
-                .inputs_of(sb)
-                .map(|(cid, ch)| (cid.0 as u32, node_index(i, ch.ring)))
-                .collect();
-            let outputs: Vec<(u32, u32)> = spec
-                .outputs_of(sb)
-                .map(|(cid, ch)| (cid.0 as u32, node_index(i, ch.ring)))
+            let core = WrapperCore::new(&spec, sb, false, trace_limit);
+            let links = core
+                .nodes
+                .iter()
+                .map(|n| {
+                    let ring = &spec.rings[n.ring.0];
+                    let (dest, pass_delay) = if n.to_holder {
+                        (ring.holder, ring.delay_back)
+                    } else {
+                        (ring.peer, ring.delay_fwd)
+                    };
+                    Link {
+                        dest_sb: dest.0 as u32,
+                        dest_node: spec
+                            .rings_of(dest)
+                            .position(|(r, _)| r == n.ring)
+                            .expect("peer SB must have a node on the shared ring")
+                            as u32,
+                        pass_delay,
+                        unit: (n.ring.0 * 2 + usize::from(n.to_holder)) as u32,
+                    }
+                })
                 .collect();
             logics.push(Column::from_fn(nl, |s| {
                 builders[s]
@@ -670,15 +727,11 @@ impl<P: Plane> Group<P> {
                     .remove(&i)
                     .unwrap_or_else(|| Box::new(IdleLogic) as Box<dyn SyncLogic>)
             }));
-            let (n_inputs, n_outputs) = (inputs.len(), outputs.len());
-            traces.push(P::Traces::new(trace_limit, nl, n_inputs, n_outputs));
+            let (reads, writes) = (core.inputs.len(), core.outputs.len());
+            traces.push(P::Traces::new(trace_limit, nl, reads, writes));
             sbs.push(SbState {
                 half,
                 restart_delay: half / 10,
-                logic_delay: sb_spec.logic_delay,
-                nodes,
-                inputs,
-                outputs,
                 clk_high: false,
                 parked: false,
                 // The wrapper drives clken high from Start; nodes never
@@ -686,21 +739,8 @@ impl<P: Plane> Group<P> {
                 clken: true,
                 edges: 0,
                 clock_stops: 0,
-                cycle: 0,
-                dropped_words: 0,
-                timing_violations: 0,
-                last_edge: None,
-                // Pre-size for short traces only: the limit can be any
-                // caller-supplied value, far past the cycles that run.
-                edge_times: Vec::with_capacity(trace_limit.min(1024)),
-                edge_times_cap: if trace_limit == 0 {
-                    1 << 20
-                } else {
-                    trace_limit
-                },
-                views: Vec::with_capacity(n_inputs),
-                slots: Vec::with_capacity(n_outputs),
-                pops: vec![false; n_inputs],
+                core,
+                links,
             });
         }
 
@@ -722,7 +762,8 @@ impl<P: Plane> Group<P> {
             now: SimTime::ZERO,
             seq: 0,
             events: 0,
-            chaos,
+            jitter,
+            injector,
             scratch: P::Scratch::default(),
         };
         // First phase boundary of every clock, in SB (registration)
@@ -749,7 +790,7 @@ impl<P: Plane> Group<P> {
             self.events += 1;
             match ev.kind {
                 EvKind::Phase { sb } => self.on_phase(sb as usize),
-                EvKind::Edge { sb } => self.on_posedge(sb as usize, splits),
+                EvKind::Edge { sb } => self.on_edge(sb as usize, splits),
                 EvKind::Push { ch, words } => self.on_push(ch as usize, words),
                 EvKind::Pop { ch } => self.on_pop(ch as usize),
                 EvKind::Move { ch, stage } => self.on_move(ch as usize, stage as usize),
@@ -784,7 +825,7 @@ impl<P: Plane> Group<P> {
             sbs,
             queue,
             seq,
-            chaos,
+            jitter,
             ..
         } = self;
         let (sb, id) = (&mut sbs[sbi], sbi as u32);
@@ -805,13 +846,13 @@ impl<P: Plane> Group<P> {
             // timer (and so the falling edge) stays on the oscillator's
             // nominal grid, mirroring the event backend's `DelayModel`
             // perturbing the `clk <- One` drive and nothing else.
-            let j = chaos
-                .as_deref_mut()
-                .map_or(SimDuration::ZERO, |c| c.clk_jitter(id));
+            let j = jitter
+                .as_mut()
+                .map_or(SimDuration::ZERO, |j| j.next(CLASS_CLK, id));
             // The rising edge reaches the wrapper "one delta later":
             // the fresh seq puts it after every event already queued at
             // this instant, exactly like the kernel's zero-delay drive.
-            sched_edge(queue, seq, now + j, id, chaos.is_some());
+            sched_edge(queue, seq, now + j, id, jitter.is_some());
             sched(queue, seq, now + sb.half, EvKind::Phase { sb: id });
         } else {
             // Synchronous stop: park with the clock low.
@@ -828,7 +869,7 @@ impl<P: Plane> Group<P> {
             sbs,
             queue,
             seq,
-            chaos,
+            jitter,
             ..
         } = self;
         let (sb, id) = (&mut sbs[sbi], sbi as u32);
@@ -843,11 +884,11 @@ impl<P: Plane> Group<P> {
             sb.parked = false;
             sb.clk_high = true;
             sb.edges += 1;
-            let j = chaos
-                .as_deref_mut()
-                .map_or(SimDuration::ZERO, |c| c.clk_jitter(id));
+            let j = jitter
+                .as_mut()
+                .map_or(SimDuration::ZERO, |j| j.next(CLASS_CLK, id));
             let at = now + sb.restart_delay;
-            sched_edge(queue, seq, at + j, id, chaos.is_some());
+            sched_edge(queue, seq, at + j, id, jitter.is_some());
             sched(queue, seq, at + sb.half, EvKind::Phase { sb: id });
         }
     }
@@ -855,9 +896,9 @@ impl<P: Plane> Group<P> {
     /// Token toggle arrival (mirrors `SbWrapper::handle_token`; toggles
     /// always change value, so there is no suppression to replicate).
     fn on_token(&mut self, sbi: usize, node: usize) {
-        let sb = &mut self.sbs[sbi];
-        if sb.nodes[node].fsm.token_arrived() == TokenAction::RestartClock {
-            let ena = sb.nodes.iter().all(|n| n.fsm.clock_enabled());
+        let core = &mut self.sbs[sbi].core;
+        if core.nodes[node].fsm.token_arrived() == TokenAction::RestartClock {
+            let ena = core.clock_enabled();
             let kind = EvKind::Clken {
                 sb: sbi as u32,
                 ena,
@@ -933,202 +974,58 @@ impl<P: Plane> Group<P> {
         }
     }
 
-    /// Rising edge at the wrapper (a step-for-step port of
-    /// `SbWrapper::handle_posedge`, reading FIFO stages directly).
-    /// Steps 0–3 are shared control; the plane ticks step 4 and
-    /// finishes through [`finish_posedge`](Self::finish_posedge).
-    fn on_posedge(&mut self, sbi: usize, splits: &mut Vec<Group<P>>) {
-        let now = self.now;
-        let Self {
-            sbs, fifos, events, ..
-        } = self;
-        let sb = &mut sbs[sbi];
-
-        // 0. Setup-time check against the modelled critical path.
-        let violated = match sb.last_edge {
-            Some(prev) if !sb.logic_delay.is_zero() => now.since(prev) < sb.logic_delay,
-            _ => false,
-        };
-        sb.last_edge = Some(now);
-        if violated {
-            sb.timing_violations += 1;
-        }
-        if sb.edge_times.len() < sb.edge_times_cap {
-            sb.edge_times.push(now);
-        }
-
-        // 1–2. Input interfaces, gated by this cycle's enable windows.
-        // The node FSMs only advance in step 7, so querying them per
-        // interface reads the same pre-step state the wrapper's
-        // once-per-cycle enable snapshot would. A popped view carries
-        // lane slot 0's word; other lanes' ticks patch their own in.
-        sb.views.clear();
-        for (i, &(ch, node_idx)) in sb.inputs.iter().enumerate() {
-            let ena = sb.nodes[node_idx as usize].fsm.interfaces_enabled();
-            let f = &mut fifos[ch as usize];
-            if f.virtualized {
-                f.drain(now, events);
-            }
-            let head = (f.depth - 1) as usize;
-            sb.pops[i] = ena && f.occ & (1u64 << head) != 0;
-            sb.views.push(if sb.pops[i] {
-                InputView {
-                    data: Some(f.words[head][0]),
-                    enabled: true,
-                    empty: false,
-                }
-            } else {
-                InputView {
-                    data: None,
-                    enabled: ena,
-                    empty: ena,
-                }
-            });
-        }
-
-        // 3. Output availability.
-        sb.slots.clear();
-        for &(ch, node_idx) in &sb.outputs {
-            let f = &mut fifos[ch as usize];
-            if f.virtualized {
-                f.drain(now, events);
-            }
-            sb.slots.push(OutputSlot {
-                can_send: sb.nodes[node_idx as usize].fsm.interfaces_enabled() && f.occ & 1 == 0,
-                word: None,
-            });
-        }
-
-        // 4. The synchronous logic computes, lane by lane.
+    /// Rising edge at SB `sbi`'s wrapper: steps 0–3 of the shared edge
+    /// core, then the plane's step 4, which finishes the edge through
+    /// [`post_tick`](Self::post_tick) — once per group when the lanes
+    /// split.
+    fn on_edge(&mut self, sbi: usize, splits: &mut Vec<Group<P>>) {
+        let no_push =
+            |_: usize, _: u64| -> P::Col<u64> { unreachable!("steps 0-3 never transmit") };
+        let (core, _, mut port) = self.port(sbi, no_push);
+        let violated = core.pre_tick(port.now, &mut port);
         P::tick(self, sbi, violated, splits);
     }
 
-    /// Steps 5–8 of a rising edge, under the send pattern the group's
-    /// output slots hold (uniform across its lanes). `payload(k, w)`
-    /// builds output `k`'s push words, `w` being the slots' word as
-    /// transmitted.
-    fn finish_posedge(
+    /// Steps 5–8 of SB `sbi`'s edge, under the send pattern the
+    /// group's output slots hold (uniform across its lanes).
+    /// `payload(k, w)` builds output `k`'s push words, `w` being the
+    /// slots' word as transmitted.
+    fn post_tick(
         &mut self,
         sbi: usize,
         violated: bool,
         payload: impl Fn(usize, u64) -> P::Col<u64>,
     ) {
-        let now = self.now;
-        let Self {
-            sbs,
-            queue,
-            seq,
-            chaos,
-            ..
-        } = self;
-        let sb = &mut sbs[sbi];
+        let (core, injector, mut port) = self.port(sbi, payload);
+        core.post_tick(violated, &mut port, injector);
+    }
 
-        // 5. Transmit accepted words; the chaos mirror only exists on
-        // single-lane groups, so its draw sequence is the scalar one.
-        for (k, &(ch, _)) in sb.outputs.iter().enumerate() {
-            let slot = sb.slots[k];
-            match slot.word {
-                Some(w) if slot.can_send => {
-                    let action = chaos
-                        .as_deref_mut()
-                        .map_or(DataAction::Deliver, |c| c.on_push(ChannelId(ch as usize)));
-                    let jitter = || {
-                        chaos
-                            .as_deref_mut()
-                            .map_or(SimDuration::ZERO, |c| c.data_jitter(ch * 2))
-                    };
-                    // A dropped request toggle is lost on the wire; the
-                    // trace still records the transmit.
-                    if let Some(at) = handshake_at(action, now, jitter) {
-                        let words = payload(k, corrupt(w, violated));
-                        sched(queue, seq, at, EvKind::Push { ch, words });
-                    }
-                }
-                Some(_) => sb.dropped_words += 1,
-                None => {}
-            }
-        }
-
-        // 6. Acknowledge consumed words (a dropped acknowledge toggle
-        // never pops the head).
-        for (i, &(ch, _)) in sb.inputs.iter().enumerate() {
-            if !sb.pops[i] {
-                continue;
-            }
-            let action = chaos
-                .as_deref_mut()
-                .map_or(DataAction::Deliver, |c| c.on_ack(ChannelId(ch as usize)));
-            let jitter = || {
-                chaos
-                    .as_deref_mut()
-                    .map_or(SimDuration::ZERO, |c| c.data_jitter(ch * 2 + 1))
-            };
-            if let Some(at) = handshake_at(action, now, jitter) {
-                sched(queue, seq, at, EvKind::Pop { ch });
-            }
-        }
-
-        // 7. Node FSMs advance; tokens pass; clock enable updates.
-        let mut any_stop = false;
-        for n in &mut sb.nodes {
-            let action = n.fsm.on_posedge();
-            if action.pass_token {
-                let dest = || EvKind::Token {
-                    sb: n.dest_sb,
-                    node: n.dest_node,
-                };
-                let unit = (n.ring.0 * 2 + usize::from(n.to_holder)) as u32;
-                let pass = chaos.as_deref_mut().map_or(TokenPassAction::Deliver, |c| {
-                    c.on_token_pass(n.ring, n.to_holder)
-                });
-                let mut jitter = || {
-                    chaos
-                        .as_deref_mut()
-                        .map_or(SimDuration::ZERO, |c| c.token_jitter(unit))
-                };
-                match pass {
-                    TokenPassAction::Drop => {
-                        // Toggle lost on the ring: no arrival, and (as on
-                        // the event backend, where no drive happens) no
-                        // jitter draw.
-                    }
-                    TokenPassAction::Delay(extra) => {
-                        let j = jitter();
-                        sched(queue, seq, now + n.pass_delay + extra + j, dest());
-                    }
-                    TokenPassAction::Duplicate(extra) => {
-                        // Two toggles = two arrivals = two drive draws,
-                        // exactly like the event backend's pair of
-                        // perturbed drives.
-                        let (j1, j2) = (jitter(), jitter());
-                        sched(queue, seq, now + n.pass_delay + j1, dest());
-                        sched(queue, seq, now + n.pass_delay + extra + j2, dest());
-                    }
-                    TokenPassAction::Deliver => {
-                        let j = jitter();
-                        sched(queue, seq, now + n.pass_delay + j, dest());
-                    }
-                }
-            }
-            any_stop |= action.stop_clock;
-        }
-        if any_stop {
-            let ena = sb.nodes.iter().all(|n| n.fsm.clock_enabled());
-            let kind = EvKind::Clken {
-                sb: sbi as u32,
-                ena,
-            };
-            sched(queue, seq, now, kind);
-        }
-
-        // 8. The determinism trace rows were recorded at the tick.
-        sb.cycle += 1;
+    /// SB `sbi`'s edge core, the group's fault injector, and the port
+    /// the core runs against.
+    fn port<F>(
+        &mut self,
+        sbi: usize,
+        payload: F,
+    ) -> (&mut WrapperCore, Option<&mut FaultInjector>, Port<'_, P, F>) {
+        let sb = &mut self.sbs[sbi];
+        let port = Port {
+            now: self.now,
+            sb: sbi as u32,
+            links: &sb.links,
+            fifos: &mut self.fifos,
+            events: &mut self.events,
+            queue: &mut self.queue,
+            seq: &mut self.seq,
+            jitter: self.jitter.as_mut(),
+            payload,
+        };
+        (&mut sb.core, self.injector.as_mut(), port)
     }
 
     // --- accessors ------------------------------------------------------
 
     fn min_cycles(&self) -> u64 {
-        self.sbs.iter().map(|s| s.cycle).min().unwrap_or(0)
+        self.sbs.iter().map(|s| s.core.cycle).min().unwrap_or(0)
     }
 
     /// The specification this system was built from.
@@ -1138,7 +1035,7 @@ impl<P: Plane> Group<P> {
 
     /// Local cycles elapsed in `sb`.
     pub fn cycles(&self, sb: SbId) -> u64 {
-        self.sbs[sb.0].cycle
+        self.sbs[sb.0].core.cycle
     }
 
     /// The phase of `sb`'s node on `ring`, if it has one.
@@ -1148,20 +1045,12 @@ impl<P: Plane> Group<P> {
 
     /// The node FSM itself (token statistics etc.).
     pub fn node(&self, sb: SbId, ring: RingId) -> Option<&NodeFsm> {
-        self.sbs[sb.0]
-            .nodes
-            .iter()
-            .find(|n| n.ring == ring)
-            .map(|n| &n.fsm)
+        self.sbs[sb.0].core.node(ring)
     }
 
     /// Mutable node access (debug hooks, SEU injection).
     pub fn node_mut(&mut self, sb: SbId, ring: RingId) -> Option<&mut NodeFsm> {
-        self.sbs[sb.0]
-            .nodes
-            .iter_mut()
-            .find(|n| n.ring == ring)
-            .map(|n| &mut n.fsm)
+        self.sbs[sb.0].core.node_mut(ring)
     }
 
     /// SBs whose clocks are currently parked.
@@ -1188,7 +1077,7 @@ impl<P: Plane> Group<P> {
 
     /// Words the logic of `sb` attempted to send on blocked channels.
     pub fn dropped_words(&self, sb: SbId) -> u64 {
-        self.sbs[sb.0].dropped_words
+        self.sbs[sb.0].core.dropped_words
     }
 
     /// Bypass-mode metastable samples: always zero (the compiled engine
@@ -1199,13 +1088,13 @@ impl<P: Plane> Group<P> {
 
     /// Setup-time violations taken by `sb`.
     pub fn timing_violations(&self, sb: SbId) -> u64 {
-        self.sbs[sb.0].timing_violations
+        self.sbs[sb.0].core.timing_violations
     }
 
     /// Wall-clock times of `sb`'s rising edges, indexed by local cycle
     /// (capped at the trace limit).
     pub fn edge_times(&self, sb: SbId) -> &[SimTime] {
-        &self.sbs[sb.0].edge_times
+        &self.sbs[sb.0].core.edge_times
     }
 
     /// Current simulated time.
@@ -1270,13 +1159,13 @@ impl<P: Plane> Group<P> {
                 clken: sb.clken,
                 edges: sb.edges,
                 clock_stops: sb.clock_stops,
-                cycle: sb.cycle,
-                dropped_words: sb.dropped_words,
-                timing_violations: sb.timing_violations,
-                last_edge: sb.last_edge,
-                edge_times: sb.edge_times.clone(),
+                cycle: sb.core.cycle,
+                dropped_words: sb.core.dropped_words,
+                timing_violations: sb.core.timing_violations,
+                last_edge: sb.core.last_edge,
+                edge_times: sb.core.edge_times.clone(),
                 trace: self.traces[i].lane(slot).into_owned(),
-                nodes: sb.nodes.iter().map(|n| n.fsm.snapshot()).collect(),
+                nodes: sb.core.nodes.iter().map(|n| n.fsm.snapshot()).collect(),
                 logic,
             });
         }
@@ -1308,10 +1197,6 @@ impl<P: Plane> Group<P> {
                 b,
             });
         }
-        let (jitter, injector) = match self.chaos.as_deref() {
-            Some(c) => c.snapshot_counters(),
-            None => (None, None),
-        };
         let dump = CompiledStateDump {
             now: self.now,
             seq: self.seq,
@@ -1332,8 +1217,8 @@ impl<P: Plane> Group<P> {
                     underruns: f.underruns,
                 })
                 .collect(),
-            jitter,
-            injector,
+            jitter: self.jitter.as_ref().map(JitterCounters::snapshot_occ),
+            injector: self.injector.as_ref().map(FaultInjector::snapshot_counters),
         };
         Ok(Checkpoint::new(
             CheckpointBackend::Compiled,
@@ -1353,132 +1238,108 @@ impl Plane for Scalar {
 
     #[inline]
     fn tick(g: &mut Group<Scalar>, sbi: usize, violated: bool, _splits: &mut Vec<Group<Scalar>>) {
-        let sb = &mut g.sbs[sbi];
+        let core = &mut g.sbs[sbi].core;
         g.logics[sbi]
             .0
-            .tick(sb.cycle, &mut SbIo::new(&sb.views, &mut sb.slots));
-        g.traces[sbi].record_with(
-            sb.cycle,
-            sb.views.iter().map(|v| v.data),
-            sb.slots.iter().map(|s| s.transmitted(violated)),
-        );
-        g.finish_posedge(sbi, violated, |_, w| One(w));
+            .tick(core.cycle, &mut SbIo::new(&core.views, &mut core.slots));
+        core.record(&mut g.traces[sbi], violated);
+        g.post_tick(sbi, violated, |_, w| One(w));
     }
-}
-
-/// Per-edge scratch of a lanes group's tick.
-#[derive(Debug, Default)]
-pub struct LaneScratch {
-    /// Lane-major output words of the edge.
-    out: Vec<Option<u64>>,
-    /// Per-lane send patterns.
-    patterns: Vec<u64>,
-    /// Per output: the shared `can_send`.
-    can_send: Vec<bool>,
-    /// Per popped input: `(input, channel, head stage)`.
-    heads: Vec<(usize, usize, usize)>,
 }
 
 impl Plane for Lanes {
     type Col<T> = Box<[T]>;
     type Traces = LaneTraces;
-    type Scratch = LaneScratch;
+    /// Lane-major output words of the edge: lane `slot`'s row is
+    /// `out[slot * n_out..][..n_out]`.
+    type Scratch = Vec<Option<u64>>;
 
     /// Ticks every lane against its own data columns (views and slots
     /// are built once per edge; per lane only the popped input words
     /// and the output words change), then compares the lanes' send
-    /// patterns — 2 bits per output: bit `2k` = word written, `2k+1` =
-    /// can_send. Identical patterns keep the lockstep; otherwise the
-    /// group splits by pattern first. Either way each group then
-    /// records the edge's trace row under its own (uniform) pattern
-    /// and finishes the edge.
+    /// patterns: which outputs each lane wrote. `can_send` is shared
+    /// control (a logic sets only `word`, through `SbIo::send`), so two
+    /// lanes agree iff their output rows hold words in the same places.
+    /// Identical patterns keep the lockstep; otherwise the group splits
+    /// by pattern first. Either way each group then records the edge's
+    /// trace row under its own (uniform) pattern and finishes the edge.
     fn tick(g: &mut Group<Lanes>, sbi: usize, violated: bool, splits: &mut Vec<Group<Lanes>>) {
         let nl = g.ids.len();
-        let mut s = mem::take(&mut g.scratch);
-        let sb = &g.sbs[sbi];
-        let n_out = sb.outputs.len();
-        s.out.clear();
-        s.out.resize(nl * n_out, None);
-        s.patterns.clear();
-        s.can_send.clear();
-        s.can_send.extend(sb.slots.iter().map(|o| o.can_send));
-        s.heads.clear();
-        for (i, &(ch, _)) in sb.inputs.iter().enumerate() {
-            if sb.pops[i] {
-                let ch = ch as usize;
-                s.heads.push((i, ch, (g.fifos[ch].depth - 1) as usize));
-            }
-        }
-        let (sb, logics) = (&mut g.sbs[sbi], &mut g.logics[sbi]);
+        let mut out = mem::take(&mut g.scratch);
+        let (core, logics) = (&mut g.sbs[sbi].core, &mut g.logics[sbi]);
+        let n_out = core.outputs.len();
+        out.clear();
+        out.resize(nl * n_out, None);
         for slot in 0..nl {
-            for &(i, ch, head) in &s.heads {
-                sb.views[i].data = Some(g.fifos[ch].words[head][slot]);
+            // A popped input's view carries a word on every lane.
+            for (&(ch, _), view) in core.inputs.iter().zip(&mut core.views) {
+                if view.data.is_some() {
+                    let f = &g.fifos[ch.0];
+                    view.data = Some(f.words[(f.depth - 1) as usize][slot]);
+                }
             }
-            for (o, &can_send) in sb.slots.iter_mut().zip(&s.can_send) {
-                *o = OutputSlot {
-                    can_send,
-                    word: None,
-                };
+            for o in &mut core.slots {
+                o.word = None;
             }
-            logics[slot].tick(sb.cycle, &mut SbIo::new(&sb.views, &mut sb.slots));
-            let mut pat = 0u64;
-            for (k, o) in sb.slots.iter().enumerate() {
-                pat |= u64::from(o.word.is_some()) << (2 * k);
-                pat |= u64::from(o.can_send) << (2 * k + 1);
-                s.out[slot * n_out + k] = o.word;
+            logics[slot].tick(core.cycle, &mut SbIo::new(&core.views, &mut core.slots));
+            for (k, o) in core.slots.iter().enumerate() {
+                out[slot * n_out + k] = o.word;
             }
-            s.patterns.push(pat);
         }
-        // Output `k`'s words of the lanes in `part`, as transmitted.
-        fn column(
-            out: &[Option<u64>],
-            n_out: usize,
-            part: impl Iterator<Item = usize>,
-            k: usize,
-            violated: bool,
-        ) -> Box<[u64]> {
-            part.map(|slot| corrupt(out[slot * n_out + k].expect("pattern bit set"), violated))
-                .collect()
-        }
-
-        if s.patterns.windows(2).all(|w| w[0] == w[1]) {
+        let row = |slot: usize| &out[slot * n_out..][..n_out];
+        let agree = |a: usize, b: usize| {
+            row(a)
+                .iter()
+                .zip(row(b))
+                .all(|(x, y)| x.is_some() == y.is_some())
+        };
+        if (1..nl).all(|slot| agree(0, slot)) {
             // The slots still hold the last lane's, i.e. every lane's,
             // pattern.
-            g.record_row(sbi, violated, &s.out, 0..nl);
-            g.finish_posedge(sbi, violated, |k, _| {
-                column(&s.out, n_out, 0..nl, k, violated)
+            g.record_row(sbi, violated, &out, 0..nl);
+            g.post_tick(sbi, violated, |k, _| {
+                lane_words(&out, n_out, 0..nl, k, violated)
             });
         } else {
             // Split: partition lane slots by pattern, in first-appearance
             // order (deterministic in lane order).
-            let mut order: Vec<u64> = Vec::new();
             let mut parts: Vec<Vec<usize>> = Vec::new();
-            for (slot, &p) in s.patterns.iter().enumerate() {
-                match order.iter().position(|&q| q == p) {
-                    Some(i) => parts[i].push(slot),
-                    None => {
-                        order.push(p);
-                        parts.push(vec![slot]);
-                    }
+            for slot in 0..nl {
+                match parts.iter_mut().find(|p| agree(p[0], slot)) {
+                    Some(p) => p.push(slot),
+                    None => parts.push(vec![slot]),
                 }
             }
             let mut children = g.partition_into(&parts);
             let groups = std::iter::once(&mut *g).chain(children.iter_mut());
-            for ((group, part), pat) in groups.zip(&parts).zip(order) {
-                for (k, o) in group.sbs[sbi].slots.iter_mut().enumerate() {
-                    o.word = (pat >> (2 * k) & 1 != 0).then_some(0);
-                    o.can_send = pat >> (2 * k + 1) & 1 != 0;
+            for (group, part) in groups.zip(&parts) {
+                let slots = &mut group.sbs[sbi].core.slots;
+                for (o, w) in slots.iter_mut().zip(row(part[0])) {
+                    o.word = w.map(|_| 0);
                 }
                 let part = part.iter().copied();
-                group.record_row(sbi, violated, &s.out, part.clone());
-                group.finish_posedge(sbi, violated, |k, _| {
-                    column(&s.out, n_out, part.clone(), k, violated)
+                group.record_row(sbi, violated, &out, part.clone());
+                group.post_tick(sbi, violated, |k, _| {
+                    lane_words(&out, n_out, part.clone(), k, violated)
                 });
             }
             splits.extend(children);
         }
-        g.scratch = s;
+        g.scratch = out;
     }
+}
+
+/// Output `k`'s words, as transmitted, of the lane slots `part` in the
+/// lane-major edge outputs `out`.
+fn lane_words(
+    out: &[Option<u64>],
+    n_out: usize,
+    part: impl Iterator<Item = usize>,
+    k: usize,
+    violated: bool,
+) -> Box<[u64]> {
+    part.map(|slot| corrupt(out[slot * n_out + k].expect("pattern bit set"), violated))
+        .collect()
 }
 
 impl Group<Lanes> {
@@ -1498,15 +1359,15 @@ impl Group<Lanes> {
         out: &[Option<u64>],
         part: impl Iterator<Item = usize> + Clone,
     ) {
-        let (sb, fifos) = (&self.sbs[sbi], &self.fifos);
-        let n_out = sb.outputs.len();
-        let reads = sb.inputs.iter().zip(&sb.pops).map(|(&(ch, _), &popped)| {
-            popped.then(|| {
-                let f = &fifos[ch as usize];
+        let (core, fifos) = (&self.sbs[sbi].core, &self.fifos);
+        let n_out = core.outputs.len();
+        let reads = core.inputs.iter().zip(&core.views).map(|(&(ch, _), view)| {
+            view.data.map(|_| {
+                let f = &fifos[ch.0];
                 f.words[(f.depth - 1) as usize].iter().copied()
             })
         });
-        let writes = sb.slots.iter().enumerate().map(|(k, o)| {
+        let writes = core.slots.iter().enumerate().map(|(k, o)| {
             let part = part.clone();
             (o.can_send && o.word.is_some()).then(move || {
                 part.map(move |slot| {
@@ -1514,7 +1375,7 @@ impl Group<Lanes> {
                 })
             })
         });
-        self.traces[sbi].record(sb.cycle, reads, writes);
+        self.traces[sbi].record(core.cycle, reads, writes);
     }
 
     /// Splits this group's lanes along `parts` (disjoint slot sets in
@@ -1589,8 +1450,9 @@ impl Group<Lanes> {
                     now: self.now,
                     seq: self.seq,
                     events: self.events,
-                    chaos: None,
-                    scratch: LaneScratch::default(),
+                    jitter: None,
+                    injector: None,
+                    scratch: Vec::new(),
                 }
             })
             .collect();
@@ -1819,7 +1681,8 @@ impl Group<Scalar> {
             return Err(CheckpointError::SpecMismatch);
         }
         for (i, (sb, d)) in self.sbs.iter_mut().zip(&dump.sbs).enumerate() {
-            if d.nodes.len() != sb.nodes.len() || !self.logics[i].0.restore_state(&d.logic) {
+            let core = &mut sb.core;
+            if d.nodes.len() != core.nodes.len() || !self.logics[i].0.restore_state(&d.logic) {
                 return Err(CheckpointError::SpecMismatch);
             }
             sb.clk_high = d.clk_high;
@@ -1827,13 +1690,13 @@ impl Group<Scalar> {
             sb.clken = d.clken;
             sb.edges = d.edges;
             sb.clock_stops = d.clock_stops;
-            sb.cycle = d.cycle;
-            sb.dropped_words = d.dropped_words;
-            sb.timing_violations = d.timing_violations;
-            sb.last_edge = d.last_edge;
-            sb.edge_times.clone_from(&d.edge_times);
+            core.cycle = d.cycle;
+            core.dropped_words = d.dropped_words;
+            core.timing_violations = d.timing_violations;
+            core.last_edge = d.last_edge;
+            core.edge_times.clone_from(&d.edge_times);
             self.traces[i].clone_from(&d.trace);
-            for (n, snap) in sb.nodes.iter_mut().zip(&d.nodes) {
+            for (n, snap) in core.nodes.iter_mut().zip(&d.nodes) {
                 n.fsm.restore(snap);
             }
         }
@@ -1886,7 +1749,7 @@ impl Group<Scalar> {
                         stage: b as u32,
                     }
                 }
-                3 if a < n_sbs && b < self.sbs[a as usize].nodes.len() as u64 => EvKind::Token {
+                3 if a < n_sbs && b < self.sbs[a as usize].links.len() as u64 => EvKind::Token {
                     sb: a,
                     node: b as u32,
                 },
@@ -1906,11 +1769,12 @@ impl Group<Scalar> {
         if mismatch {
             return Err(CheckpointError::SpecMismatch);
         }
-        let restored = match self.chaos.as_deref_mut() {
-            Some(c) => c.restore_counters(&dump.jitter, &dump.injector),
-            None => dump.jitter.is_none() && dump.injector.is_none(),
+        let jitter_ok = match (&dump.jitter, self.jitter.as_mut()) {
+            (None, None) => true,
+            (Some(bytes), Some(j)) => j.restore_occ(bytes),
+            _ => false,
         };
-        if !restored {
+        if !jitter_ok || !restore_injector(self.injector.as_mut(), &dump.injector) {
             return Err(CheckpointError::SpecMismatch);
         }
         self.now = dump.now;

@@ -8,9 +8,10 @@
 //! oracle. Faults are injected at three layers:
 //!
 //! * **Analog** ([`AnalogFault`]) — bounded per-edge clock jitter and
-//!   drift, token-wire and bundled-data wire-delay perturbation. Applied
-//!   through the kernel's [`DelayModel`] hook on the event backend and
-//!   mirrored at the equivalent scheduling sites in the compiled engine.
+//!   drift, token-wire and bundled-data wire-delay perturbation. Drawn
+//!   per delivered drive from one `JitterCounters` engine: by the
+//!   kernel's [`DelayModel`] hook on the event backend, and by the
+//!   compiled engine where it queues the same drive.
 //!   The invariant says these must leave the [`SbIoTrace`] *byte
 //!   identical* to the unfaulted golden run.
 //! * **Protocol** ([`Fault`]) — token loss/duplication/delay, dropped
@@ -514,9 +515,9 @@ impl FaultPlan {
     }
 }
 
-/// Per-unit protocol-fault occurrence counters; consulted by both
-/// backends at the same logical sites (transmit, acknowledge, token
-/// pass), so a plan replays identically.
+/// Per-unit protocol-fault occurrence counters, consulted only by the
+/// wrapper's one edge step (`edge.rs`) on every transmit, acknowledge
+/// and token pass, so a plan replays identically on both backends.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultInjector {
     faults: Vec<Fault>,
@@ -528,6 +529,31 @@ pub(crate) struct FaultInjector {
     acks: Vec<u64>,
 }
 
+/// Restores `injector`'s counters dumped by
+/// [`FaultInjector::snapshot_counters`]: `false` when exactly one of
+/// them is absent or their shapes differ (a checkpoint from a different
+/// topology).
+pub(crate) fn restore_injector(
+    injector: Option<&mut FaultInjector>,
+    dump: &crate::checkpoint::InjectorDump,
+) -> bool {
+    match (dump, injector) {
+        (None, None) => true,
+        (Some((tok, push, ack)), Some(i)) => {
+            let fits = tok.len() == i.token_passes.len()
+                && push.len() == i.pushes.len()
+                && ack.len() == i.acks.len();
+            if fits {
+                i.token_passes.copy_from_slice(tok);
+                i.pushes.copy_from_slice(push);
+                i.acks.copy_from_slice(ack);
+            }
+            fits
+        }
+        _ => false,
+    }
+}
+
 /// What a token pass becomes under the active plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TokenPassAction {
@@ -537,15 +563,14 @@ pub(crate) enum TokenPassAction {
     Duplicate(SimDuration),
 }
 
-/// What a req/ack toggle becomes under the active plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum DataAction {
-    Deliver,
-    Drop,
-    Delay(SimDuration),
-}
-
 impl FaultInjector {
+    /// The injector of `plan`'s protocol faults on `spec`, if it has
+    /// any.
+    pub(crate) fn for_plan(plan: &FaultPlan, spec: &SystemSpec) -> Option<Self> {
+        let (rings, channels) = (spec.rings.len(), spec.channels.len());
+        (!plan.protocol.is_empty()).then(|| Self::new(plan.protocol.clone(), rings, channels))
+    }
+
     pub(crate) fn new(faults: Vec<Fault>, rings: usize, channels: usize) -> Self {
         FaultInjector {
             faults,
@@ -590,24 +615,23 @@ impl FaultInjector {
         TokenPassAction::Deliver
     }
 
-    /// Consulted once per accepted transmit.
-    pub(crate) fn on_push(&mut self, channel: ChannelId) -> DataAction {
+    /// Consulted once per accepted transmit: the request toggle's extra
+    /// wire delay, `None` when it is lost.
+    pub(crate) fn on_push(&mut self, channel: ChannelId) -> Option<SimDuration> {
         let n = self.pushes[channel.0];
         self.pushes[channel.0] += 1;
         for f in &self.faults {
             match *f {
-                Fault::ReqDrop { channel: c, nth } if c == channel && nth == n => {
-                    return DataAction::Drop
-                }
+                Fault::ReqDrop { channel: c, nth } if c == channel && nth == n => return None,
                 Fault::ChannelStall {
                     channel: c,
                     nth,
                     extra,
-                } if c == channel && nth == n => return DataAction::Delay(extra),
+                } if c == channel && nth == n => return Some(extra),
                 _ => {}
             }
         }
-        DataAction::Deliver
+        Some(SimDuration::ZERO)
     }
 
     /// Dumps the occurrence counters (the fault list is construction-time
@@ -620,39 +644,19 @@ impl FaultInjector {
         )
     }
 
-    /// Restores counters dumped by
-    /// [`snapshot_counters`](Self::snapshot_counters); `false` on a shape
-    /// mismatch (checkpoint from a different topology).
-    pub(crate) fn restore_counters(
-        &mut self,
-        token_passes: &[u64],
-        pushes: &[u64],
-        acks: &[u64],
-    ) -> bool {
-        if token_passes.len() != self.token_passes.len()
-            || pushes.len() != self.pushes.len()
-            || acks.len() != self.acks.len()
-        {
-            return false;
-        }
-        self.token_passes.copy_from_slice(token_passes);
-        self.pushes.copy_from_slice(pushes);
-        self.acks.copy_from_slice(acks);
-        true
-    }
-
-    /// Consulted once per acknowledge.
-    pub(crate) fn on_ack(&mut self, channel: ChannelId) -> DataAction {
+    /// Consulted once per acknowledge: the toggle's extra wire delay,
+    /// `None` when it is lost.
+    pub(crate) fn on_ack(&mut self, channel: ChannelId) -> Option<SimDuration> {
         let n = self.acks[channel.0];
         self.acks[channel.0] += 1;
         for f in &self.faults {
             if let Fault::AckDrop { channel: c, nth } = *f {
                 if c == channel && nth == n {
-                    return DataAction::Drop;
+                    return None;
                 }
             }
         }
-        DataAction::Deliver
+        Some(SimDuration::ZERO)
     }
 }
 
@@ -903,10 +907,10 @@ mod tests {
             inj.on_token_pass(RingId(0), false),
             TokenPassAction::Deliver
         );
-        assert_eq!(inj.on_push(ChannelId(1)), DataAction::Drop);
-        assert_eq!(inj.on_push(ChannelId(1)), DataAction::Deliver);
-        assert_eq!(inj.on_push(ChannelId(0)), DataAction::Deliver);
-        assert_eq!(inj.on_ack(ChannelId(1)), DataAction::Deliver);
+        assert_eq!(inj.on_push(ChannelId(1)), None);
+        assert_eq!(inj.on_push(ChannelId(1)), Some(SimDuration::ZERO));
+        assert_eq!(inj.on_push(ChannelId(0)), Some(SimDuration::ZERO));
+        assert_eq!(inj.on_ack(ChannelId(1)), Some(SimDuration::ZERO));
     }
 
     #[test]

@@ -82,6 +82,7 @@ pub mod compiled_system;
 pub mod deadlock;
 pub mod determinism;
 mod drive;
+mod edge;
 mod engine;
 pub mod faults;
 pub mod formal;

@@ -32,17 +32,6 @@ pub struct OutputSlot {
     pub word: Option<u64>,
 }
 
-impl OutputSlot {
-    /// What the I/O trace records for this slot: the written word if the
-    /// channel could accept it (corrupted on a setup-violated edge),
-    /// else `None`.
-    pub(crate) fn transmitted(&self, violated: bool) -> Option<u64> {
-        self.word
-            .filter(|_| self.can_send)
-            .map(|w| if violated { w ^ 0x5A5A } else { w })
-    }
-}
-
 /// The per-cycle I/O view handed to [`SyncLogic::tick`].
 ///
 /// Inputs and outputs are indexed in channel-id order of the channels

@@ -11,18 +11,17 @@ use crate::checkpoint::{
     config_hash, Checkpoint, CheckpointBackend, CheckpointError, DecodedCheckpoint, EventStateDump,
 };
 use crate::drive::{drive, ChunkRule, Drive};
-use crate::faults::{AnalogDelayModel, FaultInjector, FaultPlan};
+use crate::faults::{restore_injector, AnalogDelayModel, FaultInjector, FaultPlan};
 use crate::iotrace::SbIoTrace;
 use crate::logic::{IdleLogic, SyncLogic};
 use crate::node::{NodeFsm, NodePhase};
 use crate::spec::{ChannelId, RingId, SbId, SpecError, SystemSpec};
-use crate::wrapper::{
-    InputBinding, NodeBinding, NodeObserve, OutputBinding, SbWrapper, WrapperMode,
-};
+use crate::wrapper::{NodeObserve, NodeWire, SbWrapper, WrapperMode};
 use st_channel::{FifoPorts, SelfTimedFifo};
 use st_clocking::{StoppableClock, StoppableClockSpec};
 use st_sim::canon;
 use st_sim::prelude::*;
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -101,7 +100,7 @@ impl SystemBuilder {
 
     /// Attaches a fault plan: analog perturbations install a
     /// [`DelayModel`] over the clock/token/req/ack wires, protocol
-    /// faults install a shared [`FaultInjector`] consulted at every
+    /// faults install a shared fault injector consulted at every
     /// transmit/acknowledge/token-pass. SEUs in the plan are *not*
     /// applied here — [`crate::faults::run_with_plan`] schedules them by
     /// local cycle at run time.
@@ -132,14 +131,8 @@ impl SystemBuilder {
         let injector = self
             .faults
             .as_ref()
-            .filter(|p| !p.protocol.is_empty())
-            .map(|p| {
-                Rc::new(RefCell::new(FaultInjector::new(
-                    p.protocol.clone(),
-                    spec.rings.len(),
-                    spec.channels.len(),
-                )))
-            });
+            .and_then(|p| FaultInjector::for_plan(p, &spec))
+            .map(|i| Rc::new(RefCell::new(i)));
 
         // Per-SB clock signals.
         let mut clk_sigs = Vec::new();
@@ -201,37 +194,18 @@ impl SystemBuilder {
         // Per-SB wrapper + clock.
         let mut wrappers = Vec::new();
         let mut clocks = Vec::new();
-        let mut observes: Vec<Vec<(RingId, NodeObserve)>> = vec![Vec::new(); spec.sbs.len()];
         for (i, sb_spec) in spec.sbs.iter().enumerate() {
             let sb = SbId(i);
-            // Nodes for every ring touching this SB.
+            // Token wires of every ring touching this SB, in node order.
             let mut nodes = Vec::new();
-            let mut node_index = BTreeMap::new();
             for (ring_id, ring) in spec.rings_of(sb) {
-                let holder_side = ring.holder == sb;
-                let fsm = if holder_side {
-                    NodeFsm::new_holder(ring.holder_node)
-                } else {
-                    let initial = ring.peer_initial_recycle.unwrap_or(ring.peer_node.recycle);
-                    NodeFsm::new_waiter(ring.peer_node, initial)
-                };
                 let (to_holder, to_peer) = tok_sigs[ring_id.0];
-                let (token_in, peer_token_in, pass_delay) = if holder_side {
+                let (token_in, peer_token_in, pass_delay) = if ring.holder == sb {
                     (to_holder, to_peer, ring.delay_fwd)
                 } else {
                     (to_peer, to_holder, ring.delay_back)
                 };
-                let mut binding = NodeBinding::new(
-                    ring_id,
-                    fsm,
-                    token_in,
-                    peer_token_in,
-                    pass_delay,
-                    // This node's outgoing passes travel toward the
-                    // holder iff it sits on the peer side.
-                    !holder_side,
-                );
-                if self.observe_nodes {
+                let observe = self.observe_nodes.then(|| {
                     let prefix = format!("{}.{ring_id}", sb_spec.name);
                     let obs = NodeObserve {
                         sbena: b.add_bit_signal(&format!("{prefix}.sbena")),
@@ -241,64 +215,39 @@ impl SystemBuilder {
                     b.trace(obs.sbena.id());
                     b.trace(obs.hold_ctr.id());
                     b.trace(obs.recycle_ctr.id());
-                    observes[i].push((ring_id, obs));
-                    binding = binding.with_observe(obs);
-                }
-                node_index.insert(ring_id, nodes.len());
-                nodes.push(binding);
+                    obs
+                });
+                nodes.push(NodeWire {
+                    token_in,
+                    prev_token_in: Bit::X,
+                    peer_token_in,
+                    pass_delay,
+                    pass_parity: false,
+                    observe,
+                });
             }
 
-            // Channel endpoints in channel-id order.
-            let mut inputs = Vec::new();
-            for (cid, ch) in spec.inputs_of(sb) {
-                inputs.push(InputBinding::new(
-                    cid,
-                    node_index[&ch.ring],
-                    fifo_ports[cid.0],
-                ));
-            }
-            let mut outputs = Vec::new();
-            for (cid, ch) in spec.outputs_of(sb) {
-                outputs.push(OutputBinding::new(
-                    cid,
-                    node_index[&ch.ring],
-                    fifo_ports[cid.0],
-                ));
-            }
-
+            let token_ins: Vec<SignalId> = nodes.iter().map(|n| n.token_in.id()).collect();
             let logic = self
                 .logics
                 .remove(&i)
                 .unwrap_or_else(|| Box::new(IdleLogic));
-            let mut wrapper = SbWrapper::new(
+            let wrapper = SbWrapper::new(
+                &spec,
                 sb,
                 self.mode,
                 logic,
                 clk_sigs[i],
                 clken_sigs[i],
                 nodes,
-                inputs,
-                outputs,
+                spec.inputs_of(sb).map(|(cid, _)| fifo_ports[cid.0]),
+                spec.outputs_of(sb).map(|(cid, _)| fifo_ports[cid.0]),
                 self.trace_limit,
-            )
-            .with_logic_delay(sb_spec.logic_delay);
-            if let Some(inj) = &injector {
-                wrapper = wrapper.with_faults(Rc::clone(inj));
-            }
+                injector.clone(),
+            );
             let input_valid_sigs: Vec<SignalId> = spec
                 .inputs_of(sb)
                 .map(|(cid, _)| fifo_ports[cid.0].head_valid.id())
-                .collect();
-            let token_ins: Vec<SignalId> = spec
-                .rings_of(sb)
-                .map(|(rid, r)| {
-                    let (to_holder, to_peer) = tok_sigs[rid.0];
-                    if r.holder == sb {
-                        to_holder.id()
-                    } else {
-                        to_peer.id()
-                    }
-                })
                 .collect();
             let wh = b.add_component(&format!("{}.wrapper", sb_spec.name), wrapper);
             b.watch(wh.id(), clk_sigs[i].id());
@@ -335,6 +284,7 @@ impl SystemBuilder {
             wrappers,
             clocks,
             fifos: fifo_handles,
+            injector,
         }
     }
 }
@@ -365,6 +315,8 @@ pub struct System {
     wrappers: Vec<Handle<SbWrapper>>,
     clocks: Vec<Handle<StoppableClock>>,
     fifos: Vec<Handle<SelfTimedFifo>>,
+    /// The protocol fault injector every wrapper consults, if any.
+    injector: Option<Rc<RefCell<FaultInjector>>>,
 }
 
 impl Drive for System {
@@ -444,27 +396,35 @@ impl System {
         let limit = self
             .wrappers
             .first()
-            .map_or(0, |w| self.sim.get(*w).trace().limit());
+            .map_or(0, |w| self.sim.get(*w).trace.limit());
         let rule = ChunkRule::new(&self.spec, cycles, Some(limit));
         drive(self, rule, self.sim.now() + max_time, None)
+    }
+
+    fn wrapper(&self, sb: SbId) -> &SbWrapper {
+        self.sim.get(self.wrappers[sb.0])
+    }
+
+    fn wrapper_mut(&mut self, sb: SbId) -> &mut SbWrapper {
+        self.sim.get_mut(self.wrappers[sb.0])
     }
 
     fn min_cycles(&self) -> u64 {
         self.wrappers
             .iter()
-            .map(|w| self.sim.get(*w).cycles())
+            .map(|w| self.sim.get(*w).core.cycle)
             .min()
             .unwrap_or(0)
     }
 
     /// Local cycles elapsed in `sb`.
     pub fn cycles(&self, sb: SbId) -> u64 {
-        self.sim.get(self.wrappers[sb.0]).cycles()
+        self.wrapper(sb).core.cycle
     }
 
     /// The I/O trace of `sb`.
     pub fn io_trace(&self, sb: SbId) -> &SbIoTrace {
-        self.sim.get(self.wrappers[sb.0]).trace()
+        &self.wrapper(sb).trace
     }
 
     /// The final state of `sb`'s logic, downcast to its concrete type.
@@ -473,11 +433,8 @@ impl System {
     ///
     /// Panics if the logic attached to `sb` is not a `T`.
     pub fn logic<T: SyncLogic>(&self, sb: SbId) -> &T {
-        self.sim
-            .get(self.wrappers[sb.0])
-            .logic_any()
-            .downcast_ref::<T>()
-            .expect("logic type mismatch")
+        let logic: &dyn Any = self.wrapper(sb).logic.as_ref();
+        logic.downcast_ref().expect("logic type mismatch")
     }
 
     /// Mutable access to `sb`'s logic (deterministic debug/state
@@ -487,11 +444,8 @@ impl System {
     ///
     /// Panics if the logic attached to `sb` is not a `T`.
     pub fn logic_mut<T: SyncLogic>(&mut self, sb: SbId) -> &mut T {
-        self.sim
-            .get_mut(self.wrappers[sb.0])
-            .logic_any_mut()
-            .downcast_mut::<T>()
-            .expect("logic type mismatch")
+        let logic: &mut dyn Any = self.wrapper_mut(sb).logic.as_mut();
+        logic.downcast_mut().expect("logic type mismatch")
     }
 
     /// Rewrites the hold/recycle registers of `sb`'s node on `ring`
@@ -502,29 +456,24 @@ impl System {
     ///
     /// Panics if `sb` has no node on `ring`.
     pub fn set_node_params(&mut self, sb: SbId, ring: RingId, params: crate::spec::NodeParams) {
-        self.sim
-            .get_mut(self.wrappers[sb.0])
-            .node_mut(ring)
+        self.node_mut(sb, ring)
             .expect("sb has no node on that ring")
             .set_params(params);
     }
 
     /// The phase of `sb`'s node on `ring`, if it has one.
     pub fn node_phase(&self, sb: SbId, ring: RingId) -> Option<NodePhase> {
-        self.sim
-            .get(self.wrappers[sb.0])
-            .node(ring)
-            .map(NodeFsm::phase)
+        self.node(sb, ring).map(NodeFsm::phase)
     }
 
     /// The node FSM itself (token statistics etc.).
     pub fn node(&self, sb: SbId, ring: RingId) -> Option<&NodeFsm> {
-        self.sim.get(self.wrappers[sb.0]).node(ring)
+        self.wrapper(sb).core.node(ring)
     }
 
     /// Mutable node access (debug hooks, SEU injection).
     pub fn node_mut(&mut self, sb: SbId, ring: RingId) -> Option<&mut NodeFsm> {
-        self.sim.get_mut(self.wrappers[sb.0]).node_mut(ring)
+        self.wrapper_mut(sb).core.node_mut(ring)
     }
 
     /// SBs whose clocks are currently parked.
@@ -551,33 +500,33 @@ impl System {
 
     /// Words the logic of `sb` attempted to send on blocked channels.
     pub fn dropped_words(&self, sb: SbId) -> u64 {
-        self.sim.get(self.wrappers[sb.0]).dropped_words()
+        self.wrapper(sb).core.dropped_words
     }
 
     /// Bypass-mode metastable samples taken in `sb`'s wrapper.
     pub fn metastable_samples(&self, sb: SbId) -> u64 {
-        self.sim.get(self.wrappers[sb.0]).metastable_samples()
+        self.wrapper(sb).wires.metastable_samples
     }
 
     /// Setup-time violations taken by `sb` (clocked faster than its
     /// modelled critical path).
     pub fn timing_violations(&self, sb: SbId) -> u64 {
-        self.sim.get(self.wrappers[sb.0]).timing_violations()
+        self.wrapper(sb).core.timing_violations
     }
 
     /// Engages or releases the §4.2 indefinite-hold debug hook on every
     /// node of `sb` — the "holding tokens indefinitely in the Test SB"
     /// mechanism behind deterministic breakpoints.
     pub fn set_hold_tokens(&mut self, sb: SbId, on: bool) {
-        self.sim
-            .get_mut(self.wrappers[sb.0])
-            .set_hold_all_tokens(on);
+        for n in &mut self.wrapper_mut(sb).core.nodes {
+            n.fsm.set_hold_indefinitely(on);
+        }
     }
 
     /// Wall-clock times of `sb`'s rising edges, indexed by local cycle
     /// (capped at the trace limit). Used by latency measurements.
     pub fn edge_times(&self, sb: SbId) -> &[SimTime] {
-        self.sim.get(self.wrappers[sb.0]).edge_times()
+        &self.wrapper(sb).core.edge_times
     }
 
     /// Current simulated time.
@@ -621,7 +570,7 @@ impl System {
     /// Only supported in synchro-tokens mode without node observability
     /// (the deterministic envelope — kernel RNG untouched, waveform
     /// buffer empty) and when every attached logic implements
-    /// [`SyncLogic::save_state`](crate::logic::SyncLogic::save_state).
+    /// [`SyncLogic::save_state`].
     ///
     /// # Errors
     ///
@@ -650,10 +599,9 @@ impl System {
             .map(|f| self.sim.get(*f).snapshot())
             .collect();
         let injector = self
-            .wrappers
-            .first()
-            .and_then(|w| self.sim.get(*w).faults_rc())
-            .map(|rc| rc.borrow().snapshot_counters());
+            .injector
+            .as_ref()
+            .map(|i| i.borrow().snapshot_counters());
         let dump = EventStateDump {
             kernel: self.sim.snapshot_kernel(),
             wrappers,
@@ -739,20 +687,11 @@ impl System {
                 return Err(CheckpointError::SpecMismatch);
             }
         }
-        let rc = sys
-            .wrappers
-            .first()
-            .and_then(|w| sys.sim.get(*w).faults_rc())
-            .cloned();
-        match (&dump.injector, rc) {
-            (None, None) => {}
-            (Some((tok, push, ack)), Some(rc)) => {
-                if !rc.borrow_mut().restore_counters(tok, push, ack) {
-                    return Err(CheckpointError::SpecMismatch);
-                }
-            }
-            _ => return Err(CheckpointError::SpecMismatch),
+        let mut injector = sys.injector.as_ref().map(|i| i.borrow_mut());
+        if !restore_injector(injector.as_deref_mut(), &dump.injector) {
+            return Err(CheckpointError::SpecMismatch);
         }
+        drop(injector);
         Ok(sys)
     }
 }

@@ -110,6 +110,28 @@ impl SyncLogic for GatedMixer {
     }
 }
 
+/// A source on an SB with more than 32 outputs: it writes a word on
+/// every output each cycle (regardless of `can_send`), except that the
+/// outputs from 32 up are gated by bit `cycle % 64` of `gates`. Lanes
+/// with different gate words therefore disagree only on those high
+/// outputs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct WideSource {
+    gates: u64,
+    next: u64,
+}
+
+impl SyncLogic for WideSource {
+    fn tick(&mut self, cycle: u64, io: &mut SbIo<'_>) {
+        for k in 0..io.num_outputs() {
+            if k < 32 || (self.gates >> (cycle % 64)) & 1 == 1 {
+                io.send(k, self.next);
+                self.next = self.next.wrapping_add(1);
+            }
+        }
+    }
+}
+
 /// One builder per salt over `spec`, mixers on every SB (send pattern
 /// is data-independent, so same-spec lanes stay in lockstep while
 /// their data columns differ).
@@ -385,6 +407,36 @@ fn starved_triangle_deadlocks_every_lane_equivalently() {
 }
 
 // --- divergence splits ---------------------------------------------------
+
+#[test]
+fn forty_output_sb_batches_and_splits_on_its_high_outputs() {
+    let mut spec = SystemSpec::default();
+    let fan = spec.add_sb("fan", SimDuration::ns(10));
+    let sink = spec.add_sb("sink", SimDuration::ns(10));
+    let ring = spec.add_ring(fan, sink, NodeParams::new(4, 12), SimDuration::ns(30));
+    for _ in 0..40 {
+        spec.add_channel(fan, sink, ring, 16, 4, SimDuration::ns(1));
+    }
+    // Lanes 0 and 1 agree throughout; lanes 2 and 3 agree with each
+    // other on cycle 0, then differ on the high outputs from cycle 4.
+    let gates = [u64::MAX, u64::MAX, 0xF0F0_F0F0_F0F0_F0F0, 0];
+    let make = || {
+        gates
+            .iter()
+            .map(|&g| {
+                SystemBuilder::new(spec.clone())
+                    .expect("spec must validate")
+                    .with_trace_limit(100)
+                    .with_logic(SbId(0), WideSource { gates: g, next: 0 })
+                    .with_logic(SbId(1), MixerLogic::new(7))
+            })
+            .collect()
+    };
+    let batch = assert_batch_matches_scalar(&make, 200);
+    assert_eq!(batch.lanes(), 4);
+    assert_eq!(batch.group_count(), 3, "{{0, 1}}, {{2}} and {{3}}");
+    assert_eq!(batch.splits(), 2);
+}
 
 #[test]
 fn divergent_send_schedules_split_and_stay_byte_identical() {

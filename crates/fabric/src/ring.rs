@@ -1,7 +1,7 @@
 //! Consistent-hash ring over the content-addressed key space.
 //!
 //! Determinism makes sharding trivial: a result is a pure function of
-//! its request, the request's [`ContentKey`] bytes are already
+//! its request, the request's `ContentKey` bytes are already
 //! avalanche-mixed (`st_serve::hash`), so the first eight key bytes are
 //! a uniform point on a `u64` circle. Each node projects [`VNODES`]
 //! virtual points onto the same circle from nothing but its node id, so

@@ -20,7 +20,7 @@
 //!
 //! The compiled engine in `synchro_tokens` owns its sequence counter and
 //! queues typed events in a [`PendingQueue`] of its own. The event
-//! kernel schedules through [`EventQueue`], which owns the kernel's
+//! kernel schedules through `EventQueue`, which owns the kernel's
 //! counter and puts a same-instant FIFO in front of its queue.
 //!
 //! # Same-instant fast path
@@ -28,9 +28,9 @@
 //! Discrete-event workloads are bursty: a clock edge or a delta storm
 //! schedules many events *at the current instant*, and the kernel drains
 //! them before simulated time advances. Sequence numbers are monotonic,
-//! so same-instant arrivals are already FIFO: [`EventQueue::pop_at`]
+//! so same-instant arrivals are already FIFO: `EventQueue::pop_at`
 //! activates a FIFO *bucket* for its timestamp, and every subsequent
-//! [`EventQueue::schedule`] at that exact instant is an `O(1)`
+//! `EventQueue::schedule` at that exact instant is an `O(1)`
 //! `push_back` that never scans the sorted queue.
 //!
 //! Ordering invariant: any queued event at the bucket's instant was

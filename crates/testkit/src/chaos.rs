@@ -23,7 +23,7 @@
 //! *identical across backends* — fault handling is part of the
 //! behavioural contract the compiled engine mirrors.
 //!
-//! Jobs fan out over [`run_jobs`](synchro_tokens::run_jobs), so a
+//! Jobs fan out over [`run_jobs`], so a
 //! campaign report is byte-identical at any thread count.
 //! `ST_CHAOS_CONFIGS` caps the configuration count for smoke runs (see
 //! [`configs_from_env`]).
@@ -174,7 +174,7 @@ pub fn run_chaos_campaign(
 ///
 /// # Errors
 ///
-/// Returns [`Cancelled`](synchro_tokens::Cancelled) carrying the
+/// Returns [`Cancelled`] carrying the
 /// completed [`ChaosRun`]s (in job order) when the token trips before
 /// the last configuration is claimed.
 pub fn run_chaos_campaign_hooked(

@@ -145,7 +145,7 @@ pub mod collection {
     use super::{SimRng, Strategy};
     use std::ops::Range;
 
-    /// Accepted lengths for [`vec`]: a fixed length or a half-open range.
+    /// Accepted lengths for [`vec()`]: a fixed length or a half-open range.
     #[derive(Debug, Clone)]
     pub struct SizeRange(Range<usize>);
 
@@ -162,7 +162,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy behind [`vec`].
+    /// The strategy behind [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -133,11 +133,29 @@ if [[ -n "$held$folds" ]]; then
     exit 1
 fi
 
+echo "== one wrapper edge step =="
+# Both engines run the wrapper's rising edge through the one
+# WrapperCore (crates/core/src/edge.rs): only it consults the protocol
+# fault injector on a token pass (unit tests excluded), and neither
+# engine may grow its own copy of the edge step back.
+passes=$(find crates/core/src -name '*.rs' -exec awk '
+    /^#\[cfg\(test\)\]/ { nextfile }
+    /\.on_token_pass\(/ { print FILENAME; nextfile }' {} + | sort)
+copies=$(grep -rnE '\bfn (finish_posedge|handle_posedge)\b' crates/core/src || true)
+if [[ $(grep -c . <<<"$passes") -gt 1 || -n "$copies" ]]; then
+    echo "edge step copied outside crates/core/src/edge.rs (run it through WrapperCore):" >&2
+    printf '%s\n' "$passes" "$copies" | sed '/^$/d' >&2
+    exit 1
+fi
+
 echo "== clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== rustfmt check =="
 cargo fmt --all -- --check
+
+echo "== rustdoc (warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== build (release) =="
 cargo build --workspace --release
