@@ -23,7 +23,7 @@ use st_testkit::prop::prelude::*;
 use synchro_tokens::logic::SbIo;
 use synchro_tokens::prelude::*;
 use synchro_tokens::scenarios::{
-    e1_spec_uncalibrated, pingpong_spec, producer_consumer_spec, MixerLogic,
+    e1_spec_uncalibrated, matched_ring_recycles, pingpong_spec, producer_consumer_spec, MixerLogic,
 };
 use synchro_tokens::spec::NodeParams;
 
@@ -404,6 +404,33 @@ fn chronic_timing_violations_corrupt_all_lanes_identically() {
 fn starved_triangle_deadlocks_every_lane_equivalently() {
     let spec = synchro_tokens::scenarios::starved_triangle_spec();
     assert_batch_matches_scalar(&|| mixer_builders(&spec, 64, &[1, 2, 3]), 100);
+}
+
+/// E1 with its clock periods set to `ns` and its rings re-matched to
+/// them. Equal or harmonic periods put rising phases of different SBs
+/// on one instant, so the engine queues their edges instead of running
+/// each inline with its phase.
+fn e1_with_periods(ns: [u64; 3]) -> SystemSpec {
+    let mut spec = e1_spec_uncalibrated(1);
+    for (sb, p) in spec.sbs.iter_mut().zip(ns) {
+        sb.period = SimDuration::ns(p);
+    }
+    matched_ring_recycles(&mut spec, 0);
+    spec
+}
+
+#[test]
+fn tied_rising_edges_batch_equivalently() {
+    for ns in [[10, 10, 10], [10, 20, 20]] {
+        let spec = e1_with_periods(ns);
+        let batch = assert_batch_matches_scalar(&|| mixer_builders(&spec, 100, &[1, 2, 3]), 150);
+        assert_eq!(batch.group_count(), 1, "periods {ns:?}");
+        // Lanes that disagree on alpha's sends split on edges that tie
+        // with the other SBs' rising phases.
+        let gates = [u64::MAX, 0xFFFF_FFFF_FFFF_FFF0, 0x5555_5555_5555_5555];
+        let batch = assert_batch_matches_scalar(&|| gated_builders(&spec, 100, &gates), 150);
+        assert_eq!(batch.group_count(), 3, "periods {ns:?}");
+    }
 }
 
 // --- divergence splits ---------------------------------------------------

@@ -10,25 +10,30 @@
 //! The case budget honours `PROPTEST_CASES` (CI runs a fixed reduced
 //! budget; see `scripts/ci.sh`).
 
+use st_sim::hash::fnv1a64;
 use st_sim::prelude::*;
 use st_testkit::prop::prelude::*;
 use synchro_tokens::prelude::*;
 use synchro_tokens::scenarios::{
-    build_pingpong_backend, chain_spec, e1_spec, e1_spec_uncalibrated, pingpong_spec,
-    producer_consumer_spec, MixerLogic,
+    build_pingpong_backend, chain_spec, e1_spec, e1_spec_uncalibrated, matched_ring_recycles,
+    pingpong_spec, producer_consumer_spec, MixerLogic,
 };
 use synchro_tokens::spec::NodeParams;
 
 /// Builds the spec behind `backend` with a `MixerLogic` on every SB.
 fn build(spec: &SystemSpec, trace_limit: usize, backend: Backend) -> AnySystem {
-    let n = spec.sbs.len();
+    builder(spec, trace_limit).build_backend(backend)
+}
+
+/// [`build`]'s builder, for resuming a checkpoint.
+fn builder(spec: &SystemSpec, trace_limit: usize) -> SystemBuilder {
     let mut builder = SystemBuilder::new(spec.clone())
         .expect("generated spec must validate")
         .with_trace_limit(trace_limit);
-    for i in 0..n {
+    for i in 0..spec.sbs.len() {
         builder = builder.with_logic(SbId(i), MixerLogic::new(0x1000 * i as u64));
     }
-    builder.build_backend(backend)
+    builder
 }
 
 /// Runs both backends over `spec` and asserts every observable matches.
@@ -223,6 +228,84 @@ fn minimal_supported_period_is_equivalent() {
 #[test]
 fn starved_triangle_deadlocks_equivalently() {
     assert_equivalent(&synchro_tokens::scenarios::starved_triangle_spec(), 64, 100);
+}
+
+// --- tied rising edges ---------------------------------------------------
+
+/// E1 with its clock periods set to `ns` and its rings re-matched to
+/// them (product-matched recycles, first-arrival presets). Equal or
+/// harmonic periods put rising phases of different SBs on one instant:
+/// then another event is due when a phase fires, so the compiled engine
+/// queues the edge instead of running it inline with its phase.
+fn e1_with_periods(ns: [u64; 3]) -> SystemSpec {
+    let mut spec = e1_spec_uncalibrated(1);
+    for (sb, p) in spec.sbs.iter_mut().zip(ns) {
+        sb.period = SimDuration::ns(p);
+    }
+    matched_ring_recycles(&mut spec, 0);
+    spec
+}
+
+#[test]
+fn tied_rising_edges_are_equivalent() {
+    for ns in [[10, 10, 10], [10, 20, 20]] {
+        assert_equivalent(&e1_with_periods(ns), 100, 150);
+    }
+}
+
+/// Compiled checkpoints taken at chunk boundaries where rising edges
+/// tie (every SB rises at 5 + 10k ns with equal periods; beta and gamma
+/// at 10 + 20k ns with harmonic ones) resume to the STIO bytes of a
+/// straight run, and to every observable of the run they were taken
+/// from. The blobs are pinned: the order of tied edges, the seqs they
+/// use up and the event count are all in the STCP bytes.
+#[test]
+fn checkpoints_at_tied_edges_resume_exactly() {
+    let cases = [
+        ([10, 10, 10], [35, 205, 605], 0x537e_49d7_7cc4_fa8e),
+        ([10, 20, 20], [50, 210, 610], 0xaa58_5387_d013_11ac),
+    ];
+    let max_time = SimDuration::us(3000);
+    let stio = |sys: &AnySystem, n: usize| -> Vec<Vec<u8>> {
+        (0..n)
+            .map(|i| sys.io_trace(SbId(i)).to_canonical_bytes())
+            .collect()
+    };
+    for (ns, instants, pin) in cases {
+        let spec = e1_with_periods(ns);
+        let n = spec.sbs.len();
+        let mut straight = build(&spec, 100, Backend::Compiled);
+        assert_eq!(straight.backend_kind(), BackendKind::Compiled);
+        straight.run_until_cycles(100, max_time).unwrap();
+        let mut blobs = Vec::new();
+        for at in instants {
+            let paused = || {
+                let mut sys = build(&spec, 100, Backend::Compiled);
+                sys.run_for(SimDuration::ns(at)).unwrap();
+                sys
+            };
+            let ckpt = paused().checkpoint().unwrap();
+            blobs.extend(ckpt.to_canonical_bytes());
+            let mut resumed = AnySystem::resume(builder(&spec, 100), &ckpt).unwrap();
+            let mut reference = paused();
+            resumed.run_until_cycles(100, max_time).unwrap();
+            reference.run_until_cycles(100, max_time).unwrap();
+            let what = format!("periods {ns:?}, checkpoint at {at} ns");
+            assert_eq!(stio(&resumed, n), stio(&straight, n), "{what}: STIO");
+            assert_eq!(resumed.now(), reference.now(), "{what}: end time");
+            assert_eq!(resumed.events_fired(), reference.events_fired(), "{what}");
+            for i in 0..n {
+                let sb = SbId(i);
+                assert_eq!(resumed.edge_times(sb), reference.edge_times(sb), "{what}");
+                assert_eq!(resumed.clock_stats(sb), reference.clock_stats(sb), "{what}");
+            }
+        }
+        let got = fnv1a64(&blobs);
+        assert_eq!(
+            got, pin,
+            "periods {ns:?}: checkpoint bytes moved: {got:#018x}"
+        );
+    }
 }
 
 // --- randomized differential sweep -------------------------------------
