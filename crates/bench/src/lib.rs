@@ -14,6 +14,8 @@
 //! | E7 | §4.2 debug & test features | [`st_testkit::debug`] | `repro_debug` |
 //! | E8 | future work: larger systems | [`scale`] | `repro_scale` |
 
+#![forbid(unsafe_code)]
+
 pub mod chart;
 pub mod fig2;
 pub mod harness;

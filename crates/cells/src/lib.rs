@@ -31,6 +31,8 @@
 //! println!("{t}");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod area;
 pub mod compiled;
 pub mod library;

@@ -37,6 +37,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod arbiter;
 pub mod fifo;
 pub mod handshake;

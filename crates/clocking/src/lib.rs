@@ -41,6 +41,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod divider;
 pub mod free;
 pub mod pausible;

@@ -23,6 +23,8 @@
 //!   sources and fails CI on any unwitnessed requirement, unknown ID,
 //!   or count below the registry's pinned `min_witnesses`.
 
+#![forbid(unsafe_code)]
+
 use st_sim::canon::{canon_record, Canon, Enc};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;

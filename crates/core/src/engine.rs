@@ -26,7 +26,15 @@
 //! are queued in a per-channel buffer and drained lazily just before
 //! any push, pop or rising edge reads that FIFO. One iteration of the
 //! loop advances a whole clock phase segment instead of popping a chain
-//! of per-delta kernel events.
+//! of per-delta kernel events. A rising phase boundary usually carries
+//! its edge in the same iteration: when clock jitter is off and nothing
+//! else is due at or before that instant, the edge is certain to be the
+//! next dispatch, so the engine runs it inline, still counting it as
+//! one event and using up its `seq`. Only a tie with another event at
+//! the same instant, a jittered rise or a restart from a clock enable
+//! queues the edge as an `Edge` event. Both paths run the same handler
+//! in the same order, so nothing observable, checkpoints included, can
+//! tell them apart.
 //!
 //! # Shared control, per-lane data
 //!
@@ -227,7 +235,10 @@ pub(crate) struct Lanes;
 enum EvKind<W> {
     /// SB `sb`'s clock reaches a phase boundary (rising or falling check).
     Phase { sb: u32 },
-    /// SB `sb`'s rising edge reaches its wrapper.
+    /// SB `sb`'s rising edge reaches its wrapper. Queued only when it
+    /// cannot run inline with its rising `Phase`: another event is due
+    /// at or before its instant, clock jitter moved it, or a clock
+    /// enable restarted the clock.
     Edge { sb: u32 },
     /// Bundled-data words (one per lane) arrive at channel `ch`'s tail.
     Push { ch: u32, words: W },
@@ -270,6 +281,8 @@ fn sched<W>(queue: &mut PendingQueue<EvKind<W>>, seq: &mut u64, time: SimTime, k
 /// edge in flight: clock jitter beyond a clock period can leave the
 /// previous one pending, and the new edge replaces it (`jittered` runs
 /// only; without jitter an edge lands before the next phase boundary).
+/// An unjittered rise with nothing else due by its instant never gets
+/// here: `Group::on_phase` leaves that edge to run inline.
 #[inline]
 fn sched_edge<W>(
     queue: &mut PendingQueue<EvKind<W>>,
@@ -789,7 +802,15 @@ impl<P: Plane> Group<P> {
             self.now = ev.time;
             self.events += 1;
             match ev.kind {
-                EvKind::Phase { sb } => self.on_phase(sb as usize),
+                EvKind::Phase { sb } => {
+                    if self.on_phase(sb as usize) {
+                        // The rising edge `on_phase` left unqueued: it
+                        // is the next dispatch, so it runs here, still
+                        // counted as one event.
+                        self.events += 1;
+                        self.on_edge(sb as usize, splits);
+                    }
+                }
                 EvKind::Edge { sb } => self.on_edge(sb as usize, splits),
                 EvKind::Push { ch, words } => self.on_push(ch as usize, words),
                 EvKind::Pop { ch } => self.on_pop(ch as usize),
@@ -819,7 +840,10 @@ impl<P: Plane> Group<P> {
     // --- event handlers -------------------------------------------------
 
     /// Clock phase boundary (mirrors `StoppableClock`'s phase timer).
-    fn on_phase(&mut self, sbi: usize) {
+    /// `true` when a rising edge is due now and nothing else is due at
+    /// or before now: the edge would be the next dispatch, so it is not
+    /// queued (its `seq` is still used up) and the caller runs it.
+    fn on_phase(&mut self, sbi: usize) -> bool {
         let now = self.now;
         let Self {
             sbs,
@@ -833,12 +857,13 @@ impl<P: Plane> Group<P> {
             // Stale phase while parked cannot happen (parking consumes
             // the only outstanding phase event), but mirror the clock's
             // defensive guard.
-            return;
+            return false;
         }
         if sb.clk_high {
             // Falling edges always complete.
             sb.clk_high = false;
             sched(queue, seq, now + sb.half, EvKind::Phase { sb: id });
+            false
         } else if sb.clken {
             sb.clk_high = true;
             sb.edges += 1;
@@ -852,12 +877,21 @@ impl<P: Plane> Group<P> {
             // The rising edge reaches the wrapper "one delta later":
             // the fresh seq puts it after every event already queued at
             // this instant, exactly like the kernel's zero-delay drive.
-            sched_edge(queue, seq, now + j, id, jitter.is_some());
+            // So without jitter, and with nothing else due by now, it
+            // is the next dispatch: it takes its seq but skips the queue.
+            let inline = jitter.is_none() && queue.next_time().is_none_or(|t| t > now);
+            if inline {
+                *seq += 1;
+            } else {
+                sched_edge(queue, seq, now + j, id, jitter.is_some());
+            }
             sched(queue, seq, now + sb.half, EvKind::Phase { sb: id });
+            inline
         } else {
             // Synchronous stop: park with the clock low.
             sb.parked = true;
             sb.clock_stops += 1;
+            false
         }
     }
 
@@ -1105,7 +1139,8 @@ impl<P: Plane> Group<P> {
     /// Typed events processed so far (the engine's analogue of the
     /// kernel's fired-event counter; each event wakes one handler). A
     /// group dispatches each shared event once, on behalf of every
-    /// member lane's scalar run.
+    /// member lane's scalar run. A rising edge run inline with its
+    /// clock phase counts as one event, like a queued one.
     pub fn events_processed(&self) -> u64 {
         self.events
     }

@@ -75,6 +75,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod batched_system;
 pub mod campaign;
 pub mod checkpoint;

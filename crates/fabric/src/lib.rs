@@ -22,6 +22,8 @@
 //! Everything here is std-only pure data with injected clocks; the
 //! sockets, threads and HTTP live in `st-serve`'s `cluster` module.
 
+#![forbid(unsafe_code)]
+
 pub mod gossip;
 pub mod ring;
 pub mod wire;

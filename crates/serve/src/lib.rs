@@ -45,6 +45,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cluster;
 pub mod hash;
 pub mod http;

@@ -48,6 +48,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod canon;
 pub mod component;
 pub mod event;

@@ -56,6 +56,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `earlier` is later than `self`.
+    #[inline]
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(
             self.0
@@ -135,12 +136,14 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.checked_add(rhs.0).expect("simulation time overflow"))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -148,6 +151,7 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(
             self.0
@@ -159,12 +163,14 @@ impl Sub<SimDuration> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_add(rhs.0).expect("duration overflow"))
     }
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -172,12 +178,14 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_sub(rhs.0).expect("duration underflow"))
     }
 }
 
 impl SubAssign for SimDuration {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
         *self = *self - rhs;
     }
@@ -185,6 +193,7 @@ impl SubAssign for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn mul(self, rhs: u64) -> SimDuration {
         SimDuration(self.0.checked_mul(rhs).expect("duration overflow"))
     }
@@ -192,6 +201,7 @@ impl Mul<u64> for SimDuration {
 
 impl Div<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn div(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 / rhs)
     }
@@ -200,6 +210,7 @@ impl Div<u64> for SimDuration {
 impl Div<SimDuration> for SimDuration {
     type Output = u64;
     /// How many whole `rhs` fit in `self`.
+    #[inline]
     fn div(self, rhs: SimDuration) -> u64 {
         self.0 / rhs.0
     }
@@ -207,6 +218,7 @@ impl Div<SimDuration> for SimDuration {
 
 impl Rem<SimDuration> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn rem(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0 % rhs.0)
     }

@@ -49,6 +49,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bist;
 pub mod chaos;
 pub mod debug;

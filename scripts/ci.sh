@@ -148,6 +148,17 @@ if [[ $(grep -c . <<<"$passes") -gt 1 || -n "$copies" ]]; then
     exit 1
 fi
 
+echo "== library code forbids unsafe =="
+# Every library crate root carries #![forbid(unsafe_code)], so no
+# library source can use `unsafe`; test crates (the counting
+# allocators) are separate crates and unaffected.
+unforbidden=$(grep -LxF '#![forbid(unsafe_code)]' src/lib.rs crates/*/src/lib.rs || true)
+if [[ -n "$unforbidden" ]]; then
+    echo "library crate root without #![forbid(unsafe_code)]:" >&2
+    echo "$unforbidden" >&2
+    exit 1
+fi
+
 echo "== clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

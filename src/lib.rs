@@ -11,6 +11,8 @@
 //! harness). See `README.md`, `DESIGN.md` and `EXPERIMENTS.md` at the
 //! repository root.
 
+#![forbid(unsafe_code)]
+
 pub use st_bench;
 pub use st_cells;
 pub use st_channel;
