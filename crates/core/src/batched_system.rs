@@ -49,7 +49,7 @@
 //! [`DEFAULT_BATCH_LIMIT`]: crate::campaign::DEFAULT_BATCH_LIMIT
 
 use crate::campaign::DEFAULT_BATCH_LIMIT;
-use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::checkpoint::{Checkpoint, CheckpointError, DecodedCheckpoint};
 use crate::drive::{drive, ChunkRule};
 use crate::engine::{supports, Group, GroupRun, Lanes};
 use crate::iotrace::SbIoTrace;
@@ -298,8 +298,18 @@ impl BatchedSystem {
     /// lane does not implement
     /// [`SyncLogic::save_state`].
     pub fn checkpoint(&self, lane: usize) -> Result<Checkpoint, CheckpointError> {
+        self.snapshot(lane).map(|s| s.encode())
+    }
+
+    /// Lane `lane`'s state as [`checkpoint`](Self::checkpoint) would
+    /// encode it, held decoded: equal to `checkpoint(lane)?.decode()`.
+    ///
+    /// # Errors
+    ///
+    /// As [`checkpoint`](Self::checkpoint).
+    pub fn snapshot(&self, lane: usize) -> Result<DecodedCheckpoint, CheckpointError> {
         let (g, slot) = self.at(lane);
-        g.lane_checkpoint(slot)
+        g.lane_snapshot(slot)
     }
 
     /// The final state of lane `lane`'s logic on `sb`, downcast.

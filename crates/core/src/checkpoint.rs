@@ -273,7 +273,10 @@ impl Checkpoint {
     /// the snapshot's history (traces, edge times). A prefix-fork
     /// campaign resumes *many* variants from *one* blob; decoding once
     /// and resuming from the [`DecodedCheckpoint`] makes the per-variant
-    /// cost a plain memcpy of the decoded state.
+    /// cost a plain memcpy of the decoded state. A fork taken in the
+    /// same process needs no blob at all: the engines' `snapshot()`
+    /// returns the decoded state directly, equal to decoding their
+    /// `checkpoint()`.
     ///
     /// # Errors
     ///
@@ -298,18 +301,21 @@ impl Checkpoint {
         if cycles.unwrap_or(0) != self.cycle || now != self.now {
             return Err(CanonError::BadValue.into());
         }
-        Ok(DecodedCheckpoint {
-            backend: self.backend,
-            spec_hash: self.spec_hash,
-            cycle: self.cycle,
-            now: self.now,
+        Ok(DecodedCheckpoint::new(
+            self.spec_hash,
+            self.cycle,
+            self.now,
             state,
-        })
+        ))
     }
 }
 
-/// A [`Checkpoint`] whose payload has been decoded into engine state,
-/// ready to restore without re-parsing (see [`Checkpoint::decode`]).
+/// A [`Checkpoint`] whose payload is held as engine state, ready to
+/// restore without re-parsing: either a decoded blob (see
+/// [`Checkpoint::decode`]) or an engine's in-process `snapshot()`.
+/// [`encode`](Self::encode) turns it into the blob, and every engine's
+/// `checkpoint()` is `snapshot()` followed by `encode()`.
+#[derive(PartialEq)]
 pub struct DecodedCheckpoint {
     backend: CheckpointBackend,
     spec_hash: [u8; 16],
@@ -318,12 +324,39 @@ pub struct DecodedCheckpoint {
     pub(crate) state: DecodedState,
 }
 
+#[derive(PartialEq)]
 pub(crate) enum DecodedState {
     Event(EventStateDump),
     Compiled(CompiledStateDump),
 }
 
 impl DecodedCheckpoint {
+    /// Wraps an engine's state dump, taken at `now` with its slowest SB
+    /// at `cycle`, under the configuration key `spec_hash`.
+    pub(crate) fn new(spec_hash: [u8; 16], cycle: u64, now: SimTime, state: DecodedState) -> Self {
+        let backend = match state {
+            DecodedState::Event(_) => CheckpointBackend::Event,
+            DecodedState::Compiled(_) => CheckpointBackend::Compiled,
+        };
+        DecodedCheckpoint {
+            backend,
+            spec_hash,
+            cycle,
+            now,
+            state,
+        }
+    }
+
+    /// Serializes the state into its canonical [`Checkpoint`]; the
+    /// inverse of [`Checkpoint::decode`].
+    pub fn encode(&self) -> Checkpoint {
+        let payload = match &self.state {
+            DecodedState::Event(dump) => canon::encode(dump),
+            DecodedState::Compiled(dump) => canon::encode(dump),
+        };
+        Checkpoint::new(self.backend, self.spec_hash, self.cycle, self.now, payload)
+    }
+
     /// The backend that produced (and can resume) this checkpoint.
     pub fn backend(&self) -> CheckpointBackend {
         self.backend
@@ -529,6 +562,7 @@ pub(crate) type InjectorDump = Option<(Vec<u64>, Vec<u64>, Vec<u64>)>;
 
 /// Everything the event backend needs to freeze: kernel, wrappers,
 /// clocks, FIFOs, injector. Gathered by `System::checkpoint`.
+#[derive(PartialEq)]
 pub(crate) struct EventStateDump {
     pub kernel: KernelSnapshot,
     pub wrappers: Vec<WrapperSnapshot>,
@@ -550,6 +584,7 @@ canon_record!(EventStateDump {
 /// One pending compiled-engine event other than a clock phase or rising
 /// edge (those are per-SB slots), flattened for serialization.
 /// `kind` tags: 0 Push, 1 Pop, 2 Move, 3 Token, 4 Clken.
+#[derive(PartialEq)]
 pub(crate) struct CompiledEvDump {
     pub time: SimTime,
     pub seq: u64,
@@ -580,6 +615,7 @@ impl Canon for CompiledEvDump {
 }
 
 /// Per-SB dynamic state of the compiled engine.
+#[derive(PartialEq)]
 pub(crate) struct CompiledSbDump {
     pub clk_high: bool,
     pub parked: bool,
@@ -613,6 +649,7 @@ canon_record!(CompiledSbDump {
 });
 
 /// Per-FIFO dynamic state of the compiled engine.
+#[derive(PartialEq)]
 pub(crate) struct CompiledFifoDump {
     pub occ: u64,
     pub words: Vec<u64>,
@@ -634,6 +671,7 @@ canon_record!(CompiledFifoDump {
 });
 
 /// The compiled engine's complete dynamic state.
+#[derive(PartialEq)]
 pub(crate) struct CompiledStateDump {
     pub now: SimTime,
     pub seq: u64,

@@ -277,6 +277,17 @@ impl AnySystem {
         delegate!(self, s => s.checkpoint())
     }
 
+    /// The state [`checkpoint`](Self::checkpoint) would encode, held
+    /// decoded (see [`System::snapshot`]): what an in-process fork
+    /// resumes from.
+    ///
+    /// # Errors
+    ///
+    /// As [`checkpoint`](Self::checkpoint).
+    pub fn snapshot(&self) -> Result<DecodedCheckpoint, CheckpointError> {
+        delegate!(self, s => s.snapshot())
+    }
+
     /// Reconstructs a running system from `checkpoint` behind whichever
     /// backend produced it (checkpoints never cross backends), using a
     /// builder configured identically to the originating one.

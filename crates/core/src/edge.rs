@@ -320,10 +320,9 @@ mod tests {
     use st_sim::prelude::*;
 
     /// The injector's `(token, push, ack)` counters and the jitter
-    /// occurrence bytes of a run, read from its checkpoint.
+    /// occurrence bytes of a run, read from its snapshot.
     fn counters(sys: &AnySystem) -> (InjectorDump, Vec<u8>) {
-        let checkpoint = sys.checkpoint().expect("checkpoint");
-        match checkpoint.decode().expect("decode").state {
+        match sys.snapshot().expect("snapshot").state {
             DecodedState::Event(d) => (d.injector, d.kernel.delay_model),
             DecodedState::Compiled(d) => (d.injector, d.jitter.expect("jitter is active")),
         }

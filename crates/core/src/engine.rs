@@ -117,7 +117,6 @@ use crate::node::{NodeFsm, NodePhase, TokenAction};
 use crate::spec::{ChannelId, RingId, SbId, SystemSpec};
 use crate::system::{RunOutcome, SystemBuilder};
 use crate::wrapper::{WrapperMode, BUNDLE_DELAY};
-use st_sim::canon;
 use st_sim::event::{Pending, PendingQueue};
 use st_sim::prelude::*;
 use std::any::Any;
@@ -1175,12 +1174,15 @@ impl<P: Plane> Group<P> {
         })
     }
 
-    /// Freezes lane `slot`'s complete state into a canonical
-    /// compiled-backend [`Checkpoint`]: the group's control state *is*
-    /// each member lane's scalar state, and lane `slot`'s columns carry
-    /// the rest, so every lane's checkpoint is byte-identical to the
-    /// one its scalar run would take at the same point.
-    pub(crate) fn lane_checkpoint(&self, slot: usize) -> Result<Checkpoint, CheckpointError> {
+    /// Copies lane `slot`'s complete state into a compiled-backend
+    /// [`DecodedCheckpoint`]: the group's control state *is* each
+    /// member lane's scalar state, and lane `slot`'s columns carry the
+    /// rest, so every lane's snapshot equals the one its scalar run
+    /// would take at the same point. Its [`encode`] is the lane's
+    /// canonical checkpoint.
+    ///
+    /// [`encode`]: DecodedCheckpoint::encode
+    pub(crate) fn lane_snapshot(&self, slot: usize) -> Result<DecodedCheckpoint, CheckpointError> {
         let mut sbs = Vec::with_capacity(self.sbs.len());
         for (i, sb) in self.sbs.iter().enumerate() {
             let logic = self.logics[i][slot]
@@ -1255,12 +1257,11 @@ impl<P: Plane> Group<P> {
             jitter: self.jitter.as_ref().map(JitterCounters::snapshot_occ),
             injector: self.injector.as_ref().map(FaultInjector::snapshot_counters),
         };
-        Ok(Checkpoint::new(
-            CheckpointBackend::Compiled,
+        Ok(DecodedCheckpoint::new(
             self.lane_hash(slot),
             self.min_cycles(),
             self.now,
-            canon::encode(&dump),
+            DecodedState::Compiled(dump),
         ))
     }
 }
@@ -1622,7 +1623,18 @@ impl Group<Scalar> {
     ///
     /// [`CheckpointError::Unsupported`] when a logic cannot save state.
     pub fn checkpoint(&self) -> Result<Checkpoint, CheckpointError> {
-        self.lane_checkpoint(0)
+        self.snapshot().map(|s| s.encode())
+    }
+
+    /// The engine state [`checkpoint`](Self::checkpoint) would encode,
+    /// held decoded: equal to `checkpoint()?.decode()`, without the
+    /// encode and decode. An in-process fork resumes from it directly.
+    ///
+    /// # Errors
+    ///
+    /// As [`checkpoint`](Self::checkpoint).
+    pub fn snapshot(&self) -> Result<DecodedCheckpoint, CheckpointError> {
+        self.lane_snapshot(0)
     }
 
     /// Reconstructs a running compiled system from `checkpoint`, using a

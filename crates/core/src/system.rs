@@ -8,7 +8,8 @@
 //! clock statistics).
 
 use crate::checkpoint::{
-    config_hash, Checkpoint, CheckpointBackend, CheckpointError, DecodedCheckpoint, EventStateDump,
+    config_hash, Checkpoint, CheckpointBackend, CheckpointError, DecodedCheckpoint, DecodedState,
+    EventStateDump,
 };
 use crate::drive::{drive, ChunkRule, Drive};
 use crate::faults::{restore_injector, AnalogDelayModel, FaultInjector, FaultPlan};
@@ -19,7 +20,6 @@ use crate::spec::{ChannelId, RingId, SbId, SpecError, SystemSpec};
 use crate::wrapper::{NodeObserve, NodeWire, SbWrapper, WrapperMode};
 use st_channel::{FifoPorts, SelfTimedFifo};
 use st_clocking::{StoppableClock, StoppableClockSpec};
-use st_sim::canon;
 use st_sim::prelude::*;
 use std::any::Any;
 use std::cell::RefCell;
@@ -576,6 +576,17 @@ impl System {
     ///
     /// [`CheckpointError::Unsupported`] outside that envelope.
     pub fn checkpoint(&self) -> Result<Checkpoint, CheckpointError> {
+        self.snapshot().map(|s| s.encode())
+    }
+
+    /// The engine state [`checkpoint`](Self::checkpoint) would encode,
+    /// held decoded: equal to `checkpoint()?.decode()`, without the
+    /// encode and decode. An in-process fork resumes from it directly.
+    ///
+    /// # Errors
+    ///
+    /// As [`checkpoint`](Self::checkpoint).
+    pub fn snapshot(&self) -> Result<DecodedCheckpoint, CheckpointError> {
         self.checkpoint_gate()?;
         let mut wrappers = Vec::with_capacity(self.wrappers.len());
         for w in &self.wrappers {
@@ -609,12 +620,11 @@ impl System {
             fifos,
             injector,
         };
-        Ok(Checkpoint::new(
-            CheckpointBackend::Event,
+        Ok(DecodedCheckpoint::new(
             self.spec_hash,
             self.min_cycles(),
             self.sim.now(),
-            canon::encode(&dump),
+            DecodedState::Event(dump),
         ))
     }
 
@@ -651,7 +661,7 @@ impl System {
         builder: SystemBuilder,
         checkpoint: &DecodedCheckpoint,
     ) -> Result<System, CheckpointError> {
-        let crate::checkpoint::DecodedState::Event(dump) = &checkpoint.state else {
+        let DecodedState::Event(dump) = &checkpoint.state else {
             return Err(CheckpointError::BackendMismatch);
         };
         let hash = config_hash(

@@ -97,7 +97,7 @@ struct ChannelEnd {
 /// checkpointing. Wiring (signals, ports, delays) is rebuilt from the
 /// spec on resume; only values that evolve during simulation appear
 /// here.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct WrapperSnapshot {
     pub prev_clk: Bit,
     pub cycle: u64,

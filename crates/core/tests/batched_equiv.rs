@@ -18,6 +18,7 @@
 //! The case budget honours `PROPTEST_CASES` (CI runs a fixed reduced
 //! budget; see `scripts/ci.sh`).
 
+use st_sim::canon;
 use st_sim::prelude::*;
 use st_testkit::prop::prelude::*;
 use synchro_tokens::logic::SbIo;
@@ -60,6 +61,18 @@ impl SyncLogic for GatedSource {
             }
             self.next = self.next.wrapping_add(7);
         }
+    }
+
+    fn save_state(&self) -> Option<Vec<u8>> {
+        Some(canon::encode(&(self.gates, self.next, self.sent)))
+    }
+
+    fn restore_state(&mut self, bytes: &[u8]) -> bool {
+        let Ok((gates, next, sent)) = canon::decode(bytes) else {
+            return false;
+        };
+        *self = GatedSource { gates, next, sent };
+        true
     }
 }
 
@@ -485,7 +498,10 @@ fn divergent_send_schedules_split_and_stay_byte_identical() {
         "four distinct schedules, four groups after the split"
     );
     assert_eq!(batch.splits(), batch.group_count() - 1);
-    // The split must move the right per-lane logic state around.
+    // The split must move the right per-lane logic state around, and
+    // each split-off lane's snapshot is its decoded checkpoint, which
+    // resumes to the scalar straight run's STCP bytes.
+    st_conformance::witnesses!(["ST-EQ-004", "ST-CKPT-007"]);
     let compiled = make();
     for (lane, b) in compiled.into_iter().enumerate() {
         let mut cc = b.build_backend(Backend::Compiled);
@@ -493,6 +509,17 @@ fn divergent_send_schedules_split_and_stay_byte_identical() {
         let gb: &GatedSource = batch.logic(lane, SbId(0));
         let gc: &GatedSource = cc.logic(SbId(0));
         assert_eq!(gb, gc, "logic state of lane {lane}");
+        let straight = cc.checkpoint().expect("scalar checkpoint");
+        let snap = batch.snapshot(lane).expect("lane snapshot");
+        assert_eq!(snap, batch.checkpoint(lane).unwrap().decode().unwrap());
+        assert_eq!(snap.encode(), straight, "lane {lane} checkpoint vs scalar");
+        let builder = make().swap_remove(lane);
+        let resumed = AnySystem::resume_decoded(builder, &snap).expect("resume lane");
+        assert_eq!(
+            resumed.checkpoint().unwrap().to_canonical_bytes(),
+            straight.to_canonical_bytes(),
+            "lane {lane} resumed from its snapshot"
+        );
     }
 }
 

@@ -21,7 +21,7 @@ use synchro_tokens::scenarios::{
     build_e1_backend, chain_spec, e1_spec, pingpong_spec, producer_consumer_spec, MixerLogic,
 };
 use synchro_tokens::FaultClass;
-use synchro_tokens::{CanonError, Checkpoint};
+use synchro_tokens::{CanonError, Checkpoint, DecodedCheckpoint};
 
 const MAX_TIME: SimDuration = SimDuration::us(3000);
 
@@ -95,6 +95,37 @@ fn observe(sys: &AnySystem) -> Observables {
     }
 }
 
+/// `snapshot`, an engine's in-process state, against `ckpt`, its
+/// `checkpoint()` at the same point: the snapshot is the decoded blob,
+/// encodes back to it, and an engine resumed from it re-checkpoints to
+/// the same STCP bytes.
+fn assert_snapshot_is_decoded(
+    snapshot: &DecodedCheckpoint,
+    ckpt: &Checkpoint,
+    builder: SystemBuilder,
+    what: &str,
+) {
+    assert_eq!(
+        *snapshot,
+        ckpt.decode().expect("a fresh blob decodes"),
+        "{what}: snapshot() must equal checkpoint()?.decode()"
+    );
+    assert_eq!(
+        snapshot.encode(),
+        *ckpt,
+        "{what}: checkpoint() must be snapshot() encoded"
+    );
+    let resumed = AnySystem::resume_decoded(builder, snapshot).expect("resume from a snapshot");
+    assert_eq!(
+        resumed
+            .checkpoint()
+            .expect("re-checkpoint")
+            .to_canonical_bytes(),
+        ckpt.to_canonical_bytes(),
+        "{what}: resume_decoded(snapshot) must re-checkpoint to the straight run's bytes"
+    );
+}
+
 /// The core differential: reference runs `k` then `k + extra` cycles in
 /// two calls; candidate runs `k`, checkpoints, round-trips the blob,
 /// resumes into a fresh engine and runs the same second call. Both
@@ -119,6 +150,12 @@ fn assert_resume_equivalent(
     let mut paused = make_builder(spec, trace_limit, plan).build_backend(backend);
     paused.run_until_cycles(k, MAX_TIME).expect("run(k)");
     let ckpt = paused.checkpoint().expect("checkpoint");
+    assert_snapshot_is_decoded(
+        &paused.snapshot().expect("snapshot"),
+        &ckpt,
+        make_builder(spec, trace_limit, plan),
+        &format!("{backend:?} at cycle {k}"),
+    );
 
     // Determinism: the independent reference run checkpoints to the
     // exact same bytes at the same point.
@@ -254,11 +291,19 @@ fn bypass_and_observed_builds_refuse_to_checkpoint() {
         sys.checkpoint(),
         Err(CheckpointError::Unsupported(_))
     ));
+    assert!(matches!(
+        sys.snapshot(),
+        Err(CheckpointError::Unsupported(_))
+    ));
 
     let mut observed = SystemBuilder::new(spec).unwrap().observe_nodes().build();
     observed.run_until_cycles(5, MAX_TIME).unwrap();
     assert!(matches!(
         observed.checkpoint(),
+        Err(CheckpointError::Unsupported(_))
+    ));
+    assert!(matches!(
+        observed.snapshot(),
         Err(CheckpointError::Unsupported(_))
     ));
 }
@@ -497,6 +542,12 @@ fn batched_lane_checkpoint_matches_scalar_and_resumes() {
             scalar_ckpt.to_canonical_bytes(),
             "lane {lane} checkpoint must be byte-equal to the scalar engine's"
         );
+        assert_snapshot_is_decoded(
+            &batch.snapshot(lane).expect("lane snapshot"),
+            &lane_ckpt,
+            builder(),
+            &format!("shared-group lane {lane}"),
+        );
         assert_eq!(batch.spec_hash(lane), lane_ckpt.spec_hash());
         // Streamed per-edge digests equal the scalar post-hoc digests.
         for sb in 0..spec.sbs.len() {
@@ -525,6 +576,7 @@ fn batched_lane_checkpoint_matches_scalar_and_resumes() {
 /// including under an expired budget, which must time out, not hang.
 #[test]
 fn batched_split_lane_checkpoint_matches_scalar() {
+    st_conformance::witnesses!(["ST-EQ-004", "ST-CKPT-007"]);
     let spec = pingpong_spec();
     let salts = [7u64, 7, 21];
     let (k, total) = (12u64, 40u64);
@@ -564,6 +616,12 @@ fn batched_split_lane_checkpoint_matches_scalar() {
                 .expect("scalar checkpoint")
                 .to_canonical_bytes(),
             "lane {lane} post-split checkpoint must match scalar"
+        );
+        assert_snapshot_is_decoded(
+            &batch.snapshot(lane).expect("post-split lane snapshot"),
+            &lane_ckpt,
+            builder(),
+            &format!("post-split lane {lane}"),
         );
         for sb in 0..spec.sbs.len() {
             assert_eq!(

@@ -258,9 +258,12 @@ fn tied_rising_edges_are_equivalent() {
 /// at 10 + 20k ns with harmonic ones) resume to the STIO bytes of a
 /// straight run, and to every observable of the run they were taken
 /// from. The blobs are pinned: the order of tied edges, the seqs they
-/// use up and the event count are all in the STCP bytes.
+/// use up and the event count are all in the STCP bytes. On both
+/// engines, the in-process snapshot at each tie equals the decoded
+/// blob and resumes to its bytes.
 #[test]
 fn checkpoints_at_tied_edges_resume_exactly() {
+    st_conformance::witnesses!(["ST-EQ-004", "ST-CKPT-007"]);
     let cases = [
         ([10, 10, 10], [35, 205, 605], 0x537e_49d7_7cc4_fa8e),
         ([10, 20, 20], [50, 210, 610], 0xaa58_5387_d013_11ac),
@@ -286,6 +289,17 @@ fn checkpoints_at_tied_edges_resume_exactly() {
             };
             let ckpt = paused().checkpoint().unwrap();
             blobs.extend(ckpt.to_canonical_bytes());
+            // The in-process snapshot at the tie is the decoded blob,
+            // on the event kernel too, and resumes to the same bytes.
+            for backend in [Backend::Compiled, Backend::Event] {
+                let mut sys = build(&spec, 100, backend);
+                sys.run_for(SimDuration::ns(at)).unwrap();
+                let (snap, own) = (sys.snapshot().unwrap(), sys.checkpoint().unwrap());
+                let what = format!("periods {ns:?}, {backend:?} at {at} ns");
+                assert_eq!(snap, own.decode().unwrap(), "{what}: snapshot");
+                let back = AnySystem::resume_decoded(builder(&spec, 100), &snap).unwrap();
+                assert_eq!(back.checkpoint().unwrap(), own, "{what}: resumed");
+            }
             let mut resumed = AnySystem::resume(builder(&spec, 100), &ckpt).unwrap();
             let mut reference = paused();
             resumed.run_until_cycles(100, max_time).unwrap();

@@ -4,8 +4,10 @@
 //! STIO bytes identical to `run_until_cycles(cycles, t)`. Covered: E1
 //! delay configurations whose chunked run needs a second chunk, the
 //! ping-pong and chain specs over every kind of trace limit, legs
-//! resumed from a checkpoint, SEU plans (straight and forked), the E6
-//! starved triangle (deadlock) and a tiny budget (timeout).
+//! resumed from a checkpoint, SEU plans (straight and forked), a run
+//! paused at any cycle and finished as a verdict run (the SEU sweep's
+//! golden-as-prefix), the E6 starved triangle (deadlock) and a tiny
+//! budget (timeout).
 //!
 //! Outside the verdict rule (trace limit 0 or above `cycles`) the
 //! verdict run is `run_until_cycles` verbatim, so its end time, cycle
@@ -17,14 +19,14 @@
 //! budget; see `scripts/ci.sh`).
 
 use st_sim::prelude::*;
-use st_testkit::chaos::seu_sweep_plans;
+use st_testkit::chaos::{run_seu_sweep, seu_sweep_plans, SeuSweepReport};
 use st_testkit::prop::prelude::*;
 use synchro_tokens::determinism::{enumerate_configs, CampaignConfig};
 use synchro_tokens::prelude::*;
 use synchro_tokens::scenarios::{
-    chain_spec, e1_spec, pingpong_spec, starved_triangle_spec, MixerLogic,
+    chain_spec, e1_spec, mixer_builder, pingpong_spec, starved_triangle_spec, MixerLogic,
 };
-use synchro_tokens::{run_with_plan, run_with_plan_resumed, BackendKind};
+use synchro_tokens::{classify, run_with_plan, run_with_plan_resumed, BackendKind};
 
 const MAX_TIME: SimDuration = SimDuration::us(3000);
 
@@ -372,6 +374,101 @@ fn seu_plans_match_straight_and_forked() {
         let b =
             run_with_plan_resumed(&mut forked, &plan, f, cycles, SimTime::ZERO + budget).unwrap();
         assert_eq!(verdict(&chunked, a), verdict(&forked, b), "forked {plan:?}");
+    }
+}
+
+/// The SEU sweep's golden is its earliest fire cycle's prefix: it runs
+/// `run_until_cycles(f)`, snapshots, and finishes with a verdict run
+/// under the same absolute deadline. For every `f` that must report
+/// what one straight verdict run reports, on both engines, whether the
+/// budget lets the run finish or cuts it off midway.
+#[test]
+fn verdict_paused_at_any_cycle_matches_the_straight_verdict() {
+    st_conformance::witnesses!(["ST-EQ-019"]);
+    let cycles = 60;
+    for spec in [e1_spec(), pingpong_spec()] {
+        for (budget, want) in [
+            (SimDuration::us(2000), RunOutcome::Reached),
+            (max_period(&spec) * 40, RunOutcome::TimedOut),
+        ] {
+            for backend in [Backend::Event, Backend::Compiled] {
+                let make = || builder(&spec, cycles as usize, 0).build_backend(backend);
+                let mut straight = make();
+                let outcome = straight.run_to_verdict(cycles, budget).unwrap();
+                assert_eq!(outcome, want, "{backend:?} straight verdict");
+                let want = verdict(&straight, outcome);
+                for f in 1..=cycles {
+                    let mut split = make();
+                    split.run_until_cycles(f, budget).unwrap();
+                    let left = (SimTime::ZERO + budget).saturating_since(split.now());
+                    let outcome = split.run_to_verdict(cycles, left).unwrap();
+                    assert_eq!(
+                        verdict(&split, outcome),
+                        want,
+                        "{backend:?}, budget {budget:?}, paused at cycle {f}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Asserts that every variant of `report` classifies as its own
+/// straight run does, against a straight verdict-run golden.
+fn assert_sweep_matches_straight_runs(
+    spec: &SystemSpec,
+    seed: u64,
+    plans: &[FaultPlan],
+    cycles: u64,
+    budget: SimDuration,
+    report: &SeuSweepReport,
+) {
+    let make = || mixer_builder(spec, seed, cycles as usize);
+    let mut golden = make().build_backend(Backend::Compiled);
+    let reached = golden.run_to_verdict(cycles, budget).unwrap() == RunOutcome::Reached;
+    let traces: Vec<SbIoTrace> = (0..spec.sbs.len())
+        .map(|i| golden.io_trace(SbId(i)).clone())
+        .collect();
+    assert_eq!(report.runs.len(), plans.len());
+    for (i, (run, plan)) in report.runs.iter().zip(plans).enumerate() {
+        let mut sys = make()
+            .with_fault_plan(plan.clone())
+            .build_backend(Backend::Compiled);
+        let outcome = run_with_plan(&mut sys, plan, cycles, budget).unwrap();
+        assert_eq!(
+            run.outcome,
+            (sys.backend_kind(), classify(&traces, &sys, &outcome)),
+            "variant {i} of {plan:?}"
+        );
+        assert_eq!(run.violations.is_empty(), reached, "variant {i}");
+    }
+}
+
+/// `run_seu_sweep` with two fire cycles — the golden is the first's
+/// prefix, a fresh run the second's — under a budget that lets every
+/// run finish, one that times the golden out after both fire cycles
+/// (its verdict leg must keep the original deadline), and one too short
+/// for the golden to reach either: every report must match per-plan
+/// straight runs.
+#[test]
+fn seu_sweep_golden_prefix_matches_straight_runs() {
+    st_conformance::witnesses!(["ST-EQ-019"]);
+    let cycles = 60;
+    for (spec, seed) in [(e1_spec(), 5), (pingpong_spec(), 3)] {
+        let mut plans = seu_sweep_plans(&spec, 20, 6);
+        plans.extend(seu_sweep_plans(&spec, 44, 6));
+        let n = plans.len();
+        for (budget, prefixes, forked, golden_reaches) in [
+            (SimDuration::us(2000), 2, n, true),
+            (max_period(&spec) * 50, 2, n, false),
+            (max_period(&spec) * 12, 0, 0, false),
+        ] {
+            let report = run_seu_sweep(&spec, seed, &plans, cycles, budget, 1, 8);
+            assert_eq!(report.prefixes, prefixes, "budget {budget:?}");
+            assert_eq!(report.forked(), forked, "budget {budget:?}");
+            assert_eq!(report.violations().is_empty(), golden_reaches);
+            assert_sweep_matches_straight_runs(&spec, seed, &plans, cycles, budget, &report);
+        }
     }
 }
 

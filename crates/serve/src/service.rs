@@ -197,6 +197,9 @@ pub struct ServiceStats {
     pub cancelled: AtomicU64,
     /// Jobs that outlived their deadline.
     pub expired: AtomicU64,
+    /// Jobs that ran but failed: their result exceeds
+    /// [`MAX_RESULT_BYTES`].
+    pub failed: AtomicU64,
     /// TCP connections the HTTP front end has served.
     pub http_connections: AtomicU64,
     /// HTTP requests it has parsed and answered.
@@ -492,6 +495,14 @@ impl JobService {
     }
 
     fn run_job(&self, id: JobId) {
+        self.run_job_capped(id, MAX_RESULT_BYTES);
+    }
+
+    /// [`run_job`](Self::run_job) with the result-size cap as an
+    /// argument: a result over `max_result_bytes` fails the job. The
+    /// service always passes [`MAX_RESULT_BYTES`]; unit tests pass a
+    /// small cap to reach the over-cap branch.
+    fn run_job_capped(&self, id: JobId, max_result_bytes: usize) {
         let (request, cancel, deadline, key, local_only) = {
             let st = self.state.lock().unwrap();
             let e = &st.jobs[&id];
@@ -544,14 +555,15 @@ impl JobService {
         let mut st = self.state.lock().unwrap();
         let elapsed_us = started.elapsed().as_micros() as u64;
         match outcome {
-            Ok(bytes) if bytes.len() > MAX_RESULT_BYTES => {
+            Ok(bytes) if bytes.len() > max_result_bytes => {
                 if let Some(e) = st.jobs.get_mut(&id) {
                     e.status = JobStatus::Failed;
                     e.error = Some(format!(
-                        "result of {} bytes exceeds the {MAX_RESULT_BYTES}-byte cap",
+                        "result of {} bytes exceeds the {max_result_bytes}-byte cap",
                         bytes.len()
                     ));
                 }
+                self.stats.failed.fetch_add(1, Ordering::Relaxed);
             }
             Ok(bytes) => {
                 drop(st); // store I/O outside the lock
@@ -680,6 +692,7 @@ impl JobService {
              st_serve_jobs_done_total {done}\n\
              st_serve_jobs_cancelled_total {}\n\
              st_serve_jobs_expired_total {}\n\
+             st_serve_jobs_failed_total {}\n\
              st_serve_jobs_rejected_total {}\n\
              st_serve_coalesced_total {}\n\
              st_serve_served_cached_total {}\n\
@@ -706,6 +719,7 @@ impl JobService {
             r(&self.stats.submitted),
             r(&self.stats.cancelled),
             r(&self.stats.expired),
+            r(&self.stats.failed),
             r(&self.stats.rejected),
             r(&self.stats.coalesced),
             r(&self.stats.served_cached),
@@ -971,9 +985,32 @@ mod tests {
             "st_serve_job_latency_p50_us",
             "st_serve_job_latency_p99_us",
             "st_serve_batch_splits_total",
+            "st_serve_jobs_failed_total",
         ] {
             assert!(text.contains(series), "missing {series} in {text}");
         }
+    }
+
+    #[test]
+    fn over_cap_results_fail_the_job_and_count() {
+        let svc = manual_service();
+        svc.submit(req(1), None);
+        let id = svc.claim().expect("a queued job");
+        svc.run_job_capped(id, 16);
+        let (status, key, error) = svc.status(id).expect("known job");
+        assert_eq!(status, JobStatus::Failed);
+        assert!(error.is_some_and(|e| e.contains("exceeds the 16-byte cap")));
+        assert_eq!(svc.store.get(key), None, "an over-cap result is not stored");
+        assert_eq!(svc.stats.failed.load(Ordering::Relaxed), 1);
+        assert_eq!(svc.stats.done.load(Ordering::Relaxed), 0);
+        assert!(svc
+            .metrics_text()
+            .contains("st_serve_jobs_failed_total 1\n"));
+        // Under the real cap a job completes and counts as done.
+        svc.submit(req(2), None);
+        assert!(svc.step());
+        assert_eq!(svc.stats.failed.load(Ordering::Relaxed), 1);
+        assert_eq!(svc.stats.done.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -305,11 +305,11 @@ fn run_one(
 
 thread_local! {
     // One rewindable engine per sweep worker: forked variants restore
-    // the shared prefix checkpoint into it in place instead of lowering
+    // the shared prefix snapshot into it in place instead of lowering
     // a fresh engine each time. Helper threads die with their sweep;
     // only the calling thread retains its engine (a few KiB) between
     // sweeps, where a changed configuration fails the restore's hash
-    // check and the engine is rebuilt from the new blob.
+    // check and the engine is rebuilt from the new snapshot.
     static FORK_ENGINE: std::cell::RefCell<Option<AnySystem>> =
         const { std::cell::RefCell::new(None) };
 }
@@ -366,7 +366,7 @@ pub struct SeuSweepRun {
     pub plan: FaultPlan,
     /// `(engine used, classified outcome)` — compiled backend.
     pub outcome: (BackendKind, ChaosOutcome),
-    /// Whether this variant resumed from a shared prefix checkpoint
+    /// Whether this variant resumed from a shared prefix snapshot
     /// (`false` means it fell back to a full straight run).
     pub forked: bool,
     /// Oracle violations — empty on a conforming run.
@@ -383,10 +383,13 @@ pub struct SeuSweepReport {
     /// Every variant's verdict, in plan order.
     pub runs: Vec<SeuSweepRun>,
     /// Distinct first-fire cycles that earned a shared prefix
-    /// checkpoint (each cost one nominal prefix run).
+    /// snapshot. The earliest one is the golden run's own state; each
+    /// later one cost a fresh nominal prefix run.
     pub prefixes: usize,
     /// Wall-clock / throughput counters (machine-dependent; excluded
-    /// from any byte-compared artefact).
+    /// from any byte-compared artefact). `runs` counts the engine runs
+    /// that happen: one per distinct plan, the golden, and one fresh
+    /// prefix per fire cycle after the earliest.
     pub stats: CampaignStats,
 }
 
@@ -411,19 +414,21 @@ impl SeuSweepReport {
 
 /// Prefix-fork SEU sweep: runs every plan variant against one workload
 /// `(spec, seed)`, sharing the fault-free prefix below each variant's
-/// first strike cycle through engine checkpoints instead of recomputing
+/// first strike cycle through engine snapshots instead of recomputing
 /// it per variant.
 ///
 /// Determinism makes the fork *exact*, not approximate: an SEU-only
 /// plan leaves the engine configuration untouched (the flips are
 /// applied from outside by [`run_with_plan`]), so the nominal run's
 /// state at the strike cycle **is** the variant's state — resuming a
-/// checkpoint of it and continuing with
+/// snapshot of it and continuing with
 /// [`run_with_plan_resumed`] replays the exact call sequence
 /// `run_with_plan` would have made, byte for byte. Per distinct
-/// first-fire cycle `f` (with `f >= min_fork_cycle`), the sweep runs
-/// one nominal prefix to `f`, checkpoints, and forks every variant
-/// firing at `f` from that blob. Variants that are not SEU-only, fire
+/// first-fire cycle `f` (with `f >= min_fork_cycle`), the sweep takes
+/// one nominal prefix to `f`, snapshots it in process (no blob), and
+/// forks every variant firing at `f` from that state. The earliest
+/// `f`'s prefix is the golden run itself, paused at `f`; each later
+/// `f` runs a fresh prefix. Variants that are not SEU-only, fire
 /// before `min_fork_cycle`, or whose prefix failed to reach `f` fall
 /// back to a full straight run — the report is identical either way,
 /// only the cost differs.
@@ -447,22 +452,36 @@ pub fn run_seu_sweep(
 ) -> SeuSweepReport {
     let started = Instant::now();
 
-    // Golden: the unfaulted workload, for outcome classification.
-    let mut golden_sys =
-        mixer_builder(spec, seed, cycles as usize).build_backend(Backend::Compiled);
-    let golden_outcome = golden_sys
-        .run_to_verdict(cycles, budget)
-        .unwrap_or(RunOutcome::TimedOut);
-    let golden: Vec<SbIoTrace> = (0..spec.sbs.len())
-        .map(|i| golden_sys.io_trace(SbId(i)).clone())
-        .collect();
-
     // The fork cycle a plan is eligible for, if any.
     let fork_cycle = |plan: &FaultPlan| -> Option<u64> {
         plan.seu_only_first_fire()
             .map(|f| f.min(cycles))
             .filter(|&f| f >= min_fork_cycle && f > 0)
     };
+    let mut fire_cycles: Vec<u64> = plans.iter().filter_map(&fork_cycle).collect();
+    fire_cycles.sort_unstable();
+    fire_cycles.dedup();
+
+    // Golden: the unfaulted workload, for outcome classification. It
+    // is also the nominal prefix of the earliest fire cycle: it stops
+    // there, snapshots its own state as that cycle's shared prefix, and
+    // finishes its verdict run under the same absolute deadline, which
+    // gives the outcome and traces of one straight verdict run.
+    let mut golden_sys =
+        mixer_builder(spec, seed, cycles as usize).build_backend(Backend::Compiled);
+    let mut prefixes: Vec<(u64, DecodedCheckpoint)> = Vec::with_capacity(fire_cycles.len());
+    if let Some(&f) = fire_cycles.first() {
+        if let Ok(RunOutcome::Reached) = golden_sys.run_until_cycles(f, budget) {
+            prefixes.extend(golden_sys.snapshot().ok().map(|c| (f, c)));
+        }
+    }
+    let left = (SimTime::ZERO + budget).saturating_since(golden_sys.now());
+    let golden_outcome = golden_sys
+        .run_to_verdict(cycles, left)
+        .unwrap_or(RunOutcome::TimedOut);
+    let golden: Vec<SbIoTrace> = (0..spec.sbs.len())
+        .map(|i| golden_sys.io_trace(SbId(i)).clone())
+        .collect();
 
     // Collapse equal plans onto their first occurrence, in one hashed
     // pass: `distinct` holds the indices of the plans to simulate.
@@ -481,30 +500,20 @@ pub fn run_seu_sweep(
         })
         .collect();
 
-    // One shared nominal prefix checkpoint per distinct eligible
-    // first-fire cycle. A prefix that fails to reach its cycle or a
-    // configuration outside the checkpoint envelope simply yields no
-    // entry — its variants fall back to straight runs.
-    let mut fire_cycles: Vec<u64> = plans.iter().filter_map(&fork_cycle).collect();
-    fire_cycles.sort_unstable();
-    fire_cycles.dedup();
-    let prefixes: Vec<(u64, DecodedCheckpoint)> = fire_cycles
-        .into_iter()
-        .filter_map(|f| {
-            let mut sys =
-                mixer_builder(spec, seed, cycles as usize).build_backend(Backend::Compiled);
-            match sys.run_until_cycles(f, budget) {
-                // Decode once here: every variant restores from the
-                // decoded state instead of re-parsing the blob.
-                Ok(RunOutcome::Reached) => sys
-                    .checkpoint()
-                    .ok()
-                    .and_then(|c| c.decode().ok())
-                    .map(|c| (f, c)),
-                _ => None,
-            }
-        })
-        .collect();
+    // One shared nominal prefix snapshot per later distinct eligible
+    // first-fire cycle, each from its own fresh run: chunk boundaries
+    // are measured from where a run starts, so continuing one run to
+    // the next fire cycle would not stop where a straight run does. A
+    // prefix that fails to reach its cycle or a configuration outside
+    // the checkpoint envelope simply yields no entry — its variants
+    // fall back to straight runs.
+    prefixes.extend(fire_cycles.iter().skip(1).filter_map(|&f| {
+        let mut sys = mixer_builder(spec, seed, cycles as usize).build_backend(Backend::Compiled);
+        match sys.run_until_cycles(f, budget) {
+            Ok(RunOutcome::Reached) => sys.snapshot().ok().map(|c| (f, c)),
+            _ => None,
+        }
+    }));
 
     let simulated = run_jobs(&distinct, threads, |_, &index| {
         let plan = &plans[index];
@@ -617,9 +626,10 @@ pub fn run_seu_sweep(
     }
 
     let stats = CampaignStats {
-        // One attacked engine per distinct plan, plus the golden and
-        // one nominal prefix per shared checkpoint.
-        runs: distinct.len() + 1 + prefixes.len(),
+        // One attacked engine per distinct plan, plus the golden (which
+        // is the earliest fire cycle's prefix) and one fresh nominal
+        // prefix run per later fire cycle, reached or not.
+        runs: distinct.len() + 1 + fire_cycles.len().saturating_sub(1),
         threads: effective_threads(threads),
         wall_seconds: started.elapsed().as_secs_f64(),
         events_fired: 0,
@@ -708,7 +718,9 @@ mod tests {
         want[13] = Some(7);
         want[14] = Some(0);
         assert_eq!(links, want, "repeats and only repeats collapse");
-        assert_eq!(report.stats.runs, 14 + 1 + 3, "distinct, golden, prefixes");
+        // The golden is the first cohort's prefix: only the later two
+        // cohorts run a prefix of their own.
+        assert_eq!(report.stats.runs, 14 + 1 + 2, "distinct, golden, prefixes");
 
         // The collapsed, forked sweep must classify every variant
         // exactly as its own naive straight run.
@@ -740,7 +752,11 @@ mod tests {
         assert!(report.violations().is_empty(), "{:?}", report.violations());
         assert_eq!(report.prefixes, 1);
         assert_eq!(report.forked(), 24, "repeats report their first's fork");
-        assert_eq!(report.stats.runs, 14 + 1 + 1, "14 distinct faults");
+        assert_eq!(
+            report.stats.runs,
+            14 + 1,
+            "14 distinct faults and the golden"
+        );
         // Ring and target advance together on 3 rings, so each ring's
         // (side, bit) cycle repeats after 6 strikes, and a token-latch
         // flip (ring 2) has no bit: only its side varies.

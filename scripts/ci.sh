@@ -108,6 +108,23 @@ if [[ -n "$eager" ]]; then
     exit 1
 fi
 
+echo "== in-process forks take snapshots =="
+# A fork inside one process resumes from an engine's snapshot(), the
+# decoded state itself, never from checkpoint() followed by decode():
+# library code may decode a Checkpoint only in the resume constructors
+# that take a blob (unit tests excluded).
+roundtrips=$(find crates/*/src -name '*.rs' -exec awk '
+    FNR == 1 { f = "" }
+    /^#\[cfg\(test\)\]/ { nextfile }
+    /^[[:space:]]*\/\// { next }
+    /(^|[^A-Za-z0-9_])fn [a-z_0-9]+/ { match($0, /fn [a-z_0-9]+/); f = substr($0, RSTART + 3, RLENGTH - 3) }
+    /\.decode\(\)/ && f != "resume" { print FILENAME ":" FNR ": in " f ": " $0 }' {} + || true)
+if [[ -n "$roundtrips" ]]; then
+    echo "Checkpoint::decode outside a resume constructor (fork from snapshot() instead):" >&2
+    echo "$roundtrips" >&2
+    exit 1
+fi
+
 echo "== traces hash on read =="
 # Recording a trace row hashes nothing: SbIoTrace::digest folds the
 # rows when it is read, and LaneTraces folds every lane in one pass on
