@@ -16,6 +16,11 @@
 //!   moment it passes, and the job classifies as `expired`.
 //! * **Cancellation** — `/cancel/<id>` trips the same token; a still-
 //!   queued job dies without ever starting.
+//! * **Bounded memory** — the job registry holds every queued and
+//!   running job, plus the newest [`TERMINAL_WINDOW`] terminal ones with
+//!   only what `/status`, `/result` and `/witness` read. An older id
+//!   answers as unknown (HTTP 404). The per-key witness index is bounded
+//!   by the same window.
 
 use crate::hash::ContentKey;
 use crate::job::{execute, JobRequest};
@@ -136,33 +141,50 @@ impl ServiceConfig {
     }
 }
 
-struct JobEntry {
-    key: ContentKey,
+/// What only a queued or running job needs. A job drops it when it
+/// ends, so a terminal entry is small.
+struct LiveJob {
     request: Arc<JobRequest>,
-    status: JobStatus,
     cancel: CancelToken,
     deadline: Option<Instant>,
-    error: Option<String>,
-    /// The chained witness record minted when this job completed.
-    /// `None` until `Done`, and forever for cached/coalesced
-    /// registrations — only an actual execution bears witness.
-    witness: Option<WitnessRecord>,
     /// Set on jobs arriving via `/peer/execute`: this node must run
     /// the job itself, never re-forward it — the loop-prevention
     /// guarantee under transient ring disagreement.
     local_only: bool,
 }
 
+struct JobEntry {
+    key: ContentKey,
+    status: JobStatus,
+    /// `Some` exactly while the job is queued or running.
+    live: Option<LiveJob>,
+    error: Option<String>,
+    /// The chained witness record minted when this job completed.
+    /// `None` until `Done`, and forever for cached/coalesced
+    /// registrations — only an actual execution bears witness.
+    witness: Option<WitnessRecord>,
+}
+
 #[derive(Default)]
 struct QueueState {
     queue: VecDeque<JobId>,
+    /// The job registry: every queued and running job, plus the terminal
+    /// jobs named in `terminal`.
     jobs: HashMap<JobId, JobEntry>,
+    /// Terminal job ids, oldest first, at most [`TERMINAL_WINDOW`].
+    terminal: VecDeque<JobId>,
+    /// Terminal jobs dropped from the registry so far.
+    evicted: u64,
     /// In-flight (queued or running) jobs by key — the coalescing index.
     inflight: HashMap<ContentKey, JobId>,
-    /// Per key, the latest job whose completion minted a witness record
-    /// on this node. A key executed again after an eviction mints a
-    /// second record; this index points at the newer one.
-    witnessed: HashMap<ContentKey, JobId>,
+    /// Per key, the latest witness record a completion minted on this
+    /// node. A key executed again after a store eviction mints a second
+    /// record; this index holds the newer one.
+    witnessed: HashMap<ContentKey, WitnessRecord>,
+    /// `(key, record seq)` per `witnessed` write, oldest first, at most
+    /// [`TERMINAL_WINDOW`]. A key's entry goes when its newest write
+    /// leaves the window.
+    witness_order: VecDeque<(ContentKey, u64)>,
     next_id: JobId,
     /// Wall-clock microseconds of recently completed jobs, newest last,
     /// bounded to [`LATENCY_WINDOW`]; feeds the p50/p99 gauges.
@@ -176,9 +198,84 @@ impl QueueState {
         }
         self.latencies_us.push_back(us);
     }
+
+    /// Adds a job under a fresh id. `live` is `None` for a job that is
+    /// terminal on arrival (a cache hit), which enters the window now.
+    fn register(&mut self, key: ContentKey, status: JobStatus, live: Option<LiveJob>) -> JobId {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.jobs.insert(
+            id,
+            JobEntry {
+                key,
+                status,
+                live,
+                error: None,
+                witness: None,
+            },
+        );
+        if status.is_terminal() {
+            self.retire(id);
+        }
+        id
+    }
+
+    /// Ends a queued or running job: records its terminal `status`,
+    /// drops its live part and enters it into the window.
+    fn finish(
+        &mut self,
+        id: JobId,
+        status: JobStatus,
+        error: Option<String>,
+        witness: Option<WitnessRecord>,
+    ) {
+        let Some(e) = self.jobs.get_mut(&id) else {
+            return;
+        };
+        debug_assert!(status.is_terminal() && e.live.is_some());
+        e.status = status;
+        e.live = None;
+        e.error = error;
+        e.witness = witness;
+        self.retire(id);
+    }
+
+    /// The window's eviction: `id` is the newest terminal job, and the
+    /// oldest ones past [`TERMINAL_WINDOW`] leave the registry.
+    fn retire(&mut self, id: JobId) {
+        self.terminal.push_back(id);
+        while self.terminal.len() > TERMINAL_WINDOW {
+            let Some(old) = self.terminal.pop_front() else {
+                break;
+            };
+            self.jobs.remove(&old);
+            self.evicted += 1;
+        }
+    }
+
+    /// Makes `record` the latest witness of `key`, dropping the oldest
+    /// writes past [`TERMINAL_WINDOW`].
+    fn remember_witness(&mut self, key: ContentKey, record: WitnessRecord) {
+        self.witness_order.push_back((key, record.seq));
+        self.witnessed.insert(key, record);
+        while self.witness_order.len() > TERMINAL_WINDOW {
+            let Some((old, seq)) = self.witness_order.pop_front() else {
+                break;
+            };
+            // A later write of the same key is still in the window.
+            if self.witnessed.get(&old).is_some_and(|r| r.seq == seq) {
+                self.witnessed.remove(&old);
+            }
+        }
+    }
 }
 
 const LATENCY_WINDOW: usize = 512;
+
+/// How many of the most recent terminal jobs the registry keeps; ids
+/// older than that answer as unknown. The witness index keeps the same
+/// number of most recent writes.
+pub const TERMINAL_WINDOW: usize = 1024;
 
 /// Service-level counters (store counters live in [`ResultStore`]).
 #[derive(Debug, Default)]
@@ -318,8 +415,8 @@ impl JobService {
         // A store hit needs no execution at all; register a terminal
         // job so /status and /result answer uniformly by id. In a
         // cluster this also serves replica-resident entries locally.
-        if self.store.get(key).is_some() {
-            let id = Self::register(&mut st, key, request, JobStatus::Done, None, local_only);
+        if self.store.contains(key) {
+            let id = st.register(key, JobStatus::Done, None);
             self.stats.served_cached.fetch_add(1, Ordering::Relaxed);
             return Submission::Cached(id);
         }
@@ -327,15 +424,13 @@ impl JobService {
             self.stats.rejected.fetch_add(1, Ordering::Relaxed);
             return Submission::QueueFull;
         }
-        let deadline = deadline.map(|d| Instant::now() + d);
-        let id = Self::register(
-            &mut st,
-            key,
-            request,
-            JobStatus::Queued,
-            deadline,
+        let live = LiveJob {
+            request: Arc::new(request),
+            cancel: CancelToken::new(),
+            deadline: deadline.map(|d| Instant::now() + d),
             local_only,
-        );
+        };
+        let id = st.register(key, JobStatus::Queued, Some(live));
         st.queue.push_back(id);
         st.inflight.insert(key, id);
         self.stats.submitted.fetch_add(1, Ordering::Relaxed);
@@ -344,41 +439,16 @@ impl JobService {
         Submission::Queued(id)
     }
 
-    fn register(
-        st: &mut QueueState,
-        key: ContentKey,
-        request: JobRequest,
-        status: JobStatus,
-        deadline: Option<Instant>,
-        local_only: bool,
-    ) -> JobId {
-        let id = st.next_id;
-        st.next_id += 1;
-        st.jobs.insert(
-            id,
-            JobEntry {
-                key,
-                request: Arc::new(request),
-                status,
-                cancel: CancelToken::new(),
-                deadline,
-                error: None,
-                witness: None,
-                local_only,
-            },
-        );
-        id
-    }
-
     /// The job's current status, key and (for failed runs) error text.
+    /// `None` for an id never issued or evicted from the window.
     pub fn status(&self, id: JobId) -> Option<(JobStatus, ContentKey, Option<String>)> {
         let st = self.state.lock().unwrap();
         st.jobs.get(&id).map(|e| (e.status, e.key, e.error.clone()))
     }
 
     /// The witness record minted when job `id` executed to completion.
-    /// `None` for unknown jobs, unfinished jobs, and cache-served
-    /// registrations (which executed nothing).
+    /// `None` for unknown (or evicted) jobs, unfinished jobs, and
+    /// cache-served registrations (which executed nothing).
     pub fn witness(&self, id: JobId) -> Option<WitnessRecord> {
         let st = self.state.lock().unwrap();
         st.jobs.get(&id).and_then(|e| e.witness.clone())
@@ -386,11 +456,10 @@ impl JobService {
 
     /// The witness record of the latest completed execution of `key`
     /// on this node, for attaching provenance to `/peer/get` frames.
-    /// `None` when every local registration of the key was a cache hit.
+    /// `None` when every local registration of the key was a cache hit,
+    /// or when its record has left the index's window.
     pub fn witness_for_key(&self, key: ContentKey) -> Option<WitnessRecord> {
-        let st = self.state.lock().unwrap();
-        let id = st.witnessed.get(&key)?;
-        st.jobs.get(id).and_then(|e| e.witness.clone())
+        self.state.lock().unwrap().witnessed.get(&key).cloned()
     }
 
     /// Snapshot of the witness log for `/conformance`: the chain head,
@@ -419,19 +488,20 @@ impl JobService {
     /// unknown or already-terminal jobs.
     pub fn cancel(&self, id: JobId) -> bool {
         let mut st = self.state.lock().unwrap();
-        let Some(e) = st.jobs.get_mut(&id) else {
+        let Some(e) = st.jobs.get(&id) else {
             return false;
         };
-        if e.status.is_terminal() {
-            return false;
-        }
-        e.cancel.cancel();
+        let Some(live) = &e.live else {
+            return false; // terminal
+        };
+        live.cancel.cancel();
         if e.status == JobStatus::Queued {
-            e.status = JobStatus::Cancelled;
             let key = e.key;
+            st.finish(id, JobStatus::Cancelled, None, None);
             st.inflight.remove(&key);
             self.stats.cancelled.fetch_add(1, Ordering::Relaxed);
-            // The id stays in `queue`; workers skip terminal entries.
+            // The id stays in `queue`; workers skip terminal and
+            // evicted entries.
         }
         true
     }
@@ -458,7 +528,9 @@ impl JobService {
     fn claim(&self) -> Option<JobId> {
         let mut st = self.state.lock().unwrap();
         while let Some(id) = st.queue.pop_front() {
-            let e = st.jobs.get_mut(&id)?;
+            let Some(e) = st.jobs.get_mut(&id) else {
+                continue; // cancelled while queued, then evicted
+            };
             if e.status != JobStatus::Queued {
                 continue; // cancelled while queued
             }
@@ -506,12 +578,13 @@ impl JobService {
         let (request, cancel, deadline, key, local_only) = {
             let st = self.state.lock().unwrap();
             let e = &st.jobs[&id];
+            let live = e.live.as_ref().expect("a claimed job is running");
             (
-                Arc::clone(&e.request),
-                e.cancel.clone(),
-                e.deadline,
+                Arc::clone(&live.request),
+                live.cancel.clone(),
+                live.deadline,
                 e.key,
-                e.local_only,
+                live.local_only,
             )
         };
         let started = Instant::now();
@@ -556,13 +629,11 @@ impl JobService {
         let elapsed_us = started.elapsed().as_micros() as u64;
         match outcome {
             Ok(bytes) if bytes.len() > max_result_bytes => {
-                if let Some(e) = st.jobs.get_mut(&id) {
-                    e.status = JobStatus::Failed;
-                    e.error = Some(format!(
-                        "result of {} bytes exceeds the {max_result_bytes}-byte cap",
-                        bytes.len()
-                    ));
-                }
+                let error = format!(
+                    "result of {} bytes exceeds the {max_result_bytes}-byte cap",
+                    bytes.len()
+                );
+                st.finish(id, JobStatus::Failed, Some(error), None);
                 self.stats.failed.fetch_add(1, Ordering::Relaxed);
             }
             Ok(bytes) => {
@@ -581,25 +652,19 @@ impl JobService {
                     cluster.replicate(key, &bytes, Some(&record));
                 }
                 st = self.state.lock().unwrap();
-                st.witnessed.insert(key, id);
-                if let Some(e) = st.jobs.get_mut(&id) {
-                    e.status = JobStatus::Done;
-                    e.witness = Some(record);
-                }
+                st.remember_witness(key, record.clone());
+                st.finish(id, JobStatus::Done, None, Some(record));
                 st.push_latency(elapsed_us);
                 self.stats.done.fetch_add(1, Ordering::Relaxed);
             }
             Err(_) => {
-                let past_deadline = deadline.is_some_and(|d| Instant::now() >= d);
-                if let Some(e) = st.jobs.get_mut(&id) {
-                    if past_deadline {
-                        e.status = JobStatus::Expired;
-                        e.error = Some("deadline exceeded".to_owned());
-                        self.stats.expired.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        e.status = JobStatus::Cancelled;
-                        self.stats.cancelled.fetch_add(1, Ordering::Relaxed);
-                    }
+                if deadline.is_some_and(|d| Instant::now() >= d) {
+                    let error = Some("deadline exceeded".to_owned());
+                    st.finish(id, JobStatus::Expired, error, None);
+                    self.stats.expired.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    st.finish(id, JobStatus::Cancelled, None, None);
+                    self.stats.cancelled.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -627,13 +692,10 @@ impl JobService {
             log.append(&refs, key.0, result_key.0)
         });
         let mut st = self.state.lock().unwrap();
-        if record.is_some() {
-            st.witnessed.insert(key, id);
+        if let Some(record) = &record {
+            st.remember_witness(key, record.clone());
         }
-        if let Some(e) = st.jobs.get_mut(&id) {
-            e.status = JobStatus::Done;
-            e.witness = record;
-        }
+        st.finish(id, JobStatus::Done, None, record);
         st.push_latency(started.elapsed().as_micros() as u64);
         self.stats.done.fetch_add(1, Ordering::Relaxed);
         st.inflight.remove(&key);
@@ -686,8 +748,14 @@ impl JobService {
         } else {
             lanes as f64 / groups as f64
         };
+        let (depth, tracked, evicted) = {
+            let st = self.state.lock().unwrap();
+            (st.queue.len(), st.jobs.len(), st.evicted)
+        };
         let mut text = format!(
-            "st_serve_queue_depth {}\n\
+            "st_serve_queue_depth {depth}\n\
+             st_serve_jobs_tracked {tracked}\n\
+             st_serve_jobs_evicted_total {evicted}\n\
              st_serve_jobs_submitted_total {}\n\
              st_serve_jobs_done_total {done}\n\
              st_serve_jobs_cancelled_total {}\n\
@@ -715,7 +783,6 @@ impl JobService {
              st_serve_http_connections_total {}\n\
              st_serve_http_requests_total {}\n\
              st_serve_http_connections_open {}\n",
-            self.queue_depth(),
             r(&self.stats.submitted),
             r(&self.stats.cancelled),
             r(&self.stats.expired),
@@ -770,10 +837,8 @@ impl JobService {
         self.shutdown.store(true, Ordering::Release);
         {
             let st = self.state.lock().unwrap();
-            for e in st.jobs.values() {
-                if !e.status.is_terminal() {
-                    e.cancel.cancel();
-                }
+            for live in st.jobs.values().filter_map(|e| e.live.as_ref()) {
+                live.cancel.cancel();
             }
         }
         self.wake.notify_all();
@@ -986,6 +1051,8 @@ mod tests {
             "st_serve_job_latency_p99_us",
             "st_serve_batch_splits_total",
             "st_serve_jobs_failed_total",
+            "st_serve_jobs_tracked",
+            "st_serve_jobs_evicted_total",
         ] {
             assert!(text.contains(series), "missing {series} in {text}");
         }
@@ -1011,6 +1078,157 @@ mod tests {
         assert!(svc.step());
         assert_eq!(svc.stats.failed.load(Ordering::Relaxed), 1);
         assert_eq!(svc.stats.done.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn claim_skips_a_cancelled_job_evicted_from_the_window() {
+        let svc = manual_service();
+        let Submission::Queued(warm) = svc.submit(req(40), None) else {
+            panic!()
+        };
+        assert!(svc.step());
+        let Submission::Queued(cancelled) = svc.submit(req(41), None) else {
+            panic!()
+        };
+        let Submission::Queued(next) = svc.submit(req(42), None) else {
+            panic!()
+        };
+        assert!(svc.cancel(cancelled));
+        // Cache hits are terminal on arrival: a window of them pushes
+        // out the warm-up job and the cancelled one, still queued.
+        for _ in 0..TERMINAL_WINDOW {
+            assert!(matches!(svc.submit(req(40), None), Submission::Cached(_)));
+        }
+        assert_eq!(svc.status(warm), None);
+        assert_eq!(svc.status(cancelled), None);
+        assert_eq!(svc.queue_depth(), 2, "the evicted id is still queued");
+        assert!(svc.step(), "the job queued behind it runs");
+        assert_eq!(svc.status(next).unwrap().0, JobStatus::Done);
+        assert!(!svc.step());
+    }
+
+    #[test]
+    fn witness_index_keeps_a_rewritten_key_until_its_newest_write_leaves() {
+        let mut st = QueueState::default();
+        let key = |n: u64| ContentKey::of(&n.to_le_bytes());
+        let mut seq = 0;
+        let mut write = |st: &mut QueueState, k: ContentKey| {
+            let record = WitnessRecord {
+                seq,
+                ids: Vec::new(),
+                config: k.0,
+                result: [0; 16],
+                prev: 0,
+                chain: seq,
+            };
+            seq += 1;
+            st.remember_witness(k, record);
+        };
+        write(&mut st, key(0));
+        for n in 1..TERMINAL_WINDOW as u64 {
+            write(&mut st, key(n));
+        }
+        write(&mut st, key(0)); // rewrite; the window is full
+        write(&mut st, key(1 << 20)); // pops the stale first write of key 0
+        assert_eq!(st.witnessed.len(), TERMINAL_WINDOW);
+        assert_eq!(st.witnessed[&key(0)].seq, TERMINAL_WINDOW as u64);
+        assert!(
+            !st.witnessed.contains_key(&key(1)),
+            "the oldest live write left"
+        );
+        for n in 2..=TERMINAL_WINDOW as u64 {
+            write(&mut st, key(1 << 21 | n));
+        }
+        assert!(
+            !st.witnessed.contains_key(&key(0)),
+            "its newest write left too"
+        );
+        assert_eq!(st.witness_order.len(), TERMINAL_WINDOW);
+    }
+
+    #[test]
+    fn soak_holds_the_registry_and_witness_index_to_their_caps() {
+        let cfg = ServiceConfig {
+            workers: 0,
+            queue_cap: 4,
+            cache_entries: 16,
+            ..ServiceConfig::default()
+        };
+        let svc = JobService::start(cfg.clone());
+        // 100,000 submits: nearly all re-submit one of 8 warm keys, 1 in
+        // 50 is a fresh job that runs, and 1 in 50 a fresh job cancelled
+        // while queued (every other one left in the queue for the next
+        // step to skip). 1 in 1,000 revisits one of 3 keys; the fresh
+        // jobs between two visits overflow the 16-entry store, so every
+        // revisit executes again and mints a newer record.
+        const SUBMITS: u64 = 100_000;
+        let mut fresh = 1_000;
+        let mut reruns = 0;
+        let mut last_run = None;
+        let mut executed_first = None;
+        for i in 0..SUBMITS {
+            let seed = match i % 50 {
+                0 | 25 => {
+                    fresh += 1;
+                    fresh
+                }
+                _ if i % 1000 == 10 => 900 + (i / 1000) % 3,
+                _ => i % 8,
+            };
+            match svc.submit(req(seed), None) {
+                Submission::Cached(_) => {}
+                Submission::Queued(id) if i % 50 == 25 => {
+                    assert!(svc.cancel(id));
+                    // Every other one is left queued: the next step
+                    // pops and skips it.
+                    if i % 100 == 75 {
+                        assert!(!svc.step(), "a cancelled job never runs");
+                    }
+                }
+                Submission::Queued(id) => {
+                    assert!(svc.step());
+                    let record = svc.witness(id).expect("an execution mints a record");
+                    let key = ContentKey::of(&req(seed).to_canonical_bytes());
+                    assert_eq!(svc.witness_for_key(key), Some(record));
+                    reruns += u64::from((900..903).contains(&seed));
+                    executed_first.get_or_insert((id, key));
+                    last_run = Some((id, key));
+                }
+                other => panic!("submit {i} was {other:?}"),
+            }
+            let st = svc.state.lock().unwrap();
+            assert!(st.terminal.len() <= TERMINAL_WINDOW);
+            assert!(st.jobs.len() <= TERMINAL_WINDOW + cfg.queue_cap);
+            assert!(st.witnessed.len() <= TERMINAL_WINDOW);
+            assert!(st.witness_order.len() <= TERMINAL_WINDOW);
+        }
+        assert_eq!(reruns, SUBMITS / 1000, "every revisit executed");
+        // Every job ended in id order, so exactly the newest window of
+        // ids answers.
+        let last = svc.state.lock().unwrap().next_id - 1;
+        assert_eq!(last + 1, SUBMITS);
+        for id in 0..=last {
+            let kept = id + TERMINAL_WINDOW as u64 > last;
+            assert_eq!(svc.status(id).is_some(), kept, "job {id}");
+            if !kept {
+                assert_eq!(svc.result(id), None);
+                assert_eq!(svc.witness(id), None);
+            }
+        }
+        let (first_id, first_key) = executed_first.unwrap();
+        assert_eq!(svc.status(first_id), None);
+        assert_eq!(
+            svc.witness_for_key(first_key),
+            None,
+            "left the index's window"
+        );
+        let (id, key) = last_run.unwrap();
+        assert!(svc.result(id).is_some());
+        assert_eq!(svc.witness_for_key(key), svc.witness(id));
+        let text = svc.metrics_text();
+        let evicted = SUBMITS - TERMINAL_WINDOW as u64;
+        assert!(text.contains(&format!("st_serve_jobs_tracked {TERMINAL_WINDOW}\n")));
+        assert!(text.contains(&format!("st_serve_jobs_evicted_total {evicted}\n")));
     }
 
     #[test]

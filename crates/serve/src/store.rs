@@ -103,18 +103,31 @@ impl ResultStore {
     /// Looks `key` up: memory first, then disk (promoting a disk hit
     /// into memory). `None` means compute-and-[`put`](Self::put).
     pub fn get(&self, key: ContentKey) -> Option<Vec<u8>> {
+        self.lookup(key, <[u8]>::to_vec)
+    }
+
+    /// Whether `key` is stored. The same lookup as [`get`](Self::get),
+    /// minus the copy of the bytes: it touches the LRU, promotes a disk
+    /// hit into memory and counts a hit or a miss exactly as `get` does.
+    pub fn contains(&self, key: ContentKey) -> bool {
+        self.lookup(key, |_| ()).is_some()
+    }
+
+    /// The one lookup path: `read` sees the bytes of a hit.
+    fn lookup<T>(&self, key: ContentKey, read: impl FnOnce(&[u8]) -> T) -> Option<T> {
         {
             let mut mem = self.mem.lock().unwrap();
             if let Some(e) = mem.get_mut(&key) {
                 e.last_used = self.clock.fetch_add(1, Ordering::Relaxed);
                 self.stats.mem_hits.fetch_add(1, Ordering::Relaxed);
-                return Some(e.bytes.clone());
+                return Some(read(&e.bytes));
             }
         }
         if let Some(bytes) = self.read_disk(key) {
             self.stats.disk_hits.fetch_add(1, Ordering::Relaxed);
-            self.insert_mem(key, bytes.clone());
-            return Some(bytes);
+            let out = read(&bytes);
+            self.insert_mem(key, bytes);
+            return Some(out);
         }
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
         None
@@ -279,6 +292,50 @@ mod tests {
         assert_eq!(store.get(key(3)), Some(vec![3]));
         assert_eq!(store.stats.evictions.load(Ordering::Relaxed), 1);
         assert_eq!(store.stats.misses.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn contains_counts_touches_and_promotes_like_get() {
+        // Drive two stores through the same lookups, one with `get` and
+        // one with `contains`: the counters, the LRU victim and the
+        // disk promotion must agree.
+        type Seen = ([bool; 4], [u64; 4], Vec<ContentKey>);
+        fn drive(tag: &str, found: fn(&ResultStore, ContentKey) -> bool) -> Seen {
+            let dir = tempdir(tag);
+            let store = ResultStore::with_dir(2, &dir);
+            store.put(key(1), vec![1]);
+            store.put(key(2), vec![2]);
+            store.put(key(3), vec![3]); // evicts key 1 from memory
+            let hits = [
+                found(&store, key(2)), // memory hit; key 3 is now the LRU
+                found(&store, key(1)), // disk hit, promoted; evicts key 3
+                found(&store, key(9)), // miss
+                found(&store, key(1)), // memory hit after the promotion
+            ];
+            let s = &store.stats;
+            let r = |a: &AtomicU64| a.load(Ordering::Relaxed);
+            let mut resident = store.mem_keys();
+            resident.sort_by_key(|k| k.0);
+            let _ = fs::remove_dir_all(&dir);
+            (
+                hits,
+                [
+                    r(&s.mem_hits),
+                    r(&s.disk_hits),
+                    r(&s.misses),
+                    r(&s.evictions),
+                ],
+                resident,
+            )
+        }
+        let seen = [
+            drive("probe-get", |s, k| s.get(k).is_some()),
+            drive("probe-contains", ResultStore::contains),
+        ];
+        assert_eq!(seen[0], seen[1]);
+        let mut resident = vec![key(1), key(2)];
+        resident.sort_by_key(|k| k.0);
+        assert_eq!(seen[0], ([true, true, false, true], [2, 1, 1, 2], resident));
     }
 
     #[test]

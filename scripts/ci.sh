@@ -165,6 +165,24 @@ if [[ $(grep -c . <<<"$passes") -gt 1 || -n "$copies" ]]; then
     exit 1
 fi
 
+echo "== one job registry =="
+# st-serve's job table is bounded: a job enters it only through
+# QueueState::register, and leaves it only through the terminal
+# window's eviction in QueueState::retire (unit tests excluded).
+registry=$(find crates/serve/src -name '*.rs' -exec awk '
+    FNR == 1 { f = "" }
+    /^#\[cfg\(test\)\]/ { nextfile }
+    /^[[:space:]]*\/\// { next }
+    /(^|[^A-Za-z0-9_])fn [a-z_0-9]+/ { match($0, /fn [a-z_0-9]+/); f = substr($0, RSTART + 3, RLENGTH - 3) }
+    /jobs\.insert\(/ && f != "register" { print FILENAME ":" FNR ": in " f ": " $0 }
+    /jobs\.remove\(/ && f != "retire" { print FILENAME ":" FNR ": in " f ": " $0 }' {} + || true)
+evictions=$(grep -c 'jobs\.remove(' crates/serve/src/service.rs || true)
+if [[ -n "$registry" || "$evictions" -eq 0 ]]; then
+    echo "job table written outside QueueState::register / QueueState::retire, or no eviction at all:" >&2
+    echo "$registry" >&2
+    exit 1
+fi
+
 echo "== library code forbids unsafe =="
 # Every library crate root carries #![forbid(unsafe_code)], so no
 # library source can use `unsafe`; test crates (the counting
