@@ -58,12 +58,18 @@
 //!   SB: each row's shape once and every lane's words in one column.
 //!   Recording hashes nothing; the first digest read folds every lane
 //!   in one pass, and a lane's `SbIoTrace` is built only when read.
-//!   The only way lane data can steer control flow is a logic's send
-//!   decision on a rising edge, so a lanes group partitions its lanes
-//!   by send pattern there and, on a disagreement, **splits**: control
-//!   state is cloned per partition, the columns are dealt out and the
-//!   trace columns selected. A split lane's control state *is* its
-//!   scalar state, so it stays byte-identical.
+//!   A rising edge runs on columns too: each popped input's head
+//!   column is resolved once, each lane's tick moves the words it sent
+//!   into output-major word columns and sets its send mask (a bit per
+//!   output), and the trace row and push payloads are copied from those
+//!   columns, corrupted once per column on a violated edge. A push
+//!   column a FIFO drops is reused for a later payload. The only way
+//!   lane data can steer control flow is a logic's send decision, so
+//!   the lanes agree iff their send masks equal lane 0's; otherwise the
+//!   group **splits** by mask: control state is cloned per partition,
+//!   the columns are dealt out and the trace columns selected. A split
+//!   lane's control state *is* its scalar state, so it stays
+//!   byte-identical.
 //!
 //! Both instantiations run the same lowering, dispatch loop, event
 //! handlers, FIFO cascade and checkpoint dump; the plane only supplies
@@ -216,6 +222,8 @@ pub trait Plane: Sized {
     /// group when the lanes disagree and `g` splits (the split-off
     /// groups go to `splits`).
     fn tick(g: &mut Group<Self>, sbi: usize, violated: bool, splits: &mut Vec<Group<Self>>);
+    /// Takes back a push column a FIFO no longer holds.
+    fn recycle(_scratch: &mut Self::Scratch, _words: Self::Col<u64>) {}
 }
 
 /// The one-lane data plane of [`CompiledSystem`](crate::CompiledSystem).
@@ -362,7 +370,7 @@ impl<P: Plane, F> Port<'_, P, F> {
     }
 }
 
-impl<P: Plane, F: Fn(usize, u64) -> P::Col<u64>> EdgePort for Port<'_, P, F> {
+impl<P: Plane, F: FnMut(usize, u64) -> P::Col<u64>> EdgePort for Port<'_, P, F> {
     /// A popped view carries lane slot 0's word; other lanes' ticks
     /// patch their own in.
     fn head(&mut self, _i: usize, ch: ChannelId) -> Option<u64> {
@@ -952,11 +960,12 @@ impl<P: Plane> Group<P> {
         }
         if f.occ & 1 != 0 {
             f.overruns += 1;
+            P::recycle(&mut self.scratch, words);
             return;
         }
         f.occ |= 1;
-        f.words[0] = words;
         f.pushes += 1;
+        P::recycle(&mut self.scratch, mem::replace(&mut f.words[0], words));
         if f.depth > 1 {
             self.follow_up(chi, 0);
         }
@@ -1027,7 +1036,7 @@ impl<P: Plane> Group<P> {
         &mut self,
         sbi: usize,
         violated: bool,
-        payload: impl Fn(usize, u64) -> P::Col<u64>,
+        payload: impl FnMut(usize, u64) -> P::Col<u64>,
     ) {
         let (core, injector, mut port) = self.port(sbi, payload);
         core.post_tick(violated, &mut port, injector);
@@ -1286,96 +1295,102 @@ impl Plane for Scalar {
 impl Plane for Lanes {
     type Col<T> = Box<[T]>;
     type Traces = LaneTraces;
-    /// Lane-major output words of the edge: lane `slot`'s row is
-    /// `out[slot * n_out..][..n_out]`.
-    type Scratch = Vec<Option<u64>>;
+    type Scratch = LaneEdge;
 
-    /// Ticks every lane against its own data columns (views and slots
-    /// are built once per edge; per lane only the popped input words
-    /// and the output words change), then compares the lanes' send
-    /// patterns: which outputs each lane wrote. `can_send` is shared
-    /// control (a logic sets only `word`, through `SbIo::send`), so two
-    /// lanes agree iff their output rows hold words in the same places.
-    /// Identical patterns keep the lockstep; otherwise the group splits
-    /// by pattern first. Either way each group then records the edge's
-    /// trace row under its own (uniform) pattern and finishes the edge.
+    /// Ticks every lane into the edge's [`LaneEdge`] columns. A logic
+    /// sets only `word` (`can_send` is shared control), so the lanes
+    /// agree iff their send masks do: masks equal to lane 0's keep the
+    /// lockstep, others split the group by mask, each partition taking
+    /// its lanes' columns. Each group then finishes the edge.
     fn tick(g: &mut Group<Lanes>, sbi: usize, violated: bool, splits: &mut Vec<Group<Lanes>>) {
-        let nl = g.ids.len();
-        let mut out = mem::take(&mut g.scratch);
+        let mut e = mem::take(&mut g.scratch);
         let (core, logics) = (&mut g.sbs[sbi].core, &mut g.logics[sbi]);
-        let n_out = core.outputs.len();
-        out.clear();
-        out.resize(nl * n_out, None);
+        let (nl, n_out) = (logics.len(), core.slots.len());
+        let mw = n_out.div_ceil(64).max(1);
+        e.heads.clear();
+        for (&(ch, _), view) in core.inputs.iter().zip(&core.views) {
+            if view.data.is_some() {
+                let f = &g.fifos[ch.0];
+                e.heads.extend_from_slice(&f.words[(f.depth - 1) as usize]);
+            }
+        }
+        e.words.resize(n_out * nl, 0);
+        e.masks.resize(mw * nl, 0);
+        let mut differ = 0;
+        for (slot, logic) in logics.iter_mut().enumerate() {
+            let mut at = slot;
+            for view in core.views.iter_mut().filter(|v| v.data.is_some()) {
+                view.data = Some(e.heads[at]);
+                at += nl;
+            }
+            logic.tick(core.cycle, &mut SbIo::new(&core.views, &mut core.slots));
+            for c in 0..mw {
+                let mut bits = 0;
+                for (b, o) in core.slots[c * 64..].iter_mut().take(64).enumerate() {
+                    if let Some(w) = o.word.take() {
+                        e.words[(c * 64 + b) * nl + slot] = w;
+                        bits |= 1 << b;
+                    }
+                }
+                e.masks[c * nl + slot] = bits;
+                differ |= bits ^ e.masks[c * nl];
+            }
+        }
+        if violated {
+            e.words.iter_mut().for_each(|w| *w = corrupt(*w, true));
+        }
+        if differ == 0 {
+            g.scratch = e;
+            return g.finish_edge(sbi, violated);
+        }
+        // Split: partition lane slots by mask, in first-appearance
+        // order (deterministic in lane order).
+        let masks = e.masks.chunks_exact(nl);
+        let same = |a: usize, b: usize| masks.clone().all(|m| m[a] == m[b]);
+        let mut parts: Vec<Vec<usize>> = Vec::new();
         for slot in 0..nl {
-            // A popped input's view carries a word on every lane.
-            for (&(ch, _), view) in core.inputs.iter().zip(&mut core.views) {
-                if view.data.is_some() {
-                    let f = &g.fifos[ch.0];
-                    view.data = Some(f.words[(f.depth - 1) as usize][slot]);
-                }
-            }
-            for o in &mut core.slots {
-                o.word = None;
-            }
-            logics[slot].tick(core.cycle, &mut SbIo::new(&core.views, &mut core.slots));
-            for (k, o) in core.slots.iter().enumerate() {
-                out[slot * n_out + k] = o.word;
+            match parts.iter_mut().find(|p| same(p[0], slot)) {
+                Some(p) => p.push(slot),
+                None => parts.push(vec![slot]),
             }
         }
-        let row = |slot: usize| &out[slot * n_out..][..n_out];
-        let agree = |a: usize, b: usize| {
-            row(a)
-                .iter()
-                .zip(row(b))
-                .all(|(x, y)| x.is_some() == y.is_some())
-        };
-        if (1..nl).all(|slot| agree(0, slot)) {
-            // The slots still hold the last lane's, i.e. every lane's,
-            // pattern.
-            g.record_row(sbi, violated, &out, 0..nl);
-            g.post_tick(sbi, violated, |k, _| {
-                lane_words(&out, n_out, 0..nl, k, violated)
-            });
-        } else {
-            // Split: partition lane slots by pattern, in first-appearance
-            // order (deterministic in lane order).
-            let mut parts: Vec<Vec<usize>> = Vec::new();
-            for slot in 0..nl {
-                match parts.iter_mut().find(|p| agree(p[0], slot)) {
-                    Some(p) => p.push(slot),
-                    None => parts.push(vec![slot]),
+        let mut children = g.partition_into(&parts);
+        let groups = std::iter::once(&mut *g).chain(children.iter_mut());
+        for (group, part) in groups.zip(&parts) {
+            let gather = |to: &mut Vec<u64>, from: &[u64]| {
+                for cell in from.chunks_exact(nl) {
+                    to.extend(part.iter().map(|&s| cell[s]));
                 }
-            }
-            let mut children = g.partition_into(&parts);
-            let groups = std::iter::once(&mut *g).chain(children.iter_mut());
-            for (group, part) in groups.zip(&parts) {
-                let slots = &mut group.sbs[sbi].core.slots;
-                for (o, w) in slots.iter_mut().zip(row(part[0])) {
-                    o.word = w.map(|_| 0);
-                }
-                let part = part.iter().copied();
-                group.record_row(sbi, violated, &out, part.clone());
-                group.post_tick(sbi, violated, |k, _| {
-                    lane_words(&out, n_out, part.clone(), k, violated)
-                });
-            }
-            splits.extend(children);
+            };
+            let sub = &mut group.scratch;
+            gather(&mut sub.heads, &e.heads);
+            gather(&mut sub.words, &e.words);
+            gather(&mut sub.masks, &e.masks);
+            group.finish_edge(sbi, violated);
         }
-        g.scratch = out;
+        splits.extend(children);
+    }
+
+    fn recycle(scratch: &mut LaneEdge, words: Box<[u64]>) {
+        scratch.free.push(words);
     }
 }
 
-/// Output `k`'s words, as transmitted, of the lane slots `part` in the
-/// lane-major edge outputs `out`.
-fn lane_words(
-    out: &[Option<u64>],
-    n_out: usize,
-    part: impl Iterator<Item = usize>,
-    k: usize,
-    violated: bool,
-) -> Box<[u64]> {
-    part.map(|slot| corrupt(out[slot * n_out + k].expect("pattern bit set"), violated))
-        .collect()
+/// One rising edge of a lanes group in columns of one word per lane
+/// slot, reused across edges. With `nl` lanes, column `i` of a buffer
+/// is `buf[i * nl..][..nl]`.
+#[derive(Default)]
+pub(crate) struct LaneEdge {
+    /// The popped inputs' head words, one column per popped input.
+    heads: Vec<u64>,
+    /// Output-major words as transmitted, one column per output,
+    /// meaningful where the lane's mask is set.
+    words: Vec<u64>,
+    /// Send masks, `n_out.div_ceil(64)` (at least one) columns: bit
+    /// `k % 64` of column `k / 64` is set where the lane wrote output `k`.
+    masks: Vec<u64>,
+    /// Push columns FIFOs gave back, refilled for the next payloads.
+    free: Vec<Box<[u64]>>,
 }
 
 impl Group<Lanes> {
@@ -1384,34 +1399,28 @@ impl Group<Lanes> {
         &self.ids
     }
 
-    /// Records SB `sbi`'s trace row of this edge under the send pattern
-    /// the group's slots hold: popped inputs present the head words of
-    /// their FIFOs, and output `k`'s transmitted words come from the
-    /// lane-major edge outputs `out` of the original lane slots `part`.
-    fn record_row(
-        &mut self,
-        sbi: usize,
-        violated: bool,
-        out: &[Option<u64>],
-        part: impl Iterator<Item = usize> + Clone,
-    ) {
-        let (core, fifos) = (&self.sbs[sbi].core, &self.fifos);
-        let n_out = core.outputs.len();
-        let reads = core.inputs.iter().zip(&core.views).map(|(&(ch, _), view)| {
-            view.data.map(|_| {
-                let f = &fifos[ch.0];
-                f.words[(f.depth - 1) as usize].iter().copied()
-            })
-        });
-        let writes = core.slots.iter().enumerate().map(|(k, o)| {
-            let part = part.clone();
-            (o.can_send && o.word.is_some()).then(move || {
-                part.map(move |slot| {
-                    corrupt(out[slot * n_out + k].expect("pattern bit set"), violated)
-                })
-            })
-        });
+    /// Finishes SB `sbi`'s edge from the group's edge columns, under
+    /// lane 0's send pattern, which every lane of the group shares:
+    /// records the trace row, then runs steps 5–8, each transmitted
+    /// output's push payload a recycled copy of its column.
+    fn finish_edge(&mut self, sbi: usize, violated: bool) {
+        let nl = self.ids.len();
+        let (core, mut edge) = (&mut self.sbs[sbi].core, mem::take(&mut self.scratch));
+        for (k, o) in core.slots.iter_mut().enumerate() {
+            o.word = (edge.masks[k / 64 * nl] >> (k % 64) & 1 != 0).then_some(0);
+        }
+        let mut heads = edge.heads.chunks_exact(nl);
+        let reads = (core.views.iter()).map(|v| v.data.and_then(|_| heads.next()));
+        let writes = (core.slots.iter().zip(edge.words.chunks_exact(nl)))
+            .map(|(o, col)| (o.can_send && o.word.is_some()).then_some(col));
         self.traces[sbi].record(core.cycle, reads, writes);
+        let LaneEdge { words, free, .. } = &mut edge;
+        self.post_tick(sbi, violated, |k, _| {
+            let mut b = free.pop().unwrap_or_else(|| vec![0; nl].into());
+            b.copy_from_slice(&words[k * nl..][..nl]);
+            b
+        });
+        self.scratch = edge;
     }
 
     /// Splits this group's lanes along `parts` (disjoint slot sets in
@@ -1426,13 +1435,10 @@ impl Group<Lanes> {
         /// Moves a column's lanes out, one column per part.
         fn deal<T>(col: Box<[T]>, parts: &[Vec<usize>]) -> std::vec::IntoIter<Box<[T]>> {
             let mut pool: Vec<Option<T>> = col.into_vec().into_iter().map(Some).collect();
+            let mut take = |&s: &usize| pool[s].take().expect("slot dealt once");
             let dealt: Vec<Box<[T]>> = parts
                 .iter()
-                .map(|p| {
-                    p.iter()
-                        .map(|&s| pool[s].take().expect("slot dealt once"))
-                        .collect()
-                })
+                .map(|p| p.iter().map(&mut take).collect())
                 .collect();
             dealt.into_iter()
         }
@@ -1464,16 +1470,9 @@ impl Group<Lanes> {
                         .fifos
                         .iter()
                         .map(|f| FifoState {
-                            occ: f.occ,
                             words: f.words.iter().map(|w| gather(w)).collect(),
-                            depth: f.depth,
-                            stage_delay: f.stage_delay,
-                            virtualized: f.virtualized,
                             pending: f.pending.clone(),
-                            pushes: f.pushes,
-                            pops: f.pops,
-                            overruns: f.overruns,
-                            underruns: f.underruns,
+                            ..*f
                         })
                         .collect(),
                     queue: queue.map(|kind| match kind {
@@ -1488,7 +1487,7 @@ impl Group<Lanes> {
                     events: self.events,
                     jitter: None,
                     injector: None,
-                    scratch: Vec::new(),
+                    scratch: LaneEdge::default(),
                 }
             })
             .collect();

@@ -479,17 +479,14 @@ impl LaneTraces {
     }
 
     /// Appends the row of local cycle `cycle` if the limit allows: per
-    /// input, then per output, `None` for nothing or every lane's word
-    /// in lane order.
-    pub(crate) fn record<R, W>(
+    /// input, then per output, `None` for nothing or the column of
+    /// every lane's word in lane order.
+    pub(crate) fn record<'a>(
         &mut self,
         cycle: u64,
-        reads: impl IntoIterator<Item = Option<R>>,
-        writes: impl IntoIterator<Item = Option<W>>,
-    ) where
-        R: IntoIterator<Item = u64>,
-        W: IntoIterator<Item = u64>,
-    {
+        reads: impl IntoIterator<Item = Option<&'a [u64]>>,
+        writes: impl IntoIterator<Item = Option<&'a [u64]>>,
+    ) {
         if self.is_full() {
             return;
         }
@@ -511,11 +508,8 @@ impl LaneTraces {
             mask[bit / 64] |= u64::from(present) << (bit % 64);
             bit += 1;
         };
-        for cell in reads {
-            mark(cell.map(|lane_words| words.extend(lane_words)).is_some());
-        }
-        for cell in writes {
-            mark(cell.map(|lane_words| words.extend(lane_words)).is_some());
+        for cell in reads.into_iter().chain(writes) {
+            mark(cell.map(|column| words.extend_from_slice(column)).is_some());
         }
         debug_assert_eq!(bit, self.reads + self.writes);
         debug_assert_eq!(self.words.len() % self.lanes, 0, "a word per lane");
@@ -740,13 +734,15 @@ mod tests {
                 let x = st_sim::hash::mix64(cycle * 131 + i as u64);
                 (!x.is_multiple_of(3)).then_some(x)
             };
-            let lane_cells = |range: std::ops::Range<usize>| {
-                range.map(move |i| cell(i).map(|w| (0..LANES as u64).map(move |l| w + l)))
+            let lane_cells = |range: std::ops::Range<usize>| -> Vec<Option<Vec<u64>>> {
+                let column = |w| (0..LANES as u64).map(|l| w + l).collect();
+                range.map(|i| cell(i).map(column)).collect()
             };
+            let (r, w) = (lane_cells(0..reads), lane_cells(reads..reads + writes));
             store.record(
                 cycle + 7,
-                lane_cells(0..reads),
-                lane_cells(reads..reads + writes),
+                r.iter().map(Option::as_deref),
+                w.iter().map(Option::as_deref),
             );
             for (l, t) in refs.iter_mut().enumerate() {
                 let word = |i| cell(i).map(|w| w + l as u64);

@@ -24,7 +24,8 @@ use st_testkit::prop::prelude::*;
 use synchro_tokens::logic::SbIo;
 use synchro_tokens::prelude::*;
 use synchro_tokens::scenarios::{
-    e1_spec_uncalibrated, matched_ring_recycles, pingpong_spec, producer_consumer_spec, MixerLogic,
+    e1_spec, e1_spec_uncalibrated, matched_ring_recycles, pingpong_spec, producer_consumer_spec,
+    MixerLogic,
 };
 use synchro_tokens::spec::NodeParams;
 
@@ -123,13 +124,14 @@ impl SyncLogic for GatedMixer {
     }
 }
 
-/// A source on an SB with more than 32 outputs: it writes a word on
-/// every output each cycle (regardless of `can_send`), except that the
-/// outputs from 32 up are gated by bit `cycle % 64` of `gates`. Lanes
-/// with different gate words therefore disagree only on those high
-/// outputs.
+/// A source on an SB with more than `shared` outputs: it writes a word
+/// on every output each cycle (regardless of `can_send`), except that
+/// the outputs from `shared` up are gated by bit `cycle % 64` of
+/// `gates`. Lanes with different gate words therefore disagree only on
+/// those high outputs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct WideSource {
+    shared: usize,
     gates: u64,
     next: u64,
 }
@@ -137,7 +139,7 @@ struct WideSource {
 impl SyncLogic for WideSource {
     fn tick(&mut self, cycle: u64, io: &mut SbIo<'_>) {
         for k in 0..io.num_outputs() {
-            if k < 32 || (self.gates >> (cycle % 64)) & 1 == 1 {
+            if k < self.shared || (self.gates >> (cycle % 64)) & 1 == 1 {
                 io.send(k, self.next);
                 self.next = self.next.wrapping_add(1);
             }
@@ -446,35 +448,169 @@ fn tied_rising_edges_batch_equivalently() {
     }
 }
 
-// --- divergence splits ---------------------------------------------------
+/// The words of output `k` of `sb` still on the wire in `sys`: sent
+/// (its trace must hold every cycle run) but not yet arrived at the
+/// channel's FIFO.
+fn pushes_in_flight(sys: &AnySystem, sb: SbId, k: usize) -> u64 {
+    let (ch, _) = sys.spec().outputs_of(sb).nth(k).expect("output k");
+    let sent = sys.io_trace(sb).output_words(k).len() as u64;
+    let (pushes, _, overruns, _) = sys.fifo_stats(ch);
+    sent - pushes - overruns
+}
 
 #[test]
-fn forty_output_sb_batches_and_splits_on_its_high_outputs() {
+fn shmoo_wide_group_with_a_violated_beta_matches_scalar_runs() {
+    // The section 4.2 shmoo's failing cell: beta clocked at 5 ns across
+    // an injected 6 ns critical path, so its back-to-back edges
+    // transmit corrupted words, in a full 64-lane word of seeds.
+    const LANES: u64 = 64;
+    const CYCLES: u64 = 60;
+    let (beta, ns) = (SbId(1), SimDuration::ns);
+    let mut spec = e1_spec();
+    spec.sbs[beta.0].logic_delay = ns(6);
+    spec.sbs[beta.0].period = ns(5);
+    let make = |seed: u64| {
+        let mut b = SystemBuilder::new(spec.clone())
+            .expect("spec must validate")
+            .with_seed(seed)
+            .with_trace_limit(CYCLES as usize);
+        for i in 0..spec.sbs.len() {
+            b = b.with_logic(SbId(i), MixerLogic::new(seed ^ (0x1000 * i as u64)));
+        }
+        b
+    };
+    // A time-capped run stops right after the deadline's events, so a
+    // deadline on one of beta's transmitting edges leaves that edge's
+    // pushes on the wire at the boundary.
+    let mut probe = make(0).build_backend(Backend::Compiled);
+    probe.run_until_cycles(CYCLES, MAX_TIME).expect("probe run");
+    let sending = (probe.io_trace(beta).iter())
+        .find(|r| r.cycle >= CYCLES / 3 && r.writes.iter().any(Option::is_some))
+        .expect("beta transmits");
+    let cut = probe.edge_times(beta)[sending.cycle as usize].since(SimTime::ZERO);
+
+    let mut batch = BatchedSystem::build((0..LANES).map(make).collect())
+        .unwrap_or_else(|_| panic!("E1 is inside the batched envelope"));
+    let mut scalars: Vec<AnySystem> = (0..LANES)
+        .map(|seed| make(seed).build_backend(Backend::Compiled))
+        .collect();
+    let outcomes = batch.run_until_cycles(CYCLES, cut);
+    for (lane, cc) in scalars.iter_mut().enumerate() {
+        assert_eq!(cc.backend_kind(), BackendKind::Compiled);
+        let oc = cc.run_until_cycles(CYCLES, cut).expect("compiled run");
+        assert_eq!(oc, RunOutcome::TimedOut, "lane {lane} stops at the cut");
+        assert_eq!(outcomes[lane], oc, "outcome of lane {lane} at the cut");
+        let in_flight: u64 = (0..2).map(|k| pushes_in_flight(cc, beta, k)).sum();
+        assert!(in_flight > 0, "lane {lane}: beta's pushes are on the wire");
+        assert_eq!(
+            batch
+                .checkpoint(lane)
+                .expect("lane checkpoint")
+                .to_canonical_bytes(),
+            cc.checkpoint()
+                .expect("scalar checkpoint")
+                .to_canonical_bytes(),
+            "checkpoint of lane {lane} with pushes in flight"
+        );
+    }
+
+    let outcomes = batch.run_until_cycles(CYCLES, MAX_TIME);
+    assert_eq!(batch.group_count(), 1, "data-only differences never split");
+    for (lane, cc) in scalars.iter_mut().enumerate() {
+        let oc = cc.run_until_cycles(CYCLES, MAX_TIME).expect("compiled run");
+        assert_eq!(outcomes[lane], oc, "outcome of lane {lane}");
+        assert_eq!(
+            batch.events_processed(lane),
+            cc.events_fired(),
+            "event count of lane {lane}"
+        );
+        for i in 0..spec.sbs.len() {
+            let sb = SbId(i);
+            assert_eq!(
+                *batch.io_trace(lane, sb),
+                *cc.io_trace(sb),
+                "trace of lane {lane} SB {i}"
+            );
+            assert_eq!(
+                batch.trace_digest(lane, sb),
+                cc.io_trace(sb).digest(),
+                "trace digest of lane {lane} SB {i}"
+            );
+            assert_eq!(
+                batch.timing_violations(lane, sb),
+                cc.timing_violations(sb),
+                "violations of lane {lane} SB {i}"
+            );
+        }
+        let violated = batch.timing_violations(lane, beta);
+        assert!(
+            2 * violated > batch.cycles(lane, beta),
+            "lane {lane}: {violated} of beta's edges violate its setup time"
+        );
+    }
+}
+
+// --- divergence splits ---------------------------------------------------
+
+/// Batches `gates.len()` lanes of a fan-out SB with `outputs` channels
+/// to a mixer sink, lane `l` a [`WideSource`] sharing its low `shared`
+/// outputs and gated by `gates[l]` above them, and checks every lane
+/// against its scalar runs.
+fn wide_fan_batch(outputs: usize, shared: usize, gates: &[u64]) -> BatchedSystem {
     let mut spec = SystemSpec::default();
     let fan = spec.add_sb("fan", SimDuration::ns(10));
     let sink = spec.add_sb("sink", SimDuration::ns(10));
     let ring = spec.add_ring(fan, sink, NodeParams::new(4, 12), SimDuration::ns(30));
-    for _ in 0..40 {
+    for _ in 0..outputs {
         spec.add_channel(fan, sink, ring, 16, 4, SimDuration::ns(1));
     }
-    // Lanes 0 and 1 agree throughout; lanes 2 and 3 agree with each
-    // other on cycle 0, then differ on the high outputs from cycle 4.
-    let gates = [u64::MAX, u64::MAX, 0xF0F0_F0F0_F0F0_F0F0, 0];
     let make = || {
         gates
             .iter()
-            .map(|&g| {
+            .map(|&gates| {
                 SystemBuilder::new(spec.clone())
                     .expect("spec must validate")
                     .with_trace_limit(100)
-                    .with_logic(SbId(0), WideSource { gates: g, next: 0 })
+                    .with_logic(
+                        SbId(0),
+                        WideSource {
+                            shared,
+                            gates,
+                            next: 0,
+                        },
+                    )
                     .with_logic(SbId(1), MixerLogic::new(7))
             })
             .collect()
     };
-    let batch = assert_batch_matches_scalar(&make, 200);
+    assert_batch_matches_scalar(&make, 200)
+}
+
+#[test]
+fn forty_output_sb_batches_and_splits_on_its_high_outputs() {
+    // Lanes 0 and 1 agree throughout; lanes 2 and 3 agree with each
+    // other on cycle 0, then differ on the high outputs from cycle 4.
+    let batch = wide_fan_batch(40, 32, &[u64::MAX, u64::MAX, 0xF0F0_F0F0_F0F0_F0F0, 0]);
     assert_eq!(batch.lanes(), 4);
     assert_eq!(batch.group_count(), 3, "{{0, 1}}, {{2}} and {{3}}");
+    assert_eq!(batch.splits(), 2);
+}
+
+#[test]
+fn send_masks_past_one_word_split_on_outputs_64_and_up() {
+    // 70 outputs take two send-mask words per lane. Every lane writes
+    // all of outputs 0-63 on every cycle, so the first mask words always
+    // agree; the lanes differ only in the second word.
+    let gates = [
+        u64::MAX,
+        0xF0F0_F0F0_F0F0_F0F0,
+        u64::MAX,
+        0,
+        0xF0F0_F0F0_F0F0_F0F0,
+    ];
+    let batch = wide_fan_batch(70, 64, &gates);
+    assert_eq!(batch.lanes(), 5);
+    assert_eq!(batch.group_count(), 3, "{{0, 2}}, {{1, 4}} and {{3}}");
     assert_eq!(batch.splits(), 2);
 }
 

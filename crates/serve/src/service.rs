@@ -1110,7 +1110,7 @@ mod tests {
     #[test]
     fn witness_index_keeps_a_rewritten_key_until_its_newest_write_leaves() {
         let mut st = QueueState::default();
-        let key = |n: u64| ContentKey::of(&n.to_le_bytes());
+        let key = |n: u64| ContentKey::of(&st_sim::canon::encode(&n));
         let mut seq = 0;
         let mut write = |st: &mut QueueState, k: ContentKey| {
             let record = WitnessRecord {

@@ -9,7 +9,10 @@
 //! edge-time log and the FIFO move queues. Those reservations must not
 //! scale with the trace limit, which callers may set far past the
 //! cycles that run. A counting global allocator checks all three on the
-//! compiled engine and the trace-limit bound on a batched group too.
+//! compiled engine and the trace-limit bound on a batched group too. A
+//! batched E1 verdict run allocates no more at 64 lanes than at 4, and
+//! far fewer times than it pushes: lanes reuse their edge columns and
+//! push columns.
 //! It also checks that an E1 bypass verdict run on the event engine
 //! allocates less than once per four SB-cycles once built (its wrappers
 //! reuse their per-edge scratch), that a warm in-place checkpoint rewind
@@ -27,7 +30,7 @@ use synchro_tokens::checkpoint::config_hash;
 use synchro_tokens::scenarios::{
     build_e1_backend, build_e1_bypass, build_pingpong_backend, e1_spec, mixer_builder,
 };
-use synchro_tokens::{AnySystem, Backend, BatchedSystem, Checkpoint, RunOutcome, SbId};
+use synchro_tokens::{AnySystem, Backend, BatchedSystem, ChannelId, Checkpoint, RunOutcome, SbId};
 
 /// Counts allocations made by threads that opted in.
 struct Counting;
@@ -212,6 +215,42 @@ fn batched_lowering_reserves_nothing_for_a_huge_trace_limit() {
     for lane in 0..LANES as usize {
         assert!(batch.io_trace(lane, SbId(0)).len() >= CYCLES as usize);
     }
+}
+
+#[test]
+fn batched_e1_verdict_run_allocates_nothing_per_lane_or_push() {
+    // A lanes group ticks into columns it reuses across edges, and each
+    // push column a FIFO gives back carries a later push's words, so a
+    // verdict run allocates the same handful whatever its width, and
+    // far fewer times than it pushes.
+    const CYCLES: u64 = 100;
+    let spec = e1_spec();
+    let run = |lanes: u64| {
+        let builders = (0..lanes)
+            .map(|seed| mixer_builder(&spec, seed, CYCLES as usize))
+            .collect();
+        let mut batch = BatchedSystem::build(builders)
+            .unwrap_or_else(|_| panic!("E1 is inside the batched envelope"));
+        let allocs = allocations_in(|| {
+            let outs = batch.run_to_verdict(CYCLES, SimDuration::us(3000));
+            assert!(outs.iter().all(|o| *o == RunOutcome::Reached));
+        });
+        let pushes: u64 = (0..spec.channels.len())
+            .map(|c| batch.fifo_stats(0, ChannelId(c)).0)
+            .sum();
+        (allocs, pushes)
+    };
+    // The first run warms whatever a process initializes once.
+    run(64);
+    let ((narrow, _), (wide, pushes)) = (run(4), run(64));
+    assert!(
+        wide <= narrow + 4,
+        "64 lanes allocated {wide} times, 4 lanes {narrow} times"
+    );
+    assert!(
+        wide * 4 < pushes,
+        "{wide} allocations in a verdict run of {pushes} pushes"
+    );
 }
 
 #[test]
